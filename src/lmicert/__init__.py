@@ -16,8 +16,8 @@ from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
                      ReductionError, ZeroPolynomialError)
 from .pencil import (LinearPencil, Membership, MonicReduction, PsdReport,
                      SymmetricMatrix, determinant_polynomial, direct_sum,
-                     evaluate_pencil, format_pencil, is_psd, membership,
-                     parse_pencil, reduce_to_monic, shift_pencil)
+                     format_pencil, is_psd, membership, parse_pencil,
+                     reduce_to_monic, shift_pencil)
 from .poly import (Polynomial, UnivariatePolynomial, format_polynomial,
                    format_rational, parse_polynomial, parse_rational)
 from .realroots import (RootCount, RootInterval, count_real_roots,
@@ -40,8 +40,8 @@ __all__ = [
     "RootCount", "RootInterval", "SymmetricMatrix", "UnivariatePolynomial",
     "VerifyOutcome", "ZeroPolynomialError", "boundary_samples",
     "count_real_roots", "count_roots_in_open_interval",
-    "determinant_polynomial", "direct_sum", "evaluate_pencil",
-    "format_pencil", "format_polynomial", "format_rational",
+    "determinant_polynomial", "direct_sum", "format_pencil",
+    "format_polynomial", "format_rational",
     "hyperbolicity_check", "intercept_normalize", "isolate_real_roots",
     "is_psd", "match_offdiagonal", "membership", "nesting_consistency_report",
     "oval_profile", "parse_pencil", "parse_polynomial", "parse_rational",

@@ -49,16 +49,19 @@ def _json(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_point(text: str, num_vars: int):
+def _parse_point(text: Optional[str], num_vars: int):
+    if text is None:
+        return (Fraction(0),) * num_vars
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != num_vars:
         raise ParseError(f"--point needs {num_vars} comma-separated values")
     return tuple(parse_rational(t) for t in parts)
 
 
-def _sampler(args, num_vars: int) -> RaySampler:
+def _sampler(args, num_vars: int, extra_directions=()) -> RaySampler:
     return RaySampler(num_vars, deterministic_count=args.rays,
-                      random_count=args.random, seed=args.seed)
+                      random_count=args.random, seed=args.seed,
+                      extra_directions=extra_directions)
 
 
 def _fmt_direction(direction) -> List[str]:
@@ -184,11 +187,8 @@ def cmd_reduce_monic(args) -> int:
 def cmd_topology(args) -> int:
     p = parse_polynomial(_read(args.input))
     point = _parse_point(args.point, p.num_vars)
-    sampler = RaySampler(p.num_vars, deterministic_count=args.rays,
-                         random_count=args.random, seed=args.seed,
-                         extra_directions=((1, 0), (0, 1)))
-    profile = oval_profile(p, point, sampler,
-                           resolution=args.resolution)
+    sampler = _sampler(args, p.num_vars, extra_directions=((1, 0), (0, 1)))
+    profile = oval_profile(p, point, sampler, resolution=args.resolution)
     if args.format == "csv":
         lines = ["ray,direction_x,direction_y,parameter,multiplicity"]
         for idx, ray in enumerate(profile.rays):
@@ -353,8 +353,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.point is None:
-        args.point = "0,0"
     try:
         return args.func(args)
     except CertifiedNotRZError as exc:

@@ -141,10 +141,6 @@ class LinearPencil:
         return f"LinearPencil(size={self.size}, num_vars={self.num_vars})"
 
 
-def evaluate_pencil(pencil: LinearPencil, point: Sequence) -> SymmetricMatrix:
-    return pencil.evaluate(point)
-
-
 # -- exact definiteness -------------------------------------------------------
 
 

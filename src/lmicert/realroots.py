@@ -6,6 +6,10 @@ integer polynomials (pseudo-remainders with explicit sign correction), so
 coefficient growth stays bounded and no rounding ever occurs.  Sign
 variations at +-infinity are read off leading coefficients and parities;
 nothing is evaluated at large arguments.
+
+Every counter and the isolation go through one factor-chain loop
+(_factor_chains: Yun decomposition, then one integer Sturm chain per
+factor) and one counter (_count) whose interval ends may be infinite.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ZeroPolynomialError
 from .poly import UnivariatePolynomial
@@ -131,36 +135,21 @@ def _variations(signs: Sequence[int]) -> int:
     return out
 
 
-def _variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
-    return _variations([_int_sign_at(c, x) for c in chain])
+def _signs(chain: Sequence[IntPoly], x: Optional[Fraction],
+           side: int) -> List[int]:
+    """Chain signs at x; x = None stands for side * infinity, where the
+    signs are read off leading coefficients and degree parities."""
+    if x is None:
+        return [_sign(c[-1]) * side ** (len(c) - 1) for c in chain]
+    return [_int_sign_at(c, x) for c in chain]
 
 
-def _variations_pos_inf(chain: Sequence[IntPoly]) -> int:
-    return _variations([_sign(c[-1]) if c else 0 for c in chain])
-
-
-def _variations_neg_inf(chain: Sequence[IntPoly]) -> int:
-    return _variations([_sign(c[-1]) * (-1) ** (len(c) - 1) if c else 0
-                        for c in chain])
-
-
-def _count_all(chain: Sequence[IntPoly]) -> int:
-    return _variations_neg_inf(chain) - _variations_pos_inf(chain)
-
-
-def _count_between(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct roots in (a, b); endpoints must not be roots."""
-    return _variations_at(chain, a) - _variations_at(chain, b)
-
-
-def _count_below(chain: Sequence[IntPoly], a: Fraction) -> int:
-    """Distinct roots in (-inf, a); a must not be a root."""
-    return _variations_neg_inf(chain) - _variations_at(chain, a)
-
-
-def _count_above(chain: Sequence[IntPoly], a: Fraction) -> int:
-    """Distinct roots in (a, +inf); a must not be a root."""
-    return _variations_at(chain, a) - _variations_pos_inf(chain)
+def _count(chain: Sequence[IntPoly], lo: Optional[Fraction] = None,
+           hi: Optional[Fraction] = None) -> int:
+    """Distinct roots in (lo, hi); a missing end is -inf or +inf.  Finite
+    ends must not be roots."""
+    return (_variations(_signs(chain, lo, -1))
+            - _variations(_signs(chain, hi, 1)))
 
 
 def _cauchy_bound(c: IntPoly) -> Fraction:
@@ -240,17 +229,35 @@ def sturm_chain(f: UnivariatePolynomial) -> List[UnivariatePolynomial]:
     return [_from_int_poly(c) for c in chain]
 
 
-def count_real_roots(f: UnivariatePolynomial) -> RootCount:
-    """Exact count of real roots, distinct and with multiplicity."""
+def _factor_chains(f: UnivariatePolynomial, verb: str
+                   ) -> List[Tuple[IntPoly, List[IntPoly], int]]:
+    """(g, Sturm chain of g, multiplicity) for each square-free factor g
+    of f, as a primitive integer polynomial."""
     if f.is_zero():
-        raise ZeroPolynomialError("cannot count roots of the zero polynomial")
+        raise ZeroPolynomialError(
+            f"cannot {verb} roots of the zero polynomial")
+    out = []
+    for g, mult in square_free_decompose(f):
+        gi = _to_int_poly(g)
+        out.append((gi, _int_sturm_chain(gi), mult))
+    return out
+
+
+def _tally(factors, lo: Optional[Fraction] = None,
+           hi: Optional[Fraction] = None) -> Tuple[int, int]:
+    """(distinct, with multiplicity) count of roots in (lo, hi)."""
     distinct = 0
     with_mult = 0
-    for g, mult in square_free_decompose(f):
-        chain = _int_sturm_chain(_to_int_poly(g))
-        n = _count_all(chain)
+    for _, chain, mult in factors:
+        n = _count(chain, lo, hi)
         distinct += n
         with_mult += mult * n
+    return distinct, with_mult
+
+
+def count_real_roots(f: UnivariatePolynomial) -> RootCount:
+    """Exact count of real roots, distinct and with multiplicity."""
+    distinct, with_mult = _tally(_factor_chains(f, "count"))
     return RootCount(distinct, with_mult, int(f.degree()))
 
 
@@ -258,36 +265,21 @@ def count_roots_in_open_interval(f: UnivariatePolynomial,
                                  lo: Fraction, hi: Fraction) -> Tuple[int, int]:
     """(distinct, with multiplicity) count of roots in the open interval
     (lo, hi).  The endpoints must not be roots of f."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot count roots of the zero polynomial")
+    factors = _factor_chains(f, "count")
     lo, hi = Fraction(lo), Fraction(hi)
     if f.evaluate(lo) == 0 or f.evaluate(hi) == 0:
         raise ValueError("interval endpoints must not be roots")
-    distinct = 0
-    with_mult = 0
-    for g, mult in square_free_decompose(f):
-        chain = _int_sturm_chain(_to_int_poly(g))
-        n = _count_between(chain, lo, hi)
-        distinct += n
-        with_mult += mult * n
-    return distinct, with_mult
+    return _tally(factors, lo, hi)
 
 
 def side_counts(f: UnivariatePolynomial) -> Tuple[int, int]:
     """Roots with multiplicity on each side of 0: (negative, positive).
     Requires f(0) != 0."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot count roots of the zero polynomial")
+    factors = _factor_chains(f, "count")
     if f.evaluate(0) == 0:
         raise ValueError("f(0) = 0; side counts are undefined")
-    neg = 0
-    pos = 0
     zero = Fraction(0)
-    for g, mult in square_free_decompose(f):
-        chain = _int_sturm_chain(_to_int_poly(g))
-        neg += mult * _count_below(chain, zero)
-        pos += mult * _count_above(chain, zero)
-    return neg, pos
+    return _tally(factors, hi=zero)[1], _tally(factors, lo=zero)[1]
 
 
 def isolate_real_roots(f: UnivariatePolynomial,
@@ -296,17 +288,12 @@ def isolate_real_roots(f: UnivariatePolynomial,
     """Disjoint intervals, each of width <= resolution, each containing
     exactly one distinct real root of f, sorted ascending, with the
     root's multiplicity attached."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
+    factors = _factor_chains(f, "isolate")
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     found: List[Tuple[IntPoly, List[IntPoly], Fraction, Fraction, int]] = []
-    for g, mult in square_free_decompose(f):
-        gi = _to_int_poly(g)
-        if len(gi) <= 1:
-            continue
-        chain = _int_sturm_chain(gi)
+    for gi, chain, mult in factors:
         for lo, hi in _isolate_factor(gi, chain, resolution):
             found.append((gi, chain, lo, hi, mult))
     # roots of coprime factors are distinct, but their isolating intervals
@@ -334,7 +321,7 @@ def _isolate_factor(g: IntPoly, chain: List[IntPoly],
                     resolution: Fraction) -> List[Tuple[Fraction, Fraction]]:
     bound = _cauchy_bound(g)
     out: List[Tuple[Fraction, Fraction]] = []
-    total = _count_between(chain, -bound, bound)
+    total = _count(chain, -bound, bound)
     stack = [(-bound, bound, total)]
     while stack:
         a, b, n = stack.pop()
@@ -350,14 +337,14 @@ def _isolate_factor(g: IntPoly, chain: List[IntPoly],
             while True:
                 lo2, hi2 = mid - delta, mid + delta
                 if (_int_sign_at(g, lo2) != 0 and _int_sign_at(g, hi2) != 0
-                        and _count_between(chain, lo2, hi2) == 1):
+                        and _count(chain, lo2, hi2) == 1):
                     break
                 delta = delta / 2
             out.append((mid, mid))
-            stack.append((a, lo2, _count_between(chain, a, lo2)))
-            stack.append((hi2, b, _count_between(chain, hi2, b)))
+            stack.append((a, lo2, _count(chain, a, lo2)))
+            stack.append((hi2, b, _count(chain, hi2, b)))
         else:
-            left = _count_between(chain, a, mid)
+            left = _count(chain, a, mid)
             stack.append((a, mid, left))
             stack.append((mid, b, n - left))
     return out

@@ -7,15 +7,21 @@ intersections at infinity and is permitted.  Failing rays are exact,
 unconditional certificates (the restriction provably has nonreal roots);
 passing every sampled ray yields only a "ProbablyRZ" verdict, since no
 finite ray family covers all lines.
+
+Every scan goes through one core: _scan checks the base point and the
+sampler, restricts p to each direction, counts the roots and stops at
+the first failing ray.  rz_check, rigid_convexity_check,
+hyperbolicity_check and topology.oval_profile are thin shells over it;
+boundary_samples shares its base check and restriction step (_lines).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, pi, tan
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
 from .poly import Polynomial, UnivariatePolynomial, as_point
@@ -130,32 +136,63 @@ class RZVerdict:
         return self.kind == CERTIFIED_NOT_RZ
 
 
-def _checked_base(p: Polynomial, x0: Sequence) -> Tuple[Fraction, ...]:
+def _checked_base(p: Polynomial, x0: Sequence, signed: bool = False
+                  ) -> Tuple[Polynomial, Tuple[Fraction, ...]]:
+    """(q, x) with x the base point and q(x) > 0: q = p, or with signed
+    also q = -p when p(x0) < 0."""
     if p.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no line test")
     x = as_point(x0, p.num_vars)
     value = p.evaluate(x)
+    if signed:
+        if value == 0:
+            raise BasePointError("p(x0) = 0; hyperbolicity needs p(x0) != 0")
+        return (p if value > 0 else -p), x
     if value <= 0:
         raise BasePointError(
             f"p(x0) = {value} is not positive; the base point must be "
             f"interior to the region")
-    return x
+    return p, x
 
 
-def _ray_record(p: Polynomial, x0, v, total_degree: int) -> Tuple[RayRecord, RootCount]:
-    f = p.restrict(x0, v)
-    # f(0) = p(x0) != 0, so the restriction is never the zero polynomial
-    counts = count_real_roots(f)
-    deg_f = counts.total_degree
-    record = RayRecord(
-        direction=v,
-        degree=deg_f,
-        distinct=counts.distinct_real,
-        with_multiplicity=counts.real_with_multiplicity,
-        at_infinity=total_degree - deg_f,
-        passed=counts.real_with_multiplicity == deg_f,
-    )
-    return record, counts
+def _lines(q: Polynomial, x: Tuple[Fraction, ...], directions
+           ) -> Iterator[Tuple[Direction, UnivariatePolynomial]]:
+    """Each direction v with the restriction f(mu) = q(x + mu v)."""
+    for v in directions:
+        yield v, q.restrict(x, v)
+
+
+def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
+          reverse: bool = False
+          ) -> Tuple[RZVerdict, List[UnivariatePolynomial]]:
+    """The line test along the sampler's directions: the verdict, and the
+    restriction of p (negated if p(x0) < 0) to every scanned ray.
+
+    Roots are counted on the restriction f, or with reverse on its
+    degree-padded reversal, which allows p(x0) < 0.  A ray passes when
+    all roots of the counted polynomial are real with multiplicity; the
+    first failing ray stops the scan and is the witness.  f(0) = q(x0)
+    is nonzero, so neither polynomial is zero and the reversal has
+    degree deg p: nothing of it is left at infinity.
+    """
+    q, x = _checked_base(p, x0, signed=reverse)
+    if sampler.num_vars != p.num_vars:
+        raise DimensionMismatch("sampler dimension differs from polynomial")
+    d = int(q.degree())
+    per_ray: List[RayRecord] = []
+    restrictions: List[UnivariatePolynomial] = []
+    for v, f in _lines(q, x, sampler.directions()):
+        counts = count_real_roots(_reversal(f, d) if reverse else f)
+        deg = counts.total_degree
+        real = counts.real_with_multiplicity
+        per_ray.append(RayRecord(v, deg, counts.distinct_real, real,
+                                 d - deg, real == deg))
+        restrictions.append(f)
+        if real != deg:
+            return (RZVerdict(CERTIFIED_NOT_RZ, (v, counts), len(per_ray),
+                              sampler.seed, tuple(per_ray)), restrictions)
+    return (RZVerdict(PROBABLY_RZ, None, len(per_ray), sampler.seed,
+                      tuple(per_ray)), restrictions)
 
 
 def rz_check(p: Polynomial, x0: Sequence,
@@ -167,20 +204,7 @@ def rz_check(p: Polynomial, x0: Sequence,
     witness; all roots on it were counted exactly, so the negative
     verdict is unconditional.
     """
-    x = _checked_base(p, x0)
-    sampler = sampler or RaySampler(p.num_vars)
-    if sampler.num_vars != p.num_vars:
-        raise DimensionMismatch("sampler dimension differs from polynomial")
-    d = int(p.degree())
-    per_ray: List[RayRecord] = []
-    for v in sampler.directions():
-        record, counts = _ray_record(p, x, v, d)
-        per_ray.append(record)
-        if not record.passed:
-            return RZVerdict(CERTIFIED_NOT_RZ, (v, counts), len(per_ray),
-                             sampler.seed, tuple(per_ray))
-    return RZVerdict(PROBABLY_RZ, None, len(per_ray), sampler.seed,
-                     tuple(per_ray))
+    return _scan(p, x0, sampler or RaySampler(p.num_vars))[0]
 
 
 def rigid_convexity_check(p: Polynomial, x0: Sequence,
@@ -191,25 +215,16 @@ def rigid_convexity_check(p: Polynomial, x0: Sequence,
     real roots is flagged degenerate: the input is then likely a
     non-minimal defining polynomial, e.g. a perfect square.
     """
-    x = _checked_base(p, x0)
-    sampler = sampler or RaySampler(p.num_vars)
-    if sampler.num_vars != p.num_vars:
-        raise DimensionMismatch("sampler dimension differs from polynomial")
+    verdict = _scan(p, x0, sampler or RaySampler(p.num_vars))[0]
+    if verdict.certified_not_rz():
+        return verdict
     d = int(p.degree())
-    per_ray: List[RayRecord] = []
-    all_distinct = 0
-    for v in sampler.directions():
-        record, counts = _ray_record(p, x, v, d)
-        per_ray.append(record)
-        if not record.passed:
-            return RZVerdict(CERTIFIED_NOT_RZ, (v, counts), len(per_ray),
-                             sampler.seed, tuple(per_ray))
-        if record.degree == d and record.distinct == d:
-            all_distinct += 1
-    fraction = Fraction(all_distinct, len(per_ray))
-    return RZVerdict(PROBABLY_RZ, None, len(per_ray), sampler.seed,
-                     tuple(per_ray), distinct_fraction=fraction,
-                     degenerate=(all_distinct == 0))
+    all_distinct = sum(1 for r in verdict.per_ray
+                       if r.degree == d and r.distinct == d)
+    return replace(verdict,
+                   distinct_fraction=Fraction(all_distinct,
+                                              verdict.rays_checked),
+                   degenerate=(all_distinct == 0))
 
 
 def hyperbolicity_check(p: Polynomial, x0: Sequence,
@@ -225,36 +240,7 @@ def hyperbolicity_check(p: Polynomial, x0: Sequence,
     multiplicity, with nothing left at infinity.  p(x0) may be negative
     (the homogenization is negated); it must be nonzero.
     """
-    if p.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no line test")
-    x = as_point(x0, p.num_vars)
-    value = p.evaluate(x)
-    if value == 0:
-        raise BasePointError("p(x0) = 0; hyperbolicity needs p(x0) != 0")
-    q = p if value > 0 else -p
-    sampler = sampler or RaySampler(p.num_vars)
-    if sampler.num_vars != p.num_vars:
-        raise DimensionMismatch("sampler dimension differs from polynomial")
-    d = int(q.degree())
-    per_ray: List[RayRecord] = []
-    for v in sampler.directions():
-        f = q.restrict(x, v)
-        rev = _reversal(f, d)
-        counts = count_real_roots(rev)
-        record = RayRecord(
-            direction=v,
-            degree=counts.total_degree,
-            distinct=counts.distinct_real,
-            with_multiplicity=counts.real_with_multiplicity,
-            at_infinity=0,
-            passed=counts.real_with_multiplicity == d,
-        )
-        per_ray.append(record)
-        if not record.passed:
-            return RZVerdict(CERTIFIED_NOT_RZ, (v, counts), len(per_ray),
-                             sampler.seed, tuple(per_ray))
-    return RZVerdict(PROBABLY_RZ, None, len(per_ray), sampler.seed,
-                     tuple(per_ray))
+    return _scan(p, x0, sampler or RaySampler(p.num_vars), reverse=True)[0]
 
 
 def _reversal(f: UnivariatePolynomial, total_degree: int) -> UnivariatePolynomial:
@@ -294,17 +280,18 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     """
     if p.num_vars != 2:
         raise DimensionMismatch("boundary extraction is two-variable only")
-    x = _checked_base(p, x0)
-    samples: List[BoundarySample] = []
-    unbounded: List[float] = []
+    q, x = _checked_base(p, x0)
+    directions = []
     for j in range(rays):
         raw = _half_turn_direction(j, rays)
         # max-norm scaling keeps the ray parameter at geometric scale,
         # so the isolation resolution bounds the point error directly
         mx = max(abs(c) for c in raw)
-        v = (raw[0] / mx, raw[1] / mx)
+        directions.append((raw[0] / mx, raw[1] / mx))
+    samples: List[BoundarySample] = []
+    unbounded: List[float] = []
+    for j, (v, f) in enumerate(_lines(q, x, directions)):
         angle = j * pi / rays
-        f = p.restrict(x, v)
         if f.degree() <= 0:
             unbounded.extend((angle, angle + pi))
             continue

@@ -17,9 +17,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import CertifiedNotRZError, DimensionMismatch
 from .poly import Polynomial
-from .realroots import count_real_roots, isolate_real_roots, side_counts
-from .rzcheck import Direction, RaySampler, RZVerdict, RayRecord, \
-    CERTIFIED_NOT_RZ, _checked_base
+# count_real_roots is not called here (rzcheck._scan runs the line
+# test); perfbench's tracer self-test expects this module to bind it
+from .realroots import (count_real_roots,  # noqa: F401
+                        isolate_real_roots, side_counts)
+from .rzcheck import Direction, RaySampler, _scan
 
 __all__ = ["RayProfile", "OvalProfile", "oval_profile",
            "nesting_consistency_report"]
@@ -67,44 +69,35 @@ def oval_profile(p: Polynomial, x0: Sequence,
                  resolution: Fraction = Fraction(1, 2 ** 20)) -> OvalProfile:
     """Scan lines through x0 and classify the region's oval structure.
 
-    The line test is re-verified on the fly: a ray whose restriction
-    has nonreal roots aborts the scan with the witness.  The default
-    sampler pins both axis directions so degree drops along them are
-    always observed.
+    The line test runs first: a ray whose restriction has nonreal roots
+    aborts the scan with the witness, whose verdict lists every ray
+    scanned up to it.  The default sampler pins both axis directions so
+    degree drops along them are always observed.
     """
     if p.num_vars != 2:
         raise DimensionMismatch("oval profiles are two-variable only")
-    x = _checked_base(p, x0)
-    if sampler is None:
-        sampler = RaySampler(2, extra_directions=((1, 0), (0, 1)))
-    if sampler.num_vars != 2:
-        raise DimensionMismatch("sampler dimension differs from polynomial")
-    d = int(p.degree())
+    verdict, restrictions = _scan(
+        p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))))
+    if verdict.certified_not_rz():
+        v, counts = verdict.witness
+        raise CertifiedNotRZError(
+            f"not rigidly convex at the base point: direction "
+            f"{tuple(str(c) for c in v)} meets the curve in only "
+            f"{counts.real_with_multiplicity} of {counts.total_degree} "
+            f"affine points", verdict=verdict)
     rays: List[RayProfile] = []
-    for v in sampler.directions():
-        f = p.restrict(x, v)
-        counts = count_real_roots(f)
-        deg_f = counts.total_degree
-        if counts.real_with_multiplicity != deg_f:
-            raise CertifiedNotRZError(
-                f"not rigidly convex at the base point: direction "
-                f"{tuple(str(c) for c in v)} meets the curve in only "
-                f"{counts.real_with_multiplicity} of {deg_f} affine points",
-                verdict=RZVerdict(CERTIFIED_NOT_RZ, (v, counts),
-                                  len(rays) + 1, sampler.seed,
-                                  (RayRecord(v, deg_f, counts.distinct_real,
-                                             counts.real_with_multiplicity,
-                                             d - deg_f, False),)))
-        neg, pos = side_counts(f) if deg_f > 0 else (0, 0)
-        intervals = isolate_real_roots(f, resolution) if deg_f > 0 else []
+    for record, f in zip(verdict.per_ray, restrictions):
+        neg, pos = side_counts(f) if record.degree > 0 else (0, 0)
+        intervals = (isolate_real_roots(f, resolution)
+                     if record.degree > 0 else [])
         params = tuple((iv.midpoint(), iv.multiplicity) for iv in intervals)
         rays.append(RayProfile(
-            direction=v,
+            direction=record.direction,
             parameters=params,
             negative_count=neg,
             positive_count=pos,
-            at_infinity=d - deg_f,
-            vote=_ray_vote(neg, pos, d - deg_f),
+            at_infinity=record.at_infinity,
+            vote=_ray_vote(neg, pos, record.at_infinity),
             has_multiple_root=any(m > 1 for _, m in params),
         ))
     votes = {r.vote for r in rays}
@@ -121,7 +114,8 @@ def oval_profile(p: Polynomial, x0: Sequence,
             ovals, pseudo_line = max(tally, key=lambda k: (tally[k], k))
         else:
             ovals, pseudo_line = 0, False
-    return OvalProfile(d, ovals, pseudo_line, tuple(rays), consistent)
+    return OvalProfile(int(p.degree()), ovals, pseudo_line, tuple(rays),
+                       consistent)
 
 
 def nesting_consistency_report(profile: OvalProfile) -> List[RayProfile]:

@@ -16,6 +16,7 @@ CONCENTRIC_POLY = ("vars 2\n4 0 0\n-5 2 0\n-5 0 2\n"
 ODD_CUBIC_POLY = ("vars 2\n4 0 0\n-4 1 0\n-1 2 0\n-1 0 2\n"
                   "1 3 0\n1 1 2\n")
 STRIP_POLY = "vars 2\n1 0 0\n-1 2 0\n"
+BALL_POLY = "vars 3\n1 0 0 0\n-1 2 0 0\n-1 0 2 0\n-1 0 0 2\n"
 DISC_PENCIL = ("pencil 2 2\nL 0\n1 0\n0 1\nL 1\n1 0\n0 -1\n"
                "L 2\n0 1\n1 0\n")
 EMBEDDED_PENCIL = ("pencil 2 2\nL 0\n4 0\n0 0\nL 1\n1 0\n0 0\n"
@@ -310,6 +311,17 @@ def test_bad_point_arity_exits_1(tmp_path):
     code, _, err = run_cli(["check", path, "--point", "1"] + FAST)
     assert code == 1
     assert "error" in err
+
+
+def test_point_defaults_to_origin_in_three_variables(tmp_path):
+    path = write(tmp_path, "ball.poly", BALL_POLY)
+    code, out, err = run_cli(["check", path] + FAST)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["kind"] == "ProbablyRZ"
+    assert all(len(r["direction"]) == 3 for r in doc["per_ray"])
+    assert run_cli(["check", path, "--point", "0,0,0"] + FAST) == \
+        (code, out, err)
 
 
 def test_unknown_command_exits_1():

@@ -1,0 +1,92 @@
+"""Byte-identical command-line output on a fixed corpus.
+
+Each case runs one CLI command on one of the curves in tests/golden/ and
+compares stdout byte for byte with the stored tests/golden/<case>.out;
+the exit code and stderr are pinned in tests/golden/cases.json.  After an
+intended output change, regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and announce the change.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from lmicert.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FAST = ["--rays", "31", "--random", "8"]
+
+# curve file stem -> base point (None: the default origin)
+CURVES = {
+    "disc": None,
+    "fermat": None,
+    "lobe": "7/10,0",
+    "odd_cubic": None,
+    "concentric": None,
+    "tangent": "-4,0",
+}
+
+# case suffix -> command and extra arguments
+COMMANDS = {
+    "check": ["check"],
+    "hyperbolic": ["hyperbolic"],
+    "topology.json": ["topology"],
+    "topology.csv": ["topology", "--format", "csv"],
+    "boundary.json": ["boundary"],
+    "boundary.csv": ["boundary", "--format", "csv"],
+    "boundary.svg": ["boundary", "--format", "svg"],
+    "represent": ["represent"],
+}
+
+
+def cases():
+    for curve, point in CURVES.items():
+        for suffix, command in COMMANDS.items():
+            argv = command[:1] + [str(GOLDEN / f"{curve}.poly")] + \
+                command[1:] + FAST
+            if point is not None:
+                argv.append(f"--point={point}")
+            yield f"{curve}.{suffix}", argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _manifest():
+    with open(GOLDEN / "cases.json", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("name,argv", list(cases()))
+def test_golden_output(name, argv):
+    expected = _manifest()[name]
+    code, out, err = run(argv)
+    assert (GOLDEN / f"{name}.out").read_text(encoding="utf-8") == out
+    assert code == expected["exit"]
+    assert err == expected["stderr"]
+
+
+def regenerate():
+    manifest = {}
+    for name, argv in cases():
+        code, out, err = run(argv)
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        manifest[name] = {"exit": code, "stderr": err}
+    with open(GOLDEN / "cases.json", "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

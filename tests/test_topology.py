@@ -95,6 +95,11 @@ def test_not_rigidly_convex_aborts_with_witness():
     verdict = err.value.verdict
     assert verdict.certified_not_rz()
     assert verdict.witness is not None
+    # the verdict is the line scan's own: one record per scanned ray,
+    # ending at the witness
+    assert len(verdict.per_ray) == verdict.rays_checked
+    assert verdict.per_ray[-1].direction == verdict.witness[0]
+    assert not verdict.per_ray[-1].passed
 
 
 def test_three_variables_rejected():

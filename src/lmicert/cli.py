@@ -107,6 +107,9 @@ def cmd_hyperbolic(args) -> int:
 
 def cmd_represent(args) -> int:
     p = parse_polynomial(_read(args.input))
+    if any(_parse_point(args.point, p.num_vars)):
+        raise ValueError(f"--point {args.point} is not the origin; "
+                         "represent builds the pencil at the origin")
     factors = None
     if args.factors:
         factors = _parse_factor_file(_read(args.factors))

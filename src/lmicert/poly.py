@@ -17,7 +17,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ZeroPolynomialError
@@ -31,6 +31,8 @@ NEG_INF = float("-inf")
 def _frac(value) -> Fraction:
     """Coerce ints, Fractions, and exact strings; floats are rejected so
     inexactness cannot sneak into the ring."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
     return Fraction(value)
@@ -261,22 +263,39 @@ class Polynomial:
 
         deg f can drop below deg p; that happens exactly when the
         top-degree form of p vanishes at v.
+
+        Computed in integers: with x0 = X/D, v = V/D and the coefficients
+        c_e = C_e/E over common denominators, p(x0 + mu*v) is
+        sum C_e D^(d-|e|) prod_i (X_i + mu V_i)^e_i / (E D^d).  A zero
+        coordinate X_i (always, at the origin) contributes one monomial.
         """
         x = as_point(x0, self.num_vars)
         w = as_direction(v, self.num_vars)
         if self.is_zero():
             return UnivariatePolynomial(())
         d = self.degree()
-        acc = [Fraction(0)] * (d + 1)
+        den = _lcm_denominators(x + w)
+        xs = [c.numerator * (den // c.denominator) for c in x]
+        vs = [c.numerator * (den // c.denominator) for c in w]
+        cden = _lcm_denominators(self._terms.values())
+        acc = [0] * (d + 1)
         for exps, c in self._terms.items():
-            factor = [c]
-            for xi, vi, e in zip(x, w, exps):
-                if e:
-                    base = _binomial_power(xi, vi, e)
-                    factor = _convolve(factor, base)
+            scale = (c.numerator * (cden // c.denominator)
+                     * den ** (d - sum(exps)))
+            shift = 0
+            factor = [1]
+            for xi, vi, e in zip(xs, vs, exps):
+                if not xi:
+                    scale *= vi ** e
+                    shift += e
+                elif e:
+                    factor = _convolve(factor, [
+                        comb(e, k) * xi ** (e - k) * vi ** k
+                        for k in range(e + 1)])
             for k, fc in enumerate(factor):
-                acc[k] += fc
-        return UnivariatePolynomial(acc)
+                acc[shift + k] += scale * fc
+        total = cden * den ** d
+        return UnivariatePolynomial([Fraction(a, total) for a in acc])
 
     def top_form(self) -> "Polynomial":
         """Sum of the terms of maximal total degree."""
@@ -318,13 +337,15 @@ class Polynomial:
         return Polynomial(self.num_vars - 1, out)
 
 
-def _binomial_power(a: Fraction, b: Fraction, e: int):
-    """Dense coefficients of (a + b*mu)^e in mu."""
-    return [Fraction(comb(e, k)) * a ** (e - k) * b ** k for k in range(e + 1)]
+def _lcm_denominators(values: Iterable[Fraction]) -> int:
+    out = 1
+    for c in values:
+        out = lcm(out, c.denominator)
+    return out
 
 
 def _convolve(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
         if fi == 0:
             continue

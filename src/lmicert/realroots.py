@@ -1,11 +1,19 @@
 """Exact real-root counting and isolation for univariate rational polynomials.
 
-Sturm chains are built on square-free parts only; multiplicities come from
-a Yun decomposition.  The remainder sequence is computed on primitive
-integer polynomials (pseudo-remainders with explicit sign correction), so
-coefficient growth stays bounded and no rounding ever occurs.  Sign
-variations at +-infinity are read off leading coefficients and parities;
-nothing is evaluated at large arguments.
+Everything below runs on primitive integer polynomials; a rational input
+is scaled by a positive constant once, which keeps every sign.
+
+  * Yun's square-free decomposition: gcds are primitive pseudo-remainder
+    sequences and every quotient is an exact division in Z[x].
+  * Sturm chains on the square-free factors, by pseudo-remainders with
+    explicit sign correction, so coefficient growth stays bounded and no
+    rounding ever occurs.  Sign variations at +-infinity are read off
+    leading coefficients and parities; finite points p/q are evaluated
+    by an integer Horner scheme on numerator and denominator.
+  * Dyadic isolation: every bisection point of a factor with Cauchy
+    bound B = m/l is B*j/2^k, so the factor and its chain are scaled
+    once to l^n c(m y / l) and bisected on the integers (j, k).  Ends
+    become Fractions only when they are returned.
 
 Every counter and the isolation go through one factor-chain loop
 (_factor_chains: Yun decomposition, then one integer Sturm chain per
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ZeroPolynomialError
@@ -31,16 +39,11 @@ IntPoly = List[int]
 def _to_int_poly(f: UnivariatePolynomial) -> IntPoly:
     """Scale a rational polynomial by a positive constant to a primitive
     integer polynomial.  The sign pattern is preserved exactly."""
-    if f.is_zero():
-        return []
-    denom_lcm = 1
+    den = 1
     for c in f.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in f.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    return [c // content for c in ints]
+        den = lcm(den, c.denominator)
+    return _int_primitive([c.numerator * (den // c.denominator)
+                           for c in f.coeffs])
 
 
 def _from_int_poly(c: IntPoly) -> UnivariatePolynomial:
@@ -52,9 +55,9 @@ def _int_derivative(c: IntPoly) -> IntPoly:
 
 
 def _int_primitive(c: IntPoly) -> IntPoly:
-    content = 0
-    for v in c:
-        content = gcd(content, v)
+    content = gcd(*c)
+    if content == 1:
+        return list(c)
     return [v // content for v in c] if content else []
 
 
@@ -62,19 +65,46 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _int_sign_at(c: IntPoly, x: Fraction) -> int:
-    """Sign of the integer polynomial at a rational point, computed in
-    integers: sum c_k p^k q^(n-k) for x = p/q."""
+def _int_sign_at(c: IntPoly, p: int, q: int = 1) -> int:
+    """Sign of the integer polynomial at the rational point p/q (q > 0),
+    computed in integers: the sign of sum c_k p^k q^(n-k), by Horner."""
     if not c:
         return 0
-    p, q = x.numerator, x.denominator
-    n = len(c) - 1
-    total = 0
-    pk = 1
-    for k, ck in enumerate(c):
-        total += ck * pk * q ** (n - k)
-        pk *= p
+    if not p:
+        return _sign(c[0])
+    total = c[-1]
+    qk = 1
+    for k in range(len(c) - 2, -1, -1):
+        qk *= q
+        total = total * p + c[k] * qk
     return _sign(total)
+
+
+def _int_sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+           for i in range(max(len(a), len(b)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _int_exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for integer polynomials where b divides a in Z[x]; by Gauss's
+    lemma that holds whenever a primitive b divides a over Q."""
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        qi, rem = divmod(r[i + db], b[-1])
+        if rem:
+            raise ValueError("division is not exact")
+        q[i] = qi
+        if qi:
+            for j in range(db):
+                r[i + j] -= qi * b[j]
+    if any(r[:db]):
+        raise ValueError("division is not exact")
+    return q
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -123,6 +153,15 @@ def _int_sturm_chain(g: IntPoly) -> List[IntPoly]:
     return chain
 
 
+def _int_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd with positive leading coefficient, by a primitive
+    pseudo-remainder sequence."""
+    while b:
+        a, b = b, _int_primitive(_pseudo_rem(a, b))
+    a = _int_primitive(a)
+    return a if a[-1] > 0 else [-v for v in a]
+
+
 def _variations(signs: Sequence[int]) -> int:
     out = 0
     prev = 0
@@ -135,28 +174,22 @@ def _variations(signs: Sequence[int]) -> int:
     return out
 
 
-def _signs(chain: Sequence[IntPoly], x: Optional[Fraction],
-           side: int) -> List[int]:
-    """Chain signs at x; x = None stands for side * infinity, where the
-    signs are read off leading coefficients and degree parities."""
+def _variations_at(chain: Sequence[IntPoly], x: Optional[Tuple[int, int]],
+                   side: int) -> int:
+    """Sign variations of the chain at x = (p, q), the point p/q; x = None
+    stands for side * infinity, where the signs are read off leading
+    coefficients and degree parities."""
     if x is None:
-        return [_sign(c[-1]) * side ** (len(c) - 1) for c in chain]
-    return [_int_sign_at(c, x) for c in chain]
+        return _variations([_sign(c[-1]) * side ** (len(c) - 1)
+                            for c in chain])
+    return _variations([_int_sign_at(c, *x) for c in chain])
 
 
-def _count(chain: Sequence[IntPoly], lo: Optional[Fraction] = None,
-           hi: Optional[Fraction] = None) -> int:
+def _count(chain: Sequence[IntPoly], lo: Optional[Tuple[int, int]] = None,
+           hi: Optional[Tuple[int, int]] = None) -> int:
     """Distinct roots in (lo, hi); a missing end is -inf or +inf.  Finite
-    ends must not be roots."""
-    return (_variations(_signs(chain, lo, -1))
-            - _variations(_signs(chain, hi, 1)))
-
-
-def _cauchy_bound(c: IntPoly) -> Fraction:
-    """All real roots lie strictly inside (-M, M)."""
-    lead = abs(c[-1])
-    top = max((abs(v) for v in c[:-1]), default=0)
-    return Fraction(1) + Fraction(top, lead)
+    ends are (p, q) pairs for p/q and must not be roots."""
+    return _variations_at(chain, lo, -1) - _variations_at(chain, hi, 1)
 
 
 # -- public API ---------------------------------------------------------------
@@ -189,33 +222,22 @@ def square_free_decompose(
         raise ZeroPolynomialError("cannot decompose the zero polynomial")
     if f.degree() == 0:
         return []
-    fp = f.derivative()
-    g = _gcd_monic(f, fp)
+    fi = _to_int_poly(f)
+    fp = _int_derivative(fi)
+    g = _int_gcd(fi, fp)
     out: List[Tuple[UnivariatePolynomial, int]] = []
-    b = f.exact_div(g)
-    c = fp.exact_div(g)
-    d = c - b.derivative()
+    b = _int_exact_div(fi, g)
+    d = _int_sub(_int_exact_div(fp, g), _int_derivative(b))
     i = 1
-    while b.degree() > 0:
-        a = _gcd_monic(b, d)
-        if a.degree() > 0:
-            out.append((a, i))
-        b = b.exact_div(a)
-        c = d.exact_div(a)
-        d = c - b.derivative()
+    while len(b) > 1:
+        a = _int_gcd(b, d)
+        if len(a) > 1:
+            out.append((UnivariatePolynomial(
+                [Fraction(v, a[-1]) for v in a]), i))
+        b = _int_exact_div(b, a)
+        d = _int_sub(_int_exact_div(d, a), _int_derivative(b))
         i += 1
     return out
-
-
-def _gcd_monic(a: UnivariatePolynomial,
-               b: UnivariatePolynomial) -> UnivariatePolynomial:
-    while not b.is_zero():
-        a, b = b, (a % b)
-        if not a.is_zero():
-            a = a.monic()
-    if a.is_zero():
-        raise ZeroPolynomialError("gcd of two zero polynomials")
-    return a.monic()
 
 
 def sturm_chain(f: UnivariatePolynomial) -> List[UnivariatePolynomial]:
@@ -243,8 +265,8 @@ def _factor_chains(f: UnivariatePolynomial, verb: str
     return out
 
 
-def _tally(factors, lo: Optional[Fraction] = None,
-           hi: Optional[Fraction] = None) -> Tuple[int, int]:
+def _tally(factors, lo: Optional[Tuple[int, int]] = None,
+           hi: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
     """(distinct, with multiplicity) count of roots in (lo, hi)."""
     distinct = 0
     with_mult = 0
@@ -269,7 +291,8 @@ def count_roots_in_open_interval(f: UnivariatePolynomial,
     lo, hi = Fraction(lo), Fraction(hi)
     if f.evaluate(lo) == 0 or f.evaluate(hi) == 0:
         raise ValueError("interval endpoints must not be roots")
-    return _tally(factors, lo, hi)
+    return _tally(factors, (lo.numerator, lo.denominator),
+                  (hi.numerator, hi.denominator))
 
 
 def side_counts(f: UnivariatePolynomial) -> Tuple[int, int]:
@@ -278,8 +301,49 @@ def side_counts(f: UnivariatePolynomial) -> Tuple[int, int]:
     factors = _factor_chains(f, "count")
     if f.evaluate(0) == 0:
         raise ValueError("f(0) = 0; side counts are undefined")
-    zero = Fraction(0)
+    zero = (0, 1)
     return _tally(factors, hi=zero)[1], _tally(factors, lo=zero)[1]
+
+
+class _Grid:
+    """The bisection points B*j/2^k of one square-free factor g, where
+    B = m/l is its Cauchy bound: every real root lies strictly inside
+    (-B, B).  g and its Sturm chain are scaled once to l^n c(m y / l),
+    a positive multiple of c at x = B*y, so signs at the grid point
+    B*j/2^k are signs of the scaled polynomials at j/2^k."""
+
+    __slots__ = ("m", "l", "g", "chain")
+
+    def __init__(self, g: IntPoly, chain: List[IntPoly]):
+        lead = abs(g[-1])
+        bound = Fraction(lead + max((abs(v) for v in g[:-1]), default=0),
+                         lead)
+        self.m, self.l = bound.numerator, bound.denominator
+        self.g = self._scaled(g)
+        self.chain = [self._scaled(c) for c in chain]
+
+    def _scaled(self, c: IntPoly) -> IntPoly:
+        n = len(c) - 1
+        mk = 1
+        out = []
+        for k, ck in enumerate(c):
+            out.append(ck * mk * self.l ** (n - k))
+            mk *= self.m
+        return _int_primitive(out)
+
+    def point(self, j: int, k: int) -> Fraction:
+        return Fraction(self.m * j, self.l << k)
+
+    def wider(self, ja: int, jb: int, k: int, resolution: Fraction) -> bool:
+        """Whether B*(jb - ja)/2^k > resolution."""
+        return (self.m * (jb - ja) * resolution.denominator
+                > (self.l * resolution.numerator) << k)
+
+    def sign(self, j: int, k: int) -> int:
+        return _int_sign_at(self.g, j, 1 << k)
+
+    def variations(self, j: int, k: int) -> int:
+        return _variations_at(self.chain, (j, 1 << k), 1)
 
 
 def isolate_real_roots(f: UnivariatePolynomial,
@@ -292,76 +356,90 @@ def isolate_real_roots(f: UnivariatePolynomial,
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    found: List[Tuple[IntPoly, List[IntPoly], Fraction, Fraction, int]] = []
+    # [low, high, grid, ja, jb, k, multiplicity]: low = B*ja/2^k and
+    # high = B*jb/2^k on the factor's grid
+    found = []
     for gi, chain, mult in factors:
-        for lo, hi in _isolate_factor(gi, chain, resolution):
-            found.append((gi, chain, lo, hi, mult))
+        grid = _Grid(gi, chain)
+        for ja, jb, k in _isolate_factor(grid, resolution):
+            found.append([grid.point(ja, k), grid.point(jb, k), grid,
+                          ja, jb, k, mult])
     # roots of coprime factors are distinct, but their isolating intervals
     # can still overlap; shrink until they are pairwise disjoint
     target = resolution
     while True:
-        found.sort(key=lambda t: (t[2], t[3]))
+        found.sort(key=lambda t: (t[0], t[1]))
         clash = None
         for i in range(len(found) - 1):
-            if found[i][3] >= found[i + 1][2]:
+            if found[i][1] >= found[i + 1][0]:
                 clash = i
                 break
         if clash is None:
             break
         target = target / 4
         for i in (clash, clash + 1):
-            gi, chain, lo, hi, mult = found[i]
-            if lo != hi:
-                lo, hi = _refine(gi, lo, hi, target)
-                found[i] = (gi, chain, lo, hi, mult)
-    return [RootInterval(lo, hi, mult) for (_, _, lo, hi, mult) in found]
+            _, _, grid, ja, jb, k, mult = found[i]
+            if ja != jb:
+                ja, jb, k = _refine(grid, ja, jb, k, target)
+                found[i] = [grid.point(ja, k), grid.point(jb, k), grid,
+                            ja, jb, k, mult]
+    return [RootInterval(t[0], t[1], t[6]) for t in found]
 
 
-def _isolate_factor(g: IntPoly, chain: List[IntPoly],
-                    resolution: Fraction) -> List[Tuple[Fraction, Fraction]]:
-    bound = _cauchy_bound(g)
-    out: List[Tuple[Fraction, Fraction]] = []
-    total = _count(chain, -bound, bound)
-    stack = [(-bound, bound, total)]
+def _isolate_factor(grid: _Grid, resolution: Fraction
+                    ) -> List[Tuple[int, int, int]]:
+    """Isolating intervals (ja, jb, k) of the factor's roots, by Sturm
+    bisection of (-B, B).  A stack entry carries its interval, its root
+    count and the chain's sign variations at its left end."""
+    out: List[Tuple[int, int, int]] = []
+    var_lo = grid.variations(-1, 0)
+    stack = [(-1, 1, 0, var_lo - grid.variations(1, 0), var_lo)]
     while stack:
-        a, b, n = stack.pop()
+        ja, jb, k, n, var_a = stack.pop()
         if n == 0:
             continue
         if n == 1:
-            out.append(_refine(g, a, b, resolution))
+            out.append(_refine(grid, ja, jb, k, resolution))
             continue
-        mid = (a + b) / 2
-        if _int_sign_at(g, mid) == 0:
-            # exact root at the cut point; carve out a buffer around it
-            delta = (b - a) / 4
+        jm = ja + jb            # the midpoint, on level k + 1
+        if grid.sign(jm, k + 1) == 0:
+            # exact root at the cut point; carve out a buffer around it:
+            # mid -+ delta with delta = (b - a)/4, then halved, on level lv
+            lv, mid, delta = k + 2, 2 * jm, jb - ja
             while True:
                 lo2, hi2 = mid - delta, mid + delta
-                if (_int_sign_at(g, lo2) != 0 and _int_sign_at(g, hi2) != 0
-                        and _count(chain, lo2, hi2) == 1):
-                    break
-                delta = delta / 2
-            out.append((mid, mid))
-            stack.append((a, lo2, _count(chain, a, lo2)))
-            stack.append((hi2, b, _count(chain, hi2, b)))
+                if grid.sign(lo2, lv) != 0 and grid.sign(hi2, lv) != 0:
+                    var_lo2 = grid.variations(lo2, lv)
+                    var_hi2 = grid.variations(hi2, lv)
+                    if var_lo2 - var_hi2 == 1:
+                        break
+                lv += 1
+                mid *= 2
+            out.append((jm, jm, k + 1))
+            up = lv - k
+            stack.append((ja << up, lo2, lv, var_a - var_lo2, var_a))
+            stack.append((hi2, jb << up, lv, var_hi2 - (var_a - n), var_hi2))
         else:
-            left = _count(chain, a, mid)
-            stack.append((a, mid, left))
-            stack.append((mid, b, n - left))
+            var_m = grid.variations(jm, k + 1)
+            left = var_a - var_m
+            stack.append((2 * ja, jm, k + 1, left, var_a))
+            stack.append((jm, 2 * jb, k + 1, n - left, var_m))
     return out
 
 
-def _refine(g: IntPoly, a: Fraction, b: Fraction,
-            resolution: Fraction) -> Tuple[Fraction, Fraction]:
+def _refine(grid: _Grid, ja: int, jb: int, k: int,
+            resolution: Fraction) -> Tuple[int, int, int]:
     """Shrink an interval known to contain exactly one simple root; the
     endpoints are non-roots, so the sign change tracks the root."""
-    sign_a = _int_sign_at(g, a)
-    while b - a > resolution:
-        mid = (a + b) / 2
-        s = _int_sign_at(g, mid)
+    sign_a = grid.sign(ja, k)
+    while grid.wider(ja, jb, k, resolution):
+        jm = ja + jb
+        ja, jb, k = 2 * ja, 2 * jb, k + 1
+        s = grid.sign(jm, k)
         if s == 0:
-            return mid, mid
+            return jm, jm, k
         if s == sign_a:
-            a = mid
+            ja = jm
         else:
-            b = mid
-    return a, b
+            jb = jm
+    return ja, jb, k

@@ -145,6 +145,17 @@ def test_represent_not_rz_exits_2(tmp_path):
     assert doc["witness_direction"] == ["1", "0"]
 
 
+def test_represent_rejects_a_base_point_off_the_origin(tmp_path):
+    path = write(tmp_path, "disc.poly", DISC_POLY)
+    code, out, err = run_cli(["represent", path, "--point", "1/2,0"] + FAST)
+    assert (code, out) == (1, "")
+    assert err == ("error: --point 1/2,0 is not the origin; represent "
+                   "builds the pencil at the origin\n")
+    # the origin itself, spelled out, changes nothing
+    assert run_cli(["represent", path, "--point", "0,0"] + FAST) == \
+        run_cli(["represent", path] + FAST)
+
+
 def test_verify_round_trip(tmp_path):
     ppath = write(tmp_path, "disc.poly", DISC_POLY)
     qpath = write(tmp_path, "disc.pencil", DISC_PENCIL)

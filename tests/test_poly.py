@@ -229,3 +229,22 @@ def test_homogenize_restores_on_slice(p):
     # homogeneity: every term has total degree equal to deg p
     d = int(p.degree())
     assert all(sum(expo) == d for expo, _ in ph.sorted_terms())
+
+
+direction_st = point_st.filter(lambda v: v != (0, 0))
+
+
+@given(poly_st(), point_st, direction_st)
+@settings(max_examples=80, deadline=None)
+def test_restrict_agrees_with_evaluation_on_the_line(p, x0, v):
+    # a polynomial of degree <= d is fixed by its values at d + 1 points
+    f = p.restrict(x0, v)
+    if p.is_zero():
+        assert f.is_zero()
+        return
+    d = int(p.degree())
+    assert f.degree() <= d
+    for k in range(d + 1):
+        t = Fraction(2 * k - d, k + 3)
+        line = (x0[0] + t * v[0], x0[1] + t * v[1])
+        assert f.evaluate(t) == p.evaluate(line)

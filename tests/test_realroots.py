@@ -200,3 +200,42 @@ def test_seeded_random_batch_matches_numpy():
         assert count_real_roots(f).distinct_real == len(expected)
         checked += 1
     assert checked > 100
+
+
+# === oracle: Yun decomposition by its defining properties ===
+
+def _gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over Q."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+@given(st.lists(st.tuples(
+           st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                    min_size=2, max_size=4),
+           st.integers(min_value=1, max_value=3)),
+       min_size=1, max_size=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5))
+@settings(max_examples=80, deadline=None)
+def test_square_free_decompose_properties(parts, scale):
+    f = poly(scale or 1)
+    for coeffs, mult in parts:
+        if coeffs[-1] == 0:
+            coeffs[-1] = Fraction(1)
+        for _ in range(mult):
+            f = f * poly(*coeffs)
+    out = square_free_decompose(f)
+    product = poly(1)
+    for g, i in out:
+        assert g.degree() >= 1 and g.leading() == 1
+        assert _gcd(g, g.derivative()) == poly(1)
+        for _ in range(i):
+            product = product * g
+    # f equals the product of g_i^i up to a nonzero constant
+    assert f * product.leading() == product * f.leading()
+    mults = [i for _, i in out]
+    assert mults == sorted(set(mults))
+    for a in range(len(out)):
+        for b in range(a + 1, len(out)):
+            assert _gcd(out[a][0], out[b][0]) == poly(1)

@@ -1,8 +1,9 @@
 """Byte-identical command-line output on a fixed corpus.
 
-Each case runs one CLI command on one of the curves in tests/golden/ and
-compares stdout byte for byte with the stored tests/golden/<case>.out;
-the exit code and stderr are pinned in tests/golden/cases.json.  After an
+Each case runs one CLI command on one of the curves or pencils in
+tests/golden/ and compares stdout byte for byte with the stored
+tests/golden/<case>.out; the exit code and stderr are pinned in
+tests/golden/cases.json.  After an
 intended output change, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -45,6 +46,27 @@ COMMANDS = {
     "represent": ["represent"],
 }
 
+# pencil commands: case name -> command and its input files
+PENCIL_CASES = {
+    "disc.det": ["det", "disc.pencil"],
+    "disc.verify": ["verify", "disc.poly", "disc.pencil"],
+    "disc.reduce-monic": ["reduce-monic", "disc.pencil"],
+    "concentric.det": ["det", "concentric.pencil"],
+    "concentric.verify": ["verify", "concentric.poly", "concentric.pencil"],
+    "mismatch.verify": ["verify", "disc.poly", "concentric.pencil"],
+    "forms7.det": ["det", "forms7.pencil"],
+    "forms7.verify": ["verify", "forms7.poly", "forms7.pencil"],
+    "approx.det": ["det", "approx.pencil"],
+    "approx.verify": ["verify", "approx.poly", "approx.pencil"],
+    "embedded.det": ["det", "embedded.pencil"],
+    "embedded.reduce-monic": ["reduce-monic", "embedded.pencil"],
+    "squares.det": ["det", "squares.pencil"],
+    "squares.reduce-monic": ["reduce-monic", "squares.pencil"],
+    "three.det": ["det", "three.pencil"],
+    "three.reduce-monic": ["reduce-monic", "three.pencil"],
+}
+
+
 
 def cases():
     for curve, point in CURVES.items():
@@ -54,6 +76,8 @@ def cases():
             if point is not None:
                 argv.append(f"--point={point}")
             yield f"{curve}.{suffix}", argv
+    for name, (command, *files) in PENCIL_CASES.items():
+        yield name, [command] + [str(GOLDEN / f) for f in files]
 
 
 def run(argv):

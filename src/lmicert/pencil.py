@@ -5,7 +5,9 @@ expansion to a sparse polynomial, direct sums, shifts, spectrahedron
 membership, and reduction of a pencil with singular PSD constant term to
 an equivalent monic pencil on its range.
 
-All arithmetic is over Fraction; decisions are exact, never floating.
+Matrices hold Fractions and the linear algebra on them is over Fraction;
+determinant expansion scales each block to integers over a common
+denominator and works in int.  Decisions are exact, never floating.
 """
 
 from __future__ import annotations
@@ -13,17 +15,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import factorial, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ReductionError
-from .poly import (Polynomial, as_point, format_rational, parse_rational)
+from .poly import (Polynomial, _lcm_denominators, as_point, format_rational,
+                   parse_rational)
 
 Row = Tuple[Fraction, ...]
-
-# Cap on the size of an irreducible block in exact determinant expansion.
-# Larger pencils only arise as direct sums, which split into blocks first.
-_DET_BLOCK_CAP = 12
 
 
 class SymmetricMatrix:
@@ -258,10 +258,9 @@ class Membership(enum.Enum):
 
 
 def _classify(mat: SymmetricMatrix) -> Membership:
-    rep = is_psd(mat)
-    if rep.is_pd:
+    if _ldl_pivots([list(row) for row in mat.entries]) is not None:
         return Membership.INTERIOR
-    if rep.is_psd:
+    if is_psd(mat).is_psd:
         return Membership.BOUNDARY
     return Membership.OUTSIDE
 
@@ -275,6 +274,8 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     runs on the compression to range(L0); otherwise the literal test is
     used (Interior is then typically empty).  A non-PSD L0 is an error.
     """
+    if pencil.monic():
+        return _classify(pencil.evaluate(point))
     rep0 = is_psd(pencil.matrices[0])
     if not rep0.is_psd:
         raise ReductionError(
@@ -296,35 +297,18 @@ def determinant_polynomial(pencil: LinearPencil) -> Polynomial:
     """Exact det(L0 + x1 L1 + ... + xm Lm) as a polynomial in x1..xm.
 
     The joint support graph is split into connected components (so direct
-    sums, permuted or not, factor automatically) and each component is
-    expanded by bitmask dynamic programming.
+    sums, permuted or not, factor automatically).  Each component of size
+    s is scaled to integer matrices over one common denominator, its
+    determinant is evaluated by fraction-free Bareiss elimination at the
+    C(s+m, m) lattice points of the simplex |a| <= s, and the polynomial
+    of total degree at most s through those values is recovered exactly
+    by Newton interpolation.  Every step is in integers; the only
+    division by the denominator comes last.
     """
-    n = pencil.size
-    m = pencil.num_vars
-    entries = [[_entry_poly(pencil, i, j) for j in range(n)] for i in range(n)]
-    result = Polynomial.constant(1, m)
+    result = Polynomial.constant(1, pencil.num_vars)
     for comp in _components(pencil):
-        if len(comp) > _DET_BLOCK_CAP:
-            raise ValueError(
-                f"irreducible pencil block of size {len(comp)} exceeds the "
-                f"exact determinant cap ({_DET_BLOCK_CAP}); split the pencil "
-                f"into a direct sum first")
-        result = result * _component_det(entries, comp, m)
+        result = result * _component_det(pencil, comp)
     return result
-
-
-def _entry_poly(pencil: LinearPencil, i: int, j: int) -> Polynomial:
-    m = pencil.num_vars
-    terms = {}
-    c0 = pencil.matrices[0].entries[i][j]
-    if c0:
-        terms[(0,) * m] = c0
-    for k in range(1, m + 1):
-        c = pencil.matrices[k].entries[i][j]
-        if c:
-            exps = tuple(1 if t == k - 1 else 0 for t in range(m))
-            terms[exps] = c
-    return Polynomial(m, terms)
 
 
 def _components(pencil: LinearPencil) -> List[List[int]]:
@@ -355,38 +339,96 @@ def _components(pencil: LinearPencil) -> List[List[int]]:
     return comps
 
 
-def _component_det(entries, comp: List[int], m: int) -> Polynomial:
-    """Determinant of the principal submatrix on comp, by expanding one
-    row at a time over column subsets (memoized on the subset mask)."""
+def _component_det(pencil: LinearPencil, comp: List[int]) -> Polynomial:
+    """Determinant of the principal subpencil on comp, by evaluation at
+    integer points and interpolation."""
     s = len(comp)
-    zero = Polynomial.zero(m)
-    memo = {0: Polynomial.constant(1, m)}
-    # process masks in order of increasing popcount: row k consumes masks
-    # of popcount k+1
-    by_count: List[List[int]] = [[] for _ in range(s + 1)]
-    for mask in range(1 << s):
-        by_count[bin(mask).count("1")].append(mask)
-    for k in range(1, s + 1):
-        row = comp[k - 1]
-        row_sign = 1 if (k - 1) % 2 == 0 else -1
-        for mask in by_count[k]:
-            acc = zero
-            sign = row_sign  # cofactor sign (-1)^((k-1) + index within mask)
-            for pos in range(s):
-                bit = 1 << pos
-                if not mask & bit:
-                    continue
-                e = entries[row][comp[pos]]
-                if not e.is_zero():
-                    sub = memo[mask ^ bit]
-                    term = e * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            memo[mask] = acc
-        # free the previous layer
-        for mask in by_count[k - 1]:
-            del memo[mask]
-    return memo[(1 << s) - 1]
+    m = pencil.num_vars
+    blocks = [[[mat.entries[i][j] for j in comp] for i in comp]
+              for mat in pencil.matrices]
+    den = _lcm_denominators(v for block in blocks for row in block
+                            for v in row)
+    a0, *ak = [[[v.numerator * (den // v.denominator) for v in row]
+                for row in block] for block in blocks]
+    points = [a for a in product(range(s + 1), repeat=m) if sum(a) <= s]
+    table = {}
+    for a in points:
+        rows = [row[:] for row in a0]
+        for c, mat in zip(a, ak):
+            if c:
+                for row, mrow in zip(rows, mat):
+                    for j, v in enumerate(mrow):
+                        row[j] += c * v
+        table[a] = _bareiss_det(rows)
+    # forward differences along each axis in turn, line by line: then
+    # table[a] is the Newton coefficient Delta^a det(0)
+    for k in range(m):
+        for a in points:
+            if a[k]:
+                continue
+            line = [a[:k] + (j,) + a[k + 1:] for j in range(s - sum(a) + 1)]
+            g = [table[b] for b in line]
+            for j in range(1, len(g)):
+                for i in range(len(g) - 1, j - 1, -1):
+                    g[i] -= g[i - 1]
+            table.update(zip(line, g))
+    # det(x) = sum_a table[a] prod_k (x_k)_(a_k) / a_k!; the falling
+    # factorials expand by signed Stirling numbers of the first kind,
+    # and s! clears every a_k! (|a| <= s)
+    stirling = [[1]]
+    for n in range(s):
+        prev = stirling[-1] + [0]
+        stirling.append([(prev[j - 1] if j else 0) - n * prev[j]
+                         for j in range(n + 2)])
+    scale = factorial(s)
+    acc = {}
+    for a, delta in table.items():
+        if not delta:
+            continue
+        weight = delta * scale
+        for c in a:
+            weight //= factorial(c)
+        for e in product(*(range(c + 1) for c in a)):
+            term = weight
+            for c, d in zip(a, e):
+                term *= stirling[c][d]
+                if not term:
+                    break
+            if term:
+                acc[e] = acc.get(e, 0) + term
+    den_s = den ** s
+    terms = {}
+    for e, c in acc.items():
+        q, r = divmod(c, scale)
+        if r:
+            raise AssertionError("internal error: interpolated determinant "
+                                 "has a non-integer coefficient")
+        if q:
+            terms[e] = Fraction(q, den_s)
+    return Polynomial(m, terms)
+
+
+def _bareiss_det(rows: List[List[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination (rows are overwritten); every division is exact."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[n - 1][n - 1]
 
 
 def direct_sum(pencils: Sequence[LinearPencil]) -> LinearPencil:

@@ -213,6 +213,41 @@ def test_determinant_matches_cofactor_expansion_at_points():
             assert d.evaluate(pt) == _det_exact(p.evaluate(pt))
 
 
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def pencils_and_points(draw):
+    """A pencil with m = 1..3 variables, size 1..6, sparse or dense
+    rational entries (a matrix may be zero), and rational points."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(F(0)), _rationals)
+    mats = []
+    for _ in range(m + 1):
+        values = iter(draw(st.lists(entry, min_size=n * (n + 1) // 2,
+                                    max_size=n * (n + 1) // 2)))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = next(values)
+        mats.append(SymmetricMatrix(rows))
+    points = draw(st.lists(st.tuples(*[_rationals] * m), min_size=1,
+                           max_size=3))
+    return LinearPencil(mats), points
+
+
+@given(pencils_and_points())
+@settings(max_examples=150, deadline=None)
+def test_determinant_agrees_with_elimination_at_rational_points(case):
+    # oracle: Gaussian elimination over Fraction on the evaluated matrix
+    pencil, points = case
+    d = determinant_polynomial(pencil)
+    assert d.degree() <= pencil.size
+    for pt in points:
+        assert d.evaluate(pt) == _det_exact(pencil.evaluate(pt))
+
+
 def _det_exact(mat):
     rows = [list(r) for r in mat.entries]
     n = mat.size

@@ -27,7 +27,7 @@ import pytest
 from lmicert.pencil import (LinearPencil, SymmetricMatrix,
                             determinant_polynomial, direct_sum, format_pencil,
                             parse_pencil)
-from lmicert.poly import format_polynomial
+from lmicert.poly import Polynomial, format_polynomial
 
 TABLE = Path(__file__).resolve().parent / "golden" / "det.json"
 SEED = 19680701
@@ -198,6 +198,24 @@ def inputs(rng):
         for k in range(m + 1):
             out.append(("zero_L", with_zero(rng, 4 + k, m, k)))
     return out
+
+
+# -- beyond the table ----------------------------------------------------------
+
+
+def test_dense_block_of_size_14_expands_to_the_product_of_its_forms():
+    # one irreducible 14 x 14 block Q^T diag(1 + a_i x1 + b_i x2) Q
+    rng = random.Random(14)
+    coeffs = [(_q(rng), _q(rng)) for _ in range(14)]
+    p = _pencil(_conjugated(rng, [[Fraction(1)] * 14,
+                                  [a for a, _ in coeffs],
+                                  [b for _, b in coeffs]]))
+    assert all(p.matrices[1].entries[i][j] != 0 or p.matrices[2].entries[i][j]
+               != 0 for i in range(14) for j in range(14))
+    expected = Polynomial.constant(1, 2)
+    for a, b in coeffs:
+        expected = expected * Polynomial(2, {(0, 0): 1, (1, 0): a, (0, 1): b})
+    assert determinant_polynomial(p) == expected
 
 
 # -- the table ----------------------------------------------------------------

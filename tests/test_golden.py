@@ -54,6 +54,7 @@ PENCIL_CASES = {
     "concentric.det": ["det", "concentric.pencil"],
     "concentric.verify": ["verify", "concentric.poly", "concentric.pencil"],
     "mismatch.verify": ["verify", "disc.poly", "concentric.pencil"],
+    "neg.verify": ["verify", "disc.poly", "neg.pencil"],
     "forms7.det": ["det", "forms7.pencil"],
     "forms7.verify": ["verify", "forms7.poly", "forms7.pencil"],
     "approx.det": ["det", "approx.pencil"],

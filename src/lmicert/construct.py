@@ -10,9 +10,12 @@ x2 axis: with p(0, c_i) = 0 and s_i the implicit slope dx2/dx1 at
 
 That pins everything except the off-diagonal of L1, which is found by
 matching det coefficients numerically (degree 3 and up) or by a one
-unknown closed form (degree 2).  Every candidate is verified against
-an exact rational determinant expansion before it is returned, so
-floating point can only cause failures, never wrong answers.
+unknown closed form (degree 2).  The returned pencil is verified once,
+by exact rational determinant expansion, before it is returned, so
+floating point can only cause failures, never wrong answers: an exact
+identity det = c * p with c > 0 plus a positive definite L0 certifies
+the whole region, and only an approximate match falls back on sampled
+membership points.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
                      DimensionMismatch)
 from .pencil import (LinearPencil, Membership, SymmetricMatrix, direct_sum,
-                     determinant_polynomial, membership)
+                     determinant_polynomial, is_psd, membership)
 from .poly import Polynomial, UnivariatePolynomial
 from .realroots import count_real_roots, isolate_real_roots
 from .rzcheck import RaySampler, rz_check
@@ -72,7 +75,7 @@ class VerifyOutcome:
     residual: Optional[float]        # scaled coefficient deviation
     worst_monomial: Optional[Tuple[int, ...]]
     worst_deviation: Optional[float]
-    membership_points: int           # spot-check sample size
+    membership_points: int           # spot-check sample size (ApproxMatch)
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class RepresentationResult:
     residual: float
     method: str
     coordinate_change: Optional[Matrix2]
-    outcome: VerifyOutcome
+    outcome: Optional[VerifyOutcome]  # None until represent verifies
 
 
 # -- intercept normalization ---------------------------------------------------
@@ -297,7 +300,8 @@ def match_offdiagonal(p: Polynomial,
     plus 16 seeded random starts); the winner is re-checked by exact
     rational determinant expansion, and entries near simple fractions
     are promoted to exact values when the exact determinant then
-    agrees identically.
+    agrees identically.  The result carries no outcome: represent
+    verifies the pencil it finally returns.
     """
     l2, diag1 = fixed
     d = l2.size
@@ -311,10 +315,8 @@ def match_offdiagonal(p: Polynomial,
     n_unknowns = d * (d - 1) // 2
     if n_unknowns == 0:
         pencil = _pencil_from_entries(l2, diag1, [])
-        residual, worst = _coefficient_residual(pencil, target)
-        outcome = verify_representation(p, pencil, tol)
-        return RepresentationResult(pencil, residual, CLOSED_FORM, None,
-                                    outcome)
+        residual, _ = _coefficient_residual(pencil, target)
+        return RepresentationResult(pencil, residual, CLOSED_FORM, None, None)
 
     points = _grid(d)
     tvals = np.array([float(target.evaluate(pt)) for pt in points])
@@ -377,10 +379,9 @@ def match_offdiagonal(p: Polynomial,
             "retry with a different coordinate change or seed",
             residual=None if best_pencil is None else best_residual)
     best_pencil = _try_promote(best_pencil, target) or best_pencil
-    residual, worst = _coefficient_residual(best_pencil, target)
-    outcome = verify_representation(p, best_pencil, tol)
+    residual, _ = _coefficient_residual(best_pencil, target)
     return RepresentationResult(best_pencil, residual, COEFFICIENT_MATCHING,
-                                None, outcome)
+                                None, None)
 
 
 def _try_promote(pencil: LinearPencil, target: Polynomial
@@ -454,15 +455,11 @@ def represent(p: Polynomial, tol: float = 1e-9,
     Dispatch: degree up to 1 in closed form; a supplied factorization
     as a direct sum of per-factor pencils; degree 2 by the one-unknown
     closed form; degrees 3 to 6 by coefficient matching.  Inputs
-    failing the line test are rejected with the witness; all outputs
-    are verified before being returned.
+    failing the line test are rejected with the witness; the output is
+    verified once, as a whole, before it is returned.
     """
-    if p.num_vars != 2:
-        raise DimensionMismatch("construction is two-variable only")
-    origin = (Fraction(0), Fraction(0))
-    if p.evaluate(origin) <= 0:
-        raise BasePointError("p(0,0) must be positive")
-    verdict = rz_check(p, origin, sampler)
+    _check_base_point(p)
+    verdict = rz_check(p, (Fraction(0), Fraction(0)), sampler)
     if verdict.certified_not_rz():
         direction, counts = verdict.witness
         raise CertifiedNotRZError(
@@ -471,34 +468,47 @@ def represent(p: Polynomial, tol: float = 1e-9,
             f"{counts.real_with_multiplicity} real of {counts.total_degree} "
             f"roots", verdict=verdict)
 
-    if factors is not None:
+    if factors is None:
+        pencil, method, change = _unverified_pencil(p, tol, seed)
+        failure = "representation failed final verification"
+    else:
         product = Polynomial.constant(1, 2)
         for f in factors:
             product = product * f
         if product != p:
             raise ConstructionError("supplied factors do not multiply to p")
-        parts = [represent(f, tol=tol, seed=seed, sampler=sampler)
-                 for f in factors]
-        pencil = direct_sum([part.pencil for part in parts])
-        outcome = verify_representation(p, pencil, tol)
-        if outcome.kind == MISMATCH:
-            raise ConstructionError("direct sum failed verification",
-                                    residual=outcome.worst_deviation)
-        residual = outcome.residual or 0.0
-        return RepresentationResult(pencil, residual, DIRECT_SUM, None,
-                                    outcome)
+        # every factor of p passes the line test on the rays p passed,
+        # so the parts need no scan of their own
+        pencil = direct_sum([_unverified_pencil(f, tol, seed)[0]
+                             for f in factors])
+        method, change = DIRECT_SUM, None
+        failure = "direct sum failed verification"
+    outcome = verify_representation(p, pencil, tol)
+    if outcome.kind == MISMATCH:
+        raise ConstructionError(failure, residual=outcome.worst_deviation)
+    residual = 0.0 if outcome.kind == EXACT_MATCH else (outcome.residual or 0.0)
+    return RepresentationResult(pencil, residual, method, change, outcome)
 
+
+def _check_base_point(p: Polynomial) -> None:
+    if p.num_vars != 2:
+        raise DimensionMismatch("construction is two-variable only")
+    if p.evaluate((Fraction(0), Fraction(0))) <= 0:
+        raise BasePointError("p(0,0) must be positive")
+
+
+def _unverified_pencil(p: Polynomial, tol: float, seed: int
+                       ) -> Tuple[LinearPencil, str, Optional[Matrix2]]:
+    """The pencil, method and coordinate change for one polynomial with
+    p(0,0) > 0, not yet verified."""
+    _check_base_point(p)
     d = int(p.degree())
     if d == 0:
         one = SymmetricMatrix.identity(1)
         zero = SymmetricMatrix.zero(1)
-        pencil = LinearPencil([one, zero, zero])
-        return RepresentationResult(pencil, 0.0, CLOSED_FORM, None,
-                                    verify_representation(p, pencil, tol))
+        return LinearPencil([one, zero, zero]), CLOSED_FORM, None
     if d == 1:
-        pencil = _degree_one(p)
-        return RepresentationResult(pencil, 0.0, CLOSED_FORM, None,
-                                    verify_representation(p, pencil, tol))
+        return _degree_one(p), CLOSED_FORM, None
     if d > _MATCH_DEGREE_CAP:
         raise ConstructionError(
             f"degree {d} exceeds the matching cap {_MATCH_DEGREE_CAP}; "
@@ -513,13 +523,7 @@ def represent(p: Polynomial, tol: float = 1e-9,
         pencil, method = matched.pencil, matched.method
     if change is not None:
         pencil = _undo_change(pencil, change)
-    outcome = verify_representation(p, pencil, tol)
-    if outcome.kind == MISMATCH:
-        raise ConstructionError(
-            "representation failed final verification",
-            residual=outcome.worst_deviation)
-    residual = 0.0 if outcome.kind == EXACT_MATCH else (outcome.residual or 0.0)
-    return RepresentationResult(pencil, residual, method, change, outcome)
+    return pencil, method, change
 
 
 # -- verification --------------------------------------------------------------
@@ -550,11 +554,15 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
                           tol: float = 1e-9) -> VerifyOutcome:
     """Compare det(pencil) with p.
 
-    ExactMatch when the determinant is a positive rational multiple of
-    p coefficient for coefficient; ApproxMatch when, after scaling by
-    det(0)/p(0), every coefficient agrees within tol; Mismatch
-    otherwise.  Membership of seeded sample points is spot-checked for
-    sign agreement on the non-mismatch paths.
+    ExactMatch when the determinant is c * p coefficient for coefficient
+    with c > 0 and L0 = L(0) is positive definite.  That is a complete
+    certificate, so no point is sampled: the spectrahedron {L >= 0} is
+    then the closure of the component of {p > 0} containing the origin
+    (Helton-Vinnikov, CPAM 60 (2007), section 2), whose interior has
+    p > 0 and whose boundary has p = 0.  ApproxMatch when, after scaling
+    by det(0)/p(0), every coefficient agrees within tol, L0 is positive
+    definite and 100 seeded sample points agree in sign up to the
+    coefficient error.  Mismatch otherwise.
     """
     if pencil.num_vars != p.num_vars:
         raise DimensionMismatch("pencil and polynomial dimensions differ")
@@ -564,11 +572,11 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
         return VerifyOutcome(MISMATCH, None, None, None, None, 0)
     lead_expo, lead_coeff = terms[-1]
     constant = det.coefficient(lead_expo) / lead_coeff
+    base_pd = is_psd(pencil.matrices[0]).is_pd
     if constant > 0 and det == p * constant:
-        ok, points = _membership_spot_check(p, pencil, exact=True, band=0.0)
-        if not ok:
-            return VerifyOutcome(MISMATCH, None, None, None, None, points)
-        return VerifyOutcome(EXACT_MATCH, constant, None, None, None, points)
+        if not base_pd:
+            return VerifyOutcome(MISMATCH, None, None, None, None, 0)
+        return VerifyOutcome(EXACT_MATCH, constant, None, None, None, 0)
 
     origin = tuple(Fraction(0) for _ in range(p.num_vars))
     det0, p0 = det.evaluate(origin), p.evaluate(origin)
@@ -581,7 +589,7 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
         dev = abs(float(coeff))
         if dev > worst:
             worst, worst_mono = dev, expo
-    if worst <= tol:
+    if worst <= tol and base_pd:
         # |diff| at the sample points is at most the coefficient bound
         # times the monomial mass on the sampling box [-8, 8]^2
         grow = 17.0 ** max(int(p.degree()), 1)

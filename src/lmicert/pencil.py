@@ -258,11 +258,37 @@ class Membership(enum.Enum):
 
 
 def _classify(mat: SymmetricMatrix) -> Membership:
-    if _ldl_pivots([list(row) for row in mat.entries]) is not None:
-        return Membership.INTERIOR
-    if is_psd(mat).is_psd:
-        return Membership.BOUNDARY
-    return Membership.OUTSIDE
+    """Interior (PD), Boundary (PSD and singular) or Outside, by one
+    symmetric elimination with diagonal pivoting.
+
+    A negative diagonal entry, or a zero one whose row is not zero, is a
+    negative 1x1 or 2x2 principal minor; a zero row is a kernel vector
+    and drops out; after a positive pivot the Schur complement is PSD
+    (PD) exactly when the matrix is.
+    """
+    m = [list(row) for row in mat.entries]
+    singular = False
+    while m:
+        live = []
+        for i, row in enumerate(m):
+            if row[i] < 0:
+                return Membership.OUTSIDE
+            if row[i]:
+                live.append(i)
+            elif any(row):
+                return Membership.OUTSIDE
+        if len(live) < len(m):
+            singular = True
+            if not live:
+                break
+        p, rest = live[0], live[1:]
+        pivot_row = m[p]
+        schur = []
+        for i in rest:
+            f = m[i][p] / pivot_row[p]
+            schur.append([m[i][j] - f * pivot_row[j] for j in rest])
+        m = schur
+    return Membership.BOUNDARY if singular else Membership.INTERIOR
 
 
 def membership(pencil: LinearPencil, point: Sequence) -> Membership:
@@ -274,20 +300,18 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     runs on the compression to range(L0); otherwise the literal test is
     used (Interior is then typically empty).  A non-PSD L0 is an error.
     """
-    if pencil.monic():
-        return _classify(pencil.evaluate(point))
-    rep0 = is_psd(pencil.matrices[0])
-    if not rep0.is_psd:
+    l0 = pencil.matrices[0]
+    base = Membership.INTERIOR if pencil.monic() else _classify(l0)
+    if base is Membership.OUTSIDE:
         raise ReductionError(
             "L0 is not positive semidefinite at the reference point; "
             "apply reduce_to_monic after shifting to an interior point")
-    if rep0.is_pd:
-        return _classify(pencil.evaluate(point))
-    basis = _range_basis(pencil.matrices[0])
-    if _range_condition_holds(basis, pencil):
-        mat = pencil.evaluate(point)
-        return _classify(_compress(basis, mat))
-    return _classify(pencil.evaluate(point))
+    mat = pencil.evaluate(point)
+    if base is Membership.BOUNDARY:
+        basis = _range_basis(l0)
+        if _range_condition_holds(basis, pencil):
+            return _classify(_compress(basis, mat))
+    return _classify(mat)
 
 
 # -- determinants -------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_verify_round_trip(tmp_path):
     doc = json.loads(out)
     assert doc["kind"] == "ExactMatch"
     assert doc["constant"] == "1"
-    assert doc["membership_points"] == 100
+    assert doc["membership_points"] == 0
 
 
 def test_verify_mismatch_exits_3(tmp_path):

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lmicert import construct
 from lmicert.construct import (APPROX_MATCH, CLOSED_FORM,
                                COEFFICIENT_MATCHING, DIRECT_SUM, EXACT_MATCH,
                                MISMATCH, InterceptData, fixed_part,
@@ -13,8 +15,8 @@ from lmicert.construct import (APPROX_MATCH, CLOSED_FORM,
 from lmicert.errors import (BasePointError, CertifiedNotRZError,
                             ConstructionError, DimensionMismatch)
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            determinant_polynomial, membership)
-from lmicert.poly import Polynomial
+                            determinant_polynomial, membership, parse_pencil)
+from lmicert.poly import Polynomial, parse_polynomial
 from lmicert.rzcheck import RaySampler
 
 F = Fraction
@@ -239,7 +241,7 @@ def test_verify_exact_match_constant():
     out = verify_representation(DISC, disc_pencil())
     assert out.kind == EXACT_MATCH
     assert out.constant == 1
-    assert out.membership_points == 100
+    assert out.membership_points == 0
 
 
 def test_verify_scaled_exact_match():
@@ -271,6 +273,75 @@ def test_verify_negative_scale_is_mismatch():
     flipped = LinearPencil([sym([[-1]]), sym([[1]]), sym([[1]])])
     out = verify_representation(p, flipped)
     assert out.kind == MISMATCH
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 10 ** 12)])
+def test_verify_needs_positive_definite_base(eps):
+    # det(-M) = det(M) for 2x2 M: the identity (eps = 0) or the
+    # approximate match holds, but the spectrahedron of -M is empty
+    m = LinearPencil([SymmetricMatrix.identity(2),
+                      sym([[1 + eps, 0], [0, -1]]),
+                      sym([[0, 1], [1, 0]])])
+    out = verify_representation(
+        DISC, LinearPencil([a.scale(-1) for a in m.matrices]))
+    assert out.kind == MISMATCH
+    assert out.membership_points == 0
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(construct, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(construct, name, counted)
+    return calls
+
+
+def test_exact_match_expands_once_and_samples_nothing(monkeypatch):
+    calls = _count_calls(monkeypatch, "membership", "determinant_polynomial")
+    assert verify_representation(DISC, disc_pencil()).kind == EXACT_MATCH
+    assert calls == {"membership": 0, "determinant_polynomial": 1}
+
+
+@pytest.mark.parametrize("factors", [None, [one - x1, DISC]])
+def test_represent_verifies_once(monkeypatch, factors):
+    # degree 3, so the unfactored input runs match_offdiagonal
+    calls = _count_calls(monkeypatch, "verify_representation")
+    result = represent((one - x1) * DISC, factors=factors, sampler=SMALL)
+    assert result.outcome.kind in (EXACT_MATCH, APPROX_MATCH)
+    assert calls["verify_representation"] == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _exact_cases():
+    for stem in ("disc", "concentric", "forms7"):
+        yield (parse_polynomial((GOLDEN / f"{stem}.poly").read_text()),
+               parse_pencil((GOLDEN / f"{stem}.pencil").read_text()))
+    rng = random.Random(31)
+    for n in (2, 3, 3, 4, 4, 5):
+        mats = [SymmetricMatrix.identity(n)]
+        for _ in range(2):
+            rows = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = F(rng.randint(-3, 3), 2)
+            mats.append(SymmetricMatrix(rows))
+        pencil = LinearPencil(mats)
+        yield determinant_polynomial(pencil), pencil
+
+
+@pytest.mark.parametrize("case", list(_exact_cases()))
+def test_exact_match_would_pass_the_sampled_check(case):
+    # an ExactMatch no longer samples; the 100 points it used to check
+    # still satisfy Interior => p > 0 and Boundary => p = 0
+    p, pencil = case
+    assert verify_representation(p, pencil).kind == EXACT_MATCH
+    assert construct._membership_spot_check(
+        p, pencil, exact=True, band=0.0) == (True, 100)
 
 
 def test_verify_dimension_mismatch():

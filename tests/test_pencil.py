@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from lmicert.errors import DimensionMismatch, ParseError, ReductionError
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            determinant_polynomial, direct_sum, format_pencil,
+                            _classify, determinant_polynomial, direct_sum, format_pencil,
                             is_psd, membership, parse_pencil, reduce_to_monic,
                             shift_pencil)
 from lmicert.poly import Polynomial
@@ -265,6 +266,54 @@ def _det_exact(mat):
             for k in range(c, n):
                 rows[r][k] -= f * rows[c][k]
     return det
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Size 1..6, entries possibly zero: a Gram matrix of rank 0..n,
+    optionally minus a rank-one term, or a random symmetric matrix."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.just(F(0)), _rationals)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        rank = draw(st.integers(min_value=0, max_value=n))
+        vecs = draw(st.lists(st.lists(_rationals, min_size=n, max_size=n),
+                             min_size=rank, max_size=rank))
+        rows = [[sum((v[i] * v[j] for v in vecs), F(0)) for j in range(n)]
+                for i in range(n)]
+        if draw(st.booleans()):
+            w = draw(vector)
+            c = draw(st.fractions(min_value=0, max_value=2,
+                                  max_denominator=4))
+            rows = [[rows[i][j] - c * w[i] * w[j] for j in range(n)]
+                    for i in range(n)]
+    else:
+        values = iter(draw(st.lists(entry, min_size=n * (n + 1) // 2,
+                                    max_size=n * (n + 1) // 2)))
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = next(values)
+    return SymmetricMatrix(rows)
+
+
+def _principal_minor(mat, idx):
+    return _det_exact(SymmetricMatrix([[mat[i, j] for j in idx]
+                                       for i in idx]))
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_classify_agrees_with_principal_minors(mat):
+    # oracle independent of any elimination order: PD iff every leading
+    # principal minor is > 0, PSD iff every principal minor is >= 0
+    n = mat.size
+    pd = all(_principal_minor(mat, range(k)) > 0 for k in range(1, n + 1))
+    psd = all(_principal_minor(mat, idx) >= 0 for k in range(1, n + 1)
+              for idx in combinations(range(n), k))
+    expected = (Membership.INTERIOR if pd else
+                Membership.BOUNDARY if psd else Membership.OUTSIDE)
+    assert _classify(mat) is expected
 
 
 # === monic reduction ===

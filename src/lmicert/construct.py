@@ -530,9 +530,9 @@ def _unverified_pencil(p: Polynomial, tol: float, seed: int
 
 
 def _membership_spot_check(p: Polynomial, pencil: LinearPencil,
-                           exact: bool, band: float) -> Tuple[bool, int]:
-    """Interior points of the pencil must have p > 0 (up to the band
-    for approximate matches); boundary points must have p = 0."""
+                           band: Fraction) -> Tuple[bool, int]:
+    """Interior points of the pencil must have p > -band, boundary
+    points |p| <= band; band 0 asks for the signs an exact match has."""
     rng = random.Random(987654321)
     for checked in range(100):
         pt = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
@@ -540,9 +540,9 @@ def _membership_spot_check(p: Polynomial, pencil: LinearPencil,
         kind = membership(pencil, pt)
         value = p.evaluate(pt)
         if kind is Membership.INTERIOR:
-            ok = value > 0 if exact else float(value) > -band
+            ok = value > -band
         elif kind is Membership.BOUNDARY:
-            ok = value == 0 if exact else abs(float(value)) <= band
+            ok = abs(value) <= band
         else:
             ok = True
         if not ok:
@@ -593,8 +593,8 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
         # |diff| at the sample points is at most the coefficient bound
         # times the monomial mass on the sampling box [-8, 8]^2
         grow = 17.0 ** max(int(p.degree()), 1)
-        band = worst * grow / float(scale) if worst else 0.0
-        ok, points = _membership_spot_check(p, pencil, exact=False, band=band)
+        band = Fraction(worst * grow / float(scale))
+        ok, points = _membership_spot_check(p, pencil, band)
         if not ok:
             return VerifyOutcome(MISMATCH, None, worst, worst_mono, worst,
                                  points)

@@ -233,22 +233,25 @@ def _negative_witness(m: List[List[Fraction]]) -> List[Fraction]:
 
 
 def is_psd(mat: SymmetricMatrix) -> PsdReport:
-    """Exact PSD/PD decision.  PSD iff every principal-minor sum e_k is
-    >= 0; PD iff LDL elimination keeps all pivots strictly positive."""
+    """Exact PSD/PD decision by the elimination of _classify, with a
+    certificate: the principal-minor sums e_k, all >= 0, when PSD; a
+    vector w with w'Mw < 0 otherwise."""
     m = [list(row) for row in mat.entries]
     if mat.size == 0:
         return PsdReport(True, True, minor_sums=())
-    sums = _principal_minor_sums(m)
-    psd = all(s >= 0 for s in sums)
-    if not psd:
+    verdict = _classify(mat)
+    if verdict is Membership.OUTSIDE:
         w = _negative_witness(m)
         value = sum(wi * sum(mij * wj for mij, wj in zip(row, w))
                     for wi, row in zip(w, m))
         if value >= 0:
             raise AssertionError("internal error: witness is not negative")
         return PsdReport(False, False, witness=tuple(w))
-    pd = _ldl_pivots(m) is not None
-    return PsdReport(True, pd, minor_sums=tuple(sums))
+    sums = tuple(_principal_minor_sums(m))
+    if any(s < 0 for s in sums):
+        raise AssertionError("internal error: PSD matrix has a negative "
+                             "principal-minor sum")
+    return PsdReport(True, verdict is Membership.INTERIOR, minor_sums=sums)
 
 
 class Membership(enum.Enum):

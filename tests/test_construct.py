@@ -340,8 +340,7 @@ def test_exact_match_would_pass_the_sampled_check(case):
     # still satisfy Interior => p > 0 and Boundary => p = 0
     p, pencil = case
     assert verify_representation(p, pencil).kind == EXACT_MATCH
-    assert construct._membership_spot_check(
-        p, pencil, exact=True, band=0.0) == (True, 100)
+    assert construct._membership_spot_check(p, pencil, F(0)) == (True, 100)
 
 
 def test_verify_dimension_mismatch():

@@ -592,8 +592,7 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
     if worst <= tol and base_pd:
         # |diff| at the sample points is at most the coefficient bound
         # times the monomial mass on the sampling box [-8, 8]^2
-        grow = 17.0 ** max(int(p.degree()), 1)
-        band = Fraction(worst * grow / float(scale))
+        band = Fraction(worst) * 17 ** max(int(p.degree()), 1) / scale
         ok, points = _membership_spot_check(p, pencil, band)
         if not ok:
             return VerifyOutcome(MISMATCH, None, worst, worst_mono, worst,

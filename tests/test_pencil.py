@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from lmicert.errors import DimensionMismatch, ParseError, ReductionError
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            _classify, determinant_polynomial, direct_sum, format_pencil,
-                            is_psd, membership, parse_pencil, reduce_to_monic,
-                            shift_pencil)
+                            _classify, determinant_polynomial, direct_sum,
+                            format_pencil, is_psd, membership, parse_pencil,
+                            reduce_to_monic, shift_pencil)
 from lmicert.poly import Polynomial
 
 F = Fraction

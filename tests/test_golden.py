@@ -54,7 +54,6 @@ PENCIL_CASES = {
     "concentric.det": ["det", "concentric.pencil"],
     "concentric.verify": ["verify", "concentric.poly", "concentric.pencil"],
     "mismatch.verify": ["verify", "disc.poly", "concentric.pencil"],
-    "neg.verify": ["verify", "disc.poly", "neg.pencil"],
     "forms7.det": ["det", "forms7.pencil"],
     "forms7.verify": ["verify", "forms7.poly", "forms7.pencil"],
     "approx.det": ["det", "approx.pencil"],
@@ -65,6 +64,7 @@ PENCIL_CASES = {
     "squares.reduce-monic": ["reduce-monic", "squares.pencil"],
     "three.det": ["det", "three.pencil"],
     "three.reduce-monic": ["reduce-monic", "three.pencil"],
+    "neg.verify": ["verify", "disc.poly", "neg.pencil"],
 }
 
 

@@ -65,6 +65,7 @@ PENCIL_CASES = {
     "three.det": ["det", "three.pencil"],
     "three.reduce-monic": ["reduce-monic", "three.pencil"],
     "neg.verify": ["verify", "disc.poly", "neg.pencil"],
+    "thin.reduce-monic": ["reduce-monic", "thin.pencil"],
 }
 
 

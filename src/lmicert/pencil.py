@@ -5,6 +5,12 @@ expansion to a sparse polynomial, direct sums, shifts, spectrahedron
 membership, and reduction of a pencil with singular PSD constant term to
 an equivalent monic pencil on its range.
 
+Each fact has one exact core: one pivoted symmetric elimination
+(_classify) decides PSD/PD; the determinant expansion also yields the
+principal-minor sums of is_psd's certificate; one range condition
+(_range_compression) decides whether 0 is interior for a singular PSD
+L0, for both membership and reduce_to_monic.
+
 Matrices hold Fractions and the linear algebra on them is over Fraction;
 determinant expansion scales each block to integers over a common
 denominator and works in int.  Decisions are exact, never floating.
@@ -15,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, isqrt
 from typing import List, Optional, Sequence, Tuple
@@ -154,31 +161,6 @@ class PsdReport:
     witness: Optional[Tuple[Fraction, ...]] = None
 
 
-def _matmul(a: List[List[Fraction]], b: List[List[Fraction]]):
-    inner = len(b)
-    cols = len(b[0])
-    return [[sum(row[t] * b[t][j] for t in range(inner)) for j in range(cols)]
-            for row in a]
-
-
-def _principal_minor_sums(m: List[List[Fraction]]) -> List[Fraction]:
-    """e_k = sum of all k x k principal minors, k = 1..n, by the
-    Faddeev-LeVerrier recursion (exact)."""
-    n = len(m)
-    sums: List[Fraction] = []
-    b = [row[:] for row in m]
-    c = sum(b[i][i] for i in range(n))
-    sums.append(c)
-    for k in range(2, n + 1):
-        for i in range(n):
-            b[i][i] -= c
-        b = _matmul(m, b)
-        c = sum(b[i][i] for i in range(n)) / k
-        # the recursion produces (-1)^(k+1) e_k
-        sums.append(c if k % 2 == 1 else -c)
-    return sums
-
-
 def _ldl_pivots(m: List[List[Fraction]]):
     """LDL^T without pivoting.  Returns (unit lower triangular T, pivots)
     or None when a pivot is zero or negative (the matrix is not PD)."""
@@ -235,19 +217,26 @@ def _negative_witness(m: List[List[Fraction]]) -> List[Fraction]:
 def is_psd(mat: SymmetricMatrix) -> PsdReport:
     """Exact PSD/PD decision by the elimination of _classify, with a
     certificate: the principal-minor sums e_k, all >= 0, when PSD; a
-    vector w with w'Mw < 0 otherwise."""
-    m = [list(row) for row in mat.entries]
-    if mat.size == 0:
+    vector w with w'Mw < 0 otherwise.
+
+    e_k is the coefficient of t^(n-k) in det(M + tI), so the sums come
+    from one determinant expansion of the pencil (M, I).
+    """
+    n = mat.size
+    if n == 0:
         return PsdReport(True, True, minor_sums=())
     verdict = _classify(mat)
     if verdict is Membership.OUTSIDE:
+        m = [list(row) for row in mat.entries]
         w = _negative_witness(m)
         value = sum(wi * sum(mij * wj for mij, wj in zip(row, w))
                     for wi, row in zip(w, m))
         if value >= 0:
             raise AssertionError("internal error: witness is not negative")
         return PsdReport(False, False, witness=tuple(w))
-    sums = tuple(_principal_minor_sums(m))
+    char = determinant_polynomial(
+        LinearPencil([mat, SymmetricMatrix.identity(n)]))
+    sums = tuple(char.coefficient((n - k,)) for k in range(1, n + 1))
     if any(s < 0 for s in sums):
         raise AssertionError("internal error: PSD matrix has a negative "
                              "principal-minor sum")
@@ -298,10 +287,11 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     """Classify a point against the spectrahedron of the pencil.
 
     For PD (in particular monic) L0 this is the direct PSD/PD test.  A
-    singular PSD L0 satisfying the range condition makes the pencil
-    block-diagonal with an identically zero block, so the classification
-    runs on the compression to range(L0); otherwise the literal test is
-    used (Interior is then typically empty).  A non-PSD L0 is an error.
+    singular PSD L0 satisfying the range condition (_range_compression)
+    makes the pencil block-diagonal with an identically zero block, so
+    the classification runs on the compression to range(L0); otherwise
+    the literal test is used (Interior is then empty).  A non-PSD L0 is
+    an error.
     """
     l0 = pencil.matrices[0]
     base = Membership.INTERIOR if pencil.monic() else _classify(l0)
@@ -311,8 +301,8 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
             "apply reduce_to_monic after shifting to an interior point")
     mat = pencil.evaluate(point)
     if base is Membership.BOUNDARY:
-        basis = _range_basis(l0)
-        if _range_condition_holds(basis, pencil):
+        basis, _ = _range_compression(pencil)
+        if basis is not None:
             return _classify(_compress(basis, mat))
     return _classify(mat)
 
@@ -500,44 +490,27 @@ class MonicReduction:
     rank: int
 
 
-_EPSILONS = [Fraction(1, 2 ** k) for k in range(0, 21)]
-
-
 def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
     """Compress a pencil with PSD L0 to an equivalent monic pencil.
 
-    Steps: verify L0 is PSD and 0 is interior (L0 +- eps L_j PSD for some
-    eps per coordinate); compress everything to range(L0); factor the
+    Steps: verify L0 is PSD and 0 is interior, which for PSD L0 holds
+    exactly when ker L0 lies in ker L_j for every j (the range condition
+    of _range_compression); compress everything to range(L0); factor the
     compressed L0 = T D T^t by LDL; normalize the positive diagonal D away
     exactly.  The last step needs every pivot to be a rational square
     (after an optional uniform rescale); otherwise no exact rational
     congruence to a monic pencil exists, and a structured error says so.
     """
-    l0 = pencil.matrices[0]
-    rep0 = is_psd(l0)
-    if not rep0.is_psd:
+    if not is_psd(pencil.matrices[0]).is_psd:
         raise ReductionError("L0 is not positive semidefinite")
     if pencil.monic():
         return MonicReduction(pencil, Fraction(1), pencil.size)
-    if not rep0.is_pd:
-        # PD L0 certifies 0 interior by itself; the singular case needs
-        # the epsilon test, which also forces the range condition
-        for j in range(1, pencil.num_vars + 1):
-            lj = pencil.matrices[j]
-            if lj.is_zero():
-                continue
-            if not any(is_psd(l0 - lj.scale(eps)).is_psd
-                       and is_psd(l0 + lj.scale(eps)).is_psd
-                       for eps in _EPSILONS):
-                raise ReductionError(
-                    f"0 is not interior to the spectrahedron: L0 +- eps*L{j} "
-                    f"is never PSD down to eps = 2^-20")
-    basis = _range_basis(l0)
-    rank = len(basis)
-    if rank < pencil.size and not _range_condition_holds(basis, pencil):
+    basis, bad = _range_compression(pencil)
+    if basis is None:
         raise ReductionError(
-            "internal invariant failure: some L_j has range outside "
-            "range(L0) although the interior test passed")
+            f"0 is not interior to the spectrahedron: L{bad} does not "
+            f"vanish on ker L0")
+    rank = len(basis)
     compressed = [_compress(basis, mat) for mat in pencil.matrices]
     h0 = [list(row) for row in compressed[0].entries]
     fact = _ldl_pivots(h0)
@@ -621,7 +594,6 @@ def _rref(rows: List[List[Fraction]]) -> List[List[Fraction]]:
     rows = [row[:] for row in rows]
     n_cols = len(rows[0]) if rows else 0
     out: List[List[Fraction]] = []
-    lead_cols: List[int] = []
     for col in range(n_cols):
         pivot_row = None
         for row in rows:
@@ -644,12 +616,11 @@ def _rref(rows: List[List[Fraction]]) -> List[List[Fraction]]:
                 for c in range(n_cols):
                     row[c] -= f * pivot_row[c]
         out.append(pivot_row)
-        lead_cols.append(col)
     return out
 
 
-def _in_row_space(basis: List[List[Fraction]], vec: List[Fraction]) -> bool:
-    v = vec[:]
+def _in_row_space(basis: Sequence[Row], vec: Sequence[Fraction]) -> bool:
+    v = list(vec)
     for row in basis:
         lead = next(c for c, val in enumerate(row) if val != 0)
         if v[lead]:
@@ -659,15 +630,26 @@ def _in_row_space(basis: List[List[Fraction]], vec: List[Fraction]) -> bool:
     return all(c == 0 for c in v)
 
 
-def _range_condition_holds(basis, pencil: LinearPencil) -> bool:
-    for mat in pencil.matrices[1:]:
-        for row in mat.entries:
-            if not _in_row_space(basis, list(row)):
-                return False
-    return True
+@lru_cache(maxsize=16)
+def _range_compression(pencil: LinearPencil):
+    """(basis of range(L0), None) when ker L0 lies in ker L_j for every
+    j >= 1, else (None, the first j for which it does not).  By symmetry
+    that is range(L_j) inside range(L0), checked row by row.
+
+    For PSD L0 this range condition holds exactly when 0 is interior to
+    the spectrahedron: on ker L0 the form L0 + eps L_j is eps L_j, which
+    is PSD for both signs of eps only if L_j vanishes there, and then a
+    small eps keeps the compression to range(L0) PD.  Cached because
+    membership asks it again for every point of one pencil.
+    """
+    basis = tuple(map(tuple, _range_basis(pencil.matrices[0])))
+    for j, mat in enumerate(pencil.matrices[1:], start=1):
+        if not all(_in_row_space(basis, row) for row in mat.entries):
+            return None, j
+    return basis, None
 
 
-def _compress(basis: List[List[Fraction]], mat: SymmetricMatrix) -> SymmetricMatrix:
+def _compress(basis: Sequence[Row], mat: SymmetricMatrix) -> SymmetricMatrix:
     """Quadratic form restricted to the span of the basis rows."""
     r = len(basis)
     n = mat.size

@@ -306,14 +306,19 @@ def _principal_minor(mat, idx):
 @settings(max_examples=200, deadline=None)
 def test_classify_agrees_with_principal_minors(mat):
     # oracle independent of any elimination order: PD iff every leading
-    # principal minor is > 0, PSD iff every principal minor is >= 0
+    # principal minor is > 0, PSD iff every principal minor is >= 0; a
+    # PSD certificate lists the k x k principal-minor sums, k = 1..n
     n = mat.size
+    minors = [[_principal_minor(mat, idx)
+               for idx in combinations(range(n), k)]
+              for k in range(1, n + 1)]
     pd = all(_principal_minor(mat, range(k)) > 0 for k in range(1, n + 1))
-    psd = all(_principal_minor(mat, idx) >= 0 for k in range(1, n + 1)
-              for idx in combinations(range(n), k))
+    psd = all(m >= 0 for row in minors for m in row)
     expected = (Membership.INTERIOR if pd else
                 Membership.BOUNDARY if psd else Membership.OUTSIDE)
     assert _classify(mat) is expected
+    if psd:
+        assert is_psd(mat).minor_sums == tuple(sum(row) for row in minors)
 
 
 # === monic reduction ===
@@ -369,6 +374,27 @@ def test_reduce_monic_rejects_noninterior_origin():
     with pytest.raises(ReductionError) as err:
         reduce_to_monic(p)
     assert "interior" in str(err.value)
+
+
+def test_reduce_monic_decides_interior_exactly():
+    # L0 +- eps*L1 is PSD only for eps <= 2^-30, but ker L0 lies in the
+    # kernel of every L_j, so 0 is interior however thin the margin
+    l0 = sym([[1, 0], [0, 0]])
+    p = LinearPencil([l0, sym([[2 ** 30, 0], [0, 0]]), sym([[0, 0], [0, 0]])])
+    red = reduce_to_monic(p)
+    assert red.rank == 1
+    assert red.det_scale == 1
+    assert red.pencil.matrices[1][0, 0] == 2 ** 30
+    for pt in [(0, 5), (F(-1, 2 ** 30), 1), (F(-1, 2 ** 29), 0),
+               (F(1, 3), -7)]:
+        assert membership(p, pt) is membership(red.pencil, pt)
+    # a rank-one term on ker L0 breaks the range condition
+    bump = LinearPencil([l0, sym([[2 ** 30, 0], [0, 0]]),
+                         sym([[0, 0], [0, 1]])])
+    with pytest.raises(ReductionError) as err:
+        reduce_to_monic(bump)
+    assert "interior" in str(err.value)
+    assert "L2" in str(err.value)
 
 
 def test_reduce_monic_rejects_indefinite_l0():

@@ -290,8 +290,8 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     singular PSD L0 satisfying the range condition (_range_compression)
     makes the pencil block-diagonal with an identically zero block, so
     the classification runs on the compression to range(L0); otherwise
-    the literal test is used (Interior is then empty).  A non-PSD L0 is
-    an error.
+    the literal test is used (Interior is then typically empty).  A
+    non-PSD L0 is an error.
     """
     l0 = pencil.matrices[0]
     base = Membership.INTERIOR if pencil.monic() else _classify(l0)
@@ -584,14 +584,9 @@ def _congruence(b, m) -> List[List[Fraction]]:
             for i in range(n)]
 
 
-def _range_basis(mat: SymmetricMatrix) -> List[List[Fraction]]:
-    """Row-reduced basis of the row space (= range, by symmetry)."""
-    rows = [list(row) for row in mat.entries]
-    return _rref(rows)
-
-
-def _rref(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    rows = [row[:] for row in rows]
+def _rref(rows: Sequence[Row]) -> List[List[Fraction]]:
+    """Row-reduced basis of the row space."""
+    rows = [list(row) for row in rows]
     n_cols = len(rows[0]) if rows else 0
     out: List[List[Fraction]] = []
     for col in range(n_cols):
@@ -642,7 +637,8 @@ def _range_compression(pencil: LinearPencil):
     small eps keeps the compression to range(L0) PD.  Cached because
     membership asks it again for every point of one pencil.
     """
-    basis = tuple(map(tuple, _range_basis(pencil.matrices[0])))
+    # the row space of symmetric L0 is its range
+    basis = tuple(map(tuple, _rref(pencil.matrices[0].entries)))
     for j, mat in enumerate(pencil.matrices[1:], start=1):
         if not all(_in_row_space(basis, row) for row in mat.entries):
             return None, j

@@ -299,12 +299,11 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
         raise ReductionError(
             "L0 is not positive semidefinite at the reference point; "
             "apply reduce_to_monic after shifting to an interior point")
-    mat = pencil.evaluate(point)
     if base is Membership.BOUNDARY:
-        basis, _ = _range_compression(pencil)
-        if basis is not None:
-            return _classify(_compress(basis, mat))
-    return _classify(mat)
+        compressed, _ = _range_compression(pencil)
+        if compressed is not None:
+            return _classify(compressed.evaluate(point))
+    return _classify(pencil.evaluate(point))
 
 
 # -- determinants -------------------------------------------------------------
@@ -505,14 +504,12 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
         raise ReductionError("L0 is not positive semidefinite")
     if pencil.monic():
         return MonicReduction(pencil, Fraction(1), pencil.size)
-    basis, bad = _range_compression(pencil)
-    if basis is None:
+    compressed, bad = _range_compression(pencil)
+    if compressed is None:
         raise ReductionError(
             f"0 is not interior to the spectrahedron: L{bad} does not "
             f"vanish on ker L0")
-    rank = len(basis)
-    compressed = [_compress(basis, mat) for mat in pencil.matrices]
-    h0 = [list(row) for row in compressed[0].entries]
+    h0 = [list(row) for row in compressed.matrices[0].entries]
     fact = _ldl_pivots(h0)
     if fact is None:
         raise ReductionError(
@@ -536,13 +533,13 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
     for d in piv:
         det_scale *= d
     out = []
-    for mat in compressed:
+    for mat in compressed.matrices:
         rows = [[v * scale for v in row] for row in mat.entries]
         out.append(SymmetricMatrix(_congruence(w_inv, rows)))
     reduced = LinearPencil(out)
     if not reduced.monic():
         raise AssertionError("internal error: reduction did not reach I")
-    return MonicReduction(reduced, det_scale, rank)
+    return MonicReduction(reduced, det_scale, compressed.size)
 
 
 def _square_roots(pivots: Sequence[Fraction]):
@@ -614,7 +611,7 @@ def _rref(rows: Sequence[Row]) -> List[List[Fraction]]:
     return out
 
 
-def _in_row_space(basis: Sequence[Row], vec: Sequence[Fraction]) -> bool:
+def _in_row_space(basis: List[List[Fraction]], vec: Row) -> bool:
     v = list(vec)
     for row in basis:
         lead = next(c for c, val in enumerate(row) if val != 0)
@@ -627,9 +624,10 @@ def _in_row_space(basis: Sequence[Row], vec: Sequence[Fraction]) -> bool:
 
 @lru_cache(maxsize=16)
 def _range_compression(pencil: LinearPencil):
-    """(basis of range(L0), None) when ker L0 lies in ker L_j for every
-    j >= 1, else (None, the first j for which it does not).  By symmetry
-    that is range(L_j) inside range(L0), checked row by row.
+    """(the pencil compressed to range(L0), None) when ker L0 lies in
+    ker L_j for every j >= 1, else (None, the first j for which it does
+    not).  By symmetry that is range(L_j) inside range(L0), checked row
+    by row.
 
     For PSD L0 this range condition holds exactly when 0 is interior to
     the spectrahedron: on ker L0 the form L0 + eps L_j is eps L_j, which
@@ -638,14 +636,15 @@ def _range_compression(pencil: LinearPencil):
     membership asks it again for every point of one pencil.
     """
     # the row space of symmetric L0 is its range
-    basis = tuple(map(tuple, _rref(pencil.matrices[0].entries)))
+    basis = _rref(pencil.matrices[0].entries)
     for j, mat in enumerate(pencil.matrices[1:], start=1):
         if not all(_in_row_space(basis, row) for row in mat.entries):
             return None, j
-    return basis, None
+    return LinearPencil([_compress(basis, mat)
+                         for mat in pencil.matrices]), None
 
 
-def _compress(basis: Sequence[Row], mat: SymmetricMatrix) -> SymmetricMatrix:
+def _compress(basis: List[List[Fraction]], mat: SymmetricMatrix) -> SymmetricMatrix:
     """Quadratic form restricted to the span of the basis rows."""
     r = len(basis)
     n = mat.size

@@ -630,9 +630,10 @@ def _range_compression(pencil: LinearPencil):
     by row.
 
     For PSD L0 this range condition holds exactly when 0 is interior to
-    the spectrahedron: on ker L0 the form L0 + eps L_j is eps L_j, which
-    is PSD for both signs of eps only if L_j vanishes there, and then a
-    small eps keeps the compression to range(L0) PD.  Cached because
+    the spectrahedron: for v in ker L0, v'(L0 + eps L_j)v = eps v'L_j v,
+    so both signs of eps keep the matrix PSD only if that form is 0, and
+    a PSD matrix M with v'Mv = 0 has Mv = 0, here eps L_j v; conversely
+    a small eps keeps the compression to range(L0) PD.  Cached because
     membership asks it again for every point of one pencil.
     """
     # the row space of symmetric L0 is its range

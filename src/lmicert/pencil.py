@@ -5,8 +5,10 @@ expansion to a sparse polynomial, direct sums, shifts, spectrahedron
 membership, and reduction of a pencil with singular PSD constant term to
 an equivalent monic pencil on its range.
 
-Each fact has one exact core: one pivoted symmetric elimination
-(_classify) decides PSD/PD; the determinant expansion also yields the
+Each fact has one exact core: one diagonal-pivoted symmetric
+elimination (_eliminate) gives the PSD/PD verdict, is_psd's negative
+witness (lifted back through its pivots) and the LDL^T of a PD L0 that
+reduce_to_monic normalizes; the determinant expansion also yields the
 principal-minor sums of is_psd's certificate; one range condition
 (_range_compression) decides whether 0 is interior for a singular PSD
 L0, for both membership and reduce_to_monic.
@@ -161,76 +163,23 @@ class PsdReport:
     witness: Optional[Tuple[Fraction, ...]] = None
 
 
-def _ldl_pivots(m: List[List[Fraction]]):
-    """LDL^T without pivoting.  Returns (unit lower triangular T, pivots)
-    or None when a pivot is zero or negative (the matrix is not PD)."""
-    n = len(m)
-    t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    d: List[Fraction] = []
-    for j in range(n):
-        piv = m[j][j] - sum(t[j][k] * t[j][k] * d[k] for k in range(j))
-        if piv <= 0:
-            return None
-        d.append(piv)
-        for i in range(j + 1, n):
-            val = m[i][j] - sum(t[i][k] * t[j][k] * d[k] for k in range(j))
-            t[i][j] = val / piv
-    return t, d
-
-
-def _negative_witness(m: List[List[Fraction]]) -> List[Fraction]:
-    """A vector w with w'Mw < 0, for symmetric M that is not PSD."""
-    n = len(m)
-    if n == 0:
-        raise AssertionError("internal error: ran out of matrix while "
-                             "searching for a negative witness")
-    for i in range(n):
-        if m[i][i] < 0:
-            return [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-    for i in range(n):
-        if m[i][i] == 0:
-            for j in range(n):
-                if m[i][j] != 0:
-                    # w = t e_i - sign(m_ij) e_j gives -2 t |m_ij| + m_jj
-                    t = m[j][j] / (2 * abs(m[i][j])) + 1
-                    w = [Fraction(0)] * n
-                    w[i] = t
-                    w[j] = Fraction(-1 if m[i][j] > 0 else 1)
-                    return w
-    # here every zero-diagonal row is entirely zero and contributes
-    # nothing to the form: drop the first such row, or pivot on a
-    # positive diagonal and recurse on the Schur complement (not PSD
-    # either, since the pivot is positive)
-    if m[0][0] == 0:
-        sub = [[m[i][j] for j in range(1, n)] for i in range(1, n)]
-        return [Fraction(0)] + _negative_witness(sub)
-    d = m[0][0]
-    a = [m[k][0] for k in range(1, n)]
-    schur = [[m[i][j] - a[i - 1] * a[j - 1] / d
-              for j in range(1, n)] for i in range(1, n)]
-    w_sub = _negative_witness(schur)
-    w0 = -sum(ai * wi for ai, wi in zip(a, w_sub)) / d
-    return [w0] + w_sub
-
-
 def is_psd(mat: SymmetricMatrix) -> PsdReport:
-    """Exact PSD/PD decision by the elimination of _classify, with a
-    certificate: the principal-minor sums e_k, all >= 0, when PSD; a
-    vector w with w'Mw < 0 otherwise.
+    """Exact PSD/PD decision by _eliminate, with a certificate: the
+    principal-minor sums e_k, all >= 0, when PSD; a vector w with
+    w'Mw < 0 otherwise.
 
     e_k is the coefficient of t^(n-k) in det(M + tI), so the sums come
-    from one determinant expansion of the pencil (M, I).
+    from one determinant expansion of the pencil (M, I).  The witness is
+    lifted from the elimination's stop (_witness).
     """
     n = mat.size
     if n == 0:
         return PsdReport(True, True, minor_sums=())
-    verdict = _classify(mat)
+    verdict, steps, stop = _eliminate(mat)
     if verdict is Membership.OUTSIDE:
-        m = [list(row) for row in mat.entries]
-        w = _negative_witness(m)
+        w = _witness(n, steps, stop)
         value = sum(wi * sum(mij * wj for mij, wj in zip(row, w))
-                    for wi, row in zip(w, m))
+                    for wi, row in zip(w, mat.entries))
         if value >= 0:
             raise AssertionError("internal error: witness is not negative")
         return PsdReport(False, False, witness=tuple(w))
@@ -249,38 +198,77 @@ class Membership(enum.Enum):
     OUTSIDE = "Outside"
 
 
-def _classify(mat: SymmetricMatrix) -> Membership:
-    """Interior (PD), Boundary (PSD and singular) or Outside, by one
-    symmetric elimination with diagonal pivoting.
+def _eliminate(mat: SymmetricMatrix):
+    """One symmetric elimination with diagonal pivoting: (verdict,
+    steps, stop), the verdict being Interior (PD), Boundary (PSD and
+    singular) or Outside.
 
-    A negative diagonal entry, or a zero one whose row is not zero, is a
-    negative 1x1 or 2x2 principal minor; a zero row is a kernel vector
-    and drops out; after a positive pivot the Schur complement is PSD
-    (PD) exactly when the matrix is.
+    Each step is (p, d, [(i, f), ...]) in original indices: pivot row p,
+    pivot d > 0, and the multiplier f = m[i][p] / d of every row i left.
+    A zero row is a kernel vector and drops out.  A negative diagonal
+    entry, or a zero one whose row is not zero, is a negative 1x1 or 2x2
+    principal minor of the current Schur complement: the verdict is then
+    Outside and stop is (original indices, complement rows, that row);
+    otherwise stop is None.  After a positive pivot the complement is PSD
+    (PD) exactly when the matrix is.  So a PD matrix pivots in natural
+    order, and its steps are its LDL^T: T[i][p] = f, D = the pivots.
     """
     m = [list(row) for row in mat.entries]
+    idx = list(range(mat.size))
+    steps = []
     singular = False
     while m:
         live = []
         for i, row in enumerate(m):
-            if row[i] < 0:
-                return Membership.OUTSIDE
+            if row[i] < 0 or (not row[i] and any(row)):
+                return Membership.OUTSIDE, steps, (idx, m, i)
             if row[i]:
                 live.append(i)
-            elif any(row):
-                return Membership.OUTSIDE
         if len(live) < len(m):
             singular = True
             if not live:
                 break
         p, rest = live[0], live[1:]
         pivot_row = m[p]
+        d = pivot_row[p]
+        mults = []
         schur = []
         for i in rest:
-            f = m[i][p] / pivot_row[p]
+            f = m[i][p] / d
+            mults.append((idx[i], f))
             schur.append([m[i][j] - f * pivot_row[j] for j in rest])
+        steps.append((idx[p], d, mults))
         m = schur
-    return Membership.BOUNDARY if singular else Membership.INTERIOR
+        idx = [idx[i] for i in rest]
+    verdict = Membership.BOUNDARY if singular else Membership.INTERIOR
+    return verdict, steps, None
+
+
+def _classify(mat: SymmetricMatrix) -> Membership:
+    """The verdict of _eliminate."""
+    return _eliminate(mat)[0]
+
+
+def _witness(n: int, steps, stop) -> List[Fraction]:
+    """A vector w with w'Mw < 0 from an Outside elimination of M.
+
+    The stopping row a of the complement S gives e_a when s_aa < 0, and
+    t e_a - sign(s_ab) e_b with form -2 t |s_ab| + s_bb < 0 when s_aa = 0
+    and s_ab != 0.  Each pivot p, in reverse, gets w_p = -sum f_i w_i,
+    which keeps w'Mw equal to the form of the complement it came from.
+    """
+    idx, s, a = stop
+    w = [Fraction(0)] * n
+    row = s[a]
+    if row[a] < 0:
+        w[idx[a]] = Fraction(1)
+    else:
+        b = next(b for b, v in enumerate(row) if v)
+        w[idx[a]] = s[b][b] / (2 * abs(row[b])) + 1
+        w[idx[b]] = Fraction(-1 if row[b] > 0 else 1)
+    for p, _, mults in reversed(steps):
+        w[p] = -sum(f * w[i] for i, f in mults)
+    return w
 
 
 def membership(pencil: LinearPencil, point: Sequence) -> Membership:
@@ -495,8 +483,8 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
     Steps: verify L0 is PSD and 0 is interior, which for PSD L0 holds
     exactly when ker L0 lies in ker L_j for every j (the range condition
     of _range_compression); compress everything to range(L0); factor the
-    compressed L0 = T D T^t by LDL; normalize the positive diagonal D away
-    exactly.  The last step needs every pivot to be a rational square
+    compressed L0 = T D T^t by _eliminate; normalize the positive diagonal
+    D away exactly.  The last step needs every pivot to be a rational square
     (after an optional uniform rescale); otherwise no exact rational
     congruence to a monic pencil exists, and a structured error says so.
     """
@@ -509,12 +497,11 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
         raise ReductionError(
             f"0 is not interior to the spectrahedron: L{bad} does not "
             f"vanish on ker L0")
-    h0 = [list(row) for row in compressed.matrices[0].entries]
-    fact = _ldl_pivots(h0)
-    if fact is None:
+    verdict, steps, _ = _eliminate(compressed.matrices[0])
+    if verdict is not Membership.INTERIOR:
         raise ReductionError(
             "internal invariant failure: compressed L0 is not PD")
-    t, piv = fact
+    piv = [d for _, d, _ in steps]
     scale = Fraction(1)
     roots = _square_roots(piv)
     if roots is None:
@@ -528,7 +515,14 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
                 f"no exact rational congruence makes the compressed L0 the "
                 f"identity: LDL pivots [{pretty}] are not rational squares, "
                 f"even after a uniform rescale")
-    w_inv = _scaled_cholesky_inverse(t, roots)
+    # L0 = W W^t with W = T diag(roots); T^-1 replays the elimination's
+    # row operations on I, and W^-1 = diag(1/roots) T^-1
+    r = compressed.size
+    w_inv = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    for p, _, mults in steps:
+        for i, f in mults:
+            w_inv[i] = [a - f * b for a, b in zip(w_inv[i], w_inv[p])]
+    w_inv = [[v / root for v in row] for row, root in zip(w_inv, roots)]
     det_scale = Fraction(1)
     for d in piv:
         det_scale *= d
@@ -551,24 +545,6 @@ def _square_roots(pivots: Sequence[Fraction]):
             return None
         roots.append(Fraction(rn, rd))
     return roots
-
-
-def _scaled_cholesky_inverse(t, roots) -> List[List[Fraction]]:
-    """Inverse of W = T diag(roots), both lower triangular, by forward
-    substitution."""
-    n = len(t)
-    w = [[t[i][j] * roots[j] for j in range(n)] for i in range(n)]
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        # solve W y = e_col
-        y = [Fraction(0)] * n
-        for i in range(col, n):
-            rhs = Fraction(1) if i == col else Fraction(0)
-            rhs -= sum(w[i][k] * y[k] for k in range(col, i))
-            y[i] = rhs / w[i][i]
-        for i in range(n):
-            inv[i][col] = y[i]
-    return inv
 
 
 def _congruence(b, m) -> List[List[Fraction]]:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from lmicert.errors import DimensionMismatch, ParseError, ReductionError
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            _classify, determinant_polynomial, direct_sum,
-                            format_pencil, is_psd, membership, parse_pencil,
-                            reduce_to_monic, shift_pencil)
+                            _classify, _eliminate, determinant_polynomial,
+                            direct_sum, format_pencil, is_psd, membership,
+                            parse_pencil, reduce_to_monic, shift_pencil)
 from lmicert.poly import Polynomial
 
 F = Fraction
@@ -319,6 +319,23 @@ def test_classify_agrees_with_principal_minors(mat):
     assert _classify(mat) is expected
     if psd:
         assert is_psd(mat).minor_sums == tuple(sum(row) for row in minors)
+    else:
+        w = is_psd(mat).witness
+        assert sum(w[i] * mat[i, j] * w[j]
+                   for i in range(n) for j in range(n)) < 0
+    if pd:
+        # the elimination's steps are the LDL^T factorization: rebuild
+        # T diag(d) T^t entry by entry
+        _, steps, _ = _eliminate(mat)
+        assert [p for p, _, _ in steps] == list(range(n))
+        t = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        for p, _, mults in steps:
+            for i, f in mults:
+                t[i][p] = f
+        d = [piv for _, piv, _ in steps]
+        assert [[sum(t[i][k] * d[k] * t[j][k] for k in range(n))
+                 for j in range(n)] for i in range(n)] == \
+            [list(row) for row in mat.entries]
 
 
 # === monic reduction ===

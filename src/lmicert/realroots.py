@@ -16,8 +16,11 @@ is scaled by a positive constant once, which keeps every sign.
     become Fractions only when they are returned.
 
 Every counter and the isolation go through one factor-chain loop
-(_factor_chains: Yun decomposition, then one integer Sturm chain per
-factor) and one counter (_count) whose interval ends may be infinite.
+(_factor_chains) and one counter (_count) whose interval ends may be
+infinite.  _factor_chains builds the Sturm chain of f first: its last
+element is gcd(f, f'), so a constant one proves f square-free and the
+chain is the whole answer, one remainder sequence in all.  Only
+otherwise does Yun's decomposition run, then one chain per factor.
 """
 
 from __future__ import annotations
@@ -254,10 +257,19 @@ def sturm_chain(f: UnivariatePolynomial) -> List[UnivariatePolynomial]:
 def _factor_chains(f: UnivariatePolynomial, verb: str
                    ) -> List[Tuple[IntPoly, List[IntPoly], int]]:
     """(g, Sturm chain of g, multiplicity) for each square-free factor g
-    of f, as a primitive integer polynomial."""
+    of f, as a primitive integer polynomial with positive leading
+    coefficient; a square-free f is its own factor, with its chain."""
     if f.is_zero():
         raise ZeroPolynomialError(
             f"cannot {verb} roots of the zero polynomial")
+    if f.degree() == 0:
+        return []
+    fi = _to_int_poly(f)
+    if fi[-1] < 0:
+        fi = [-v for v in fi]
+    chain = _int_sturm_chain(fi)
+    if len(chain[-1]) == 1:
+        return [(fi, chain, 1)]
     out = []
     for g, mult in square_free_decompose(f):
         gi = _to_int_poly(g)

@@ -171,10 +171,22 @@ def test_counts_agree_with_numpy_on_square_free(coeffs, data):
 
 
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
-                min_size=1, max_size=5))
+                min_size=1, max_size=5),
+       st.fractions(min_value=-3, max_value=-1, max_denominator=4),
+       st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=-6, max_value=5),
+       st.integers(min_value=1, max_value=6))
 @settings(max_examples=60, deadline=None)
-def test_constructed_roots_recovered_exactly(roots):
-    f = from_roots(roots)
+def test_constructed_roots_recovered_exactly(roots, lead, c, rootless, lo,
+                                             width):
+    # lead * (t^2 + c)^rootless * prod (t - r): a negative leading
+    # coefficient and real-rootless factors change no count; distinct
+    # roots and rootless <= 1 give a square-free f, anything else a
+    # repeated factor
+    f = from_roots(roots) * poly(lead)
+    for _ in range(rootless):
+        f = f * poly(c, 0, 1)
     distinct = sorted(set(roots))
     rc = count_real_roots(f)
     assert rc.distinct_real == len(distinct)
@@ -184,6 +196,14 @@ def test_constructed_roots_recovered_exactly(roots):
     for iv, r in zip(ivs, distinct):
         assert iv.low <= r <= iv.high
         assert iv.multiplicity == roots.count(r)
+    if 0 not in roots:
+        assert side_counts(f) == (sum(r < 0 for r in roots),
+                                  sum(r > 0 for r in roots))
+    # ends with denominator 5 are never roots (denominators above are <= 4)
+    a, b = lo + Fraction(1, 5), lo + width + Fraction(1, 5)
+    inside = [r for r in roots if a < r < b]
+    assert count_roots_in_open_interval(f, a, b) == (len(set(inside)),
+                                                     len(inside))
 
 
 def test_seeded_random_batch_matches_numpy():

@@ -58,6 +58,8 @@ class RaySampler:
             raise DimensionMismatch("sampler needs num_vars >= 1")
         if self.deterministic_count < 1:
             raise ValueError("deterministic_count must be >= 1")
+        if self.random_count < 0:
+            raise ValueError("random_count must be >= 0")
         out: List[Direction] = []
         rng = random.Random(self.seed)
         for coords in self.extra_directions:
@@ -280,6 +282,8 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     """
     if p.num_vars != 2:
         raise DimensionMismatch("boundary extraction is two-variable only")
+    if rays < 1:
+        raise ValueError("rays must be >= 1")
     q, x = _checked_base(p, x0)
     directions = []
     for j in range(rays):

@@ -4,6 +4,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from lmicert.cli import main
 from lmicert.pencil import determinant_polynomial, parse_pencil
 from lmicert.poly import parse_polynomial
@@ -345,3 +347,20 @@ def test_zero_polynomial_exits_1(tmp_path):
     code, _, err = run_cli(["check", path] + FAST)
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["boundary", "--rays", "0"], "rays must be >= 1"),
+    (["boundary", "--rays", "-2"], "rays must be >= 1"),
+    (["check", "--rays", "15", "--random", "-3"],
+     "random_count must be >= 0"),
+    (["topology", "--rays", "15", "--random", "-3"],
+     "random_count must be >= 0"),
+])
+def test_bad_ray_counts_exit_1(tmp_path, argv, message):
+    # a scan over no rays, or a negative number of random rays, is a
+    # usage error, not an empty result
+    path = write(tmp_path, "disc.poly", DISC_POLY)
+    code, out, err = run_cli(argv[:1] + [path] + argv[1:])
+    assert (code, out) == (1, "")
+    assert message in err

@@ -68,6 +68,13 @@ PENCIL_CASES = {
     "thin.reduce-monic": ["reduce-monic", "thin.pencil"],
 }
 
+# cases added after the grid above, last so earlier case ids keep their
+# index: case name -> curve file stem and command with extra arguments
+EXTRA_CASES = {
+    # a non-default resolution must reach the parameters in the CSV
+    "odd_cubic.topology.csv.fine": [
+        "odd_cubic", "topology", "--format", "csv", "--resolution", "1/1024"],
+}
 
 
 def cases():
@@ -80,6 +87,8 @@ def cases():
             yield f"{curve}.{suffix}", argv
     for name, (command, *files) in PENCIL_CASES.items():
         yield name, [command] + [str(GOLDEN / f) for f in files]
+    for name, (curve, command, *extra) in EXTRA_CASES.items():
+        yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
 
 
 def run(argv):

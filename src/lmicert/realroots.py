@@ -311,7 +311,7 @@ def side_counts(f: UnivariatePolynomial) -> Tuple[int, int]:
     """Roots with multiplicity on each side of 0: (negative, positive).
     Requires f(0) != 0."""
     factors = _factor_chains(f, "count")
-    if f.evaluate(0) == 0:
+    if f.coeffs[0] == 0:
         raise ValueError("f(0) = 0; side counts are undefined")
     zero = (0, 1)
     return _tally(factors, hi=zero)[1], _tally(factors, lo=zero)[1]

@@ -284,6 +284,8 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
         raise DimensionMismatch("boundary extraction is two-variable only")
     if rays < 1:
         raise ValueError("rays must be >= 1")
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
     q, x = _checked_base(p, x0)
     directions = []
     for j in range(rays):

@@ -7,16 +7,20 @@ split by the sign of the line parameter: k crossings on each side bound
 k nested ovals, and odd degree contributes one extra crossing (a curve
 branch that behaves like a line), possibly at infinity.  Nesting is
 read off 1-D root orderings only; no curve tracing is involved.
+
+The side counts and votes come from Sturm counts; a ray's roots are
+isolated only when its parameters are first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CertifiedNotRZError, DimensionMismatch
-from .poly import Polynomial
+from .poly import Polynomial, UnivariatePolynomial
 # count_real_roots is not called here (rzcheck._scan runs the line
 # test); perfbench's tracer self-test expects this module to bind it
 from .realroots import (count_real_roots,  # noqa: F401
@@ -30,10 +34,6 @@ __all__ = ["RayProfile", "OvalProfile", "oval_profile",
 @dataclass(frozen=True)
 class RayProfile:
     direction: Direction
-    # (parameter, multiplicity) pairs sorted by parameter; parameters
-    # are exact when the root is exactly representable, else interval
-    # midpoints at the working resolution
-    parameters: Tuple[Tuple[Fraction, int], ...]
     negative_count: int          # roots below 0, with multiplicity
     positive_count: int          # roots above 0, with multiplicity
     at_infinity: int
@@ -41,6 +41,20 @@ class RayProfile:
     # no nested-oval picture
     vote: Optional[Tuple[int, bool]]
     has_multiple_root: bool
+    # what `parameters` isolates on first read
+    restriction: UnivariatePolynomial = field(compare=False, repr=False)
+    resolution: Fraction = field(compare=False, repr=False)
+
+    @cached_property
+    def parameters(self) -> Tuple[Tuple[Fraction, int], ...]:
+        """(parameter, multiplicity) pairs sorted by parameter;
+        parameters are exact when the root is exactly representable,
+        else interval midpoints at the working resolution."""
+        if self.restriction.degree() <= 0:
+            return ()
+        return tuple((iv.midpoint(), iv.multiplicity)
+                     for iv in isolate_real_roots(self.restriction,
+                                                  self.resolution))
 
 
 @dataclass(frozen=True)
@@ -72,10 +86,14 @@ def oval_profile(p: Polynomial, x0: Sequence,
     The line test runs first: a ray whose restriction has nonreal roots
     aborts the scan with the witness, whose verdict lists every ray
     scanned up to it.  The default sampler pins both axis directions so
-    degree drops along them are always observed.
+    degree drops along them are always observed.  `resolution` must be
+    positive; it is the interval width to which a ray's `parameters`
+    are isolated when first read.
     """
     if p.num_vars != 2:
         raise DimensionMismatch("oval profiles are two-variable only")
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
     verdict, restrictions = _scan(
         p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))))
     if verdict.certified_not_rz():
@@ -88,17 +106,16 @@ def oval_profile(p: Polynomial, x0: Sequence,
     rays: List[RayProfile] = []
     for record, f in zip(verdict.per_ray, restrictions):
         neg, pos = side_counts(f) if record.degree > 0 else (0, 0)
-        intervals = (isolate_real_roots(f, resolution)
-                     if record.degree > 0 else [])
-        params = tuple((iv.midpoint(), iv.multiplicity) for iv in intervals)
         rays.append(RayProfile(
             direction=record.direction,
-            parameters=params,
             negative_count=neg,
             positive_count=pos,
             at_infinity=record.at_infinity,
             vote=_ray_vote(neg, pos, record.at_infinity),
-            has_multiple_root=any(m > 1 for _, m in params),
+            # some real root has multiplicity > 1
+            has_multiple_root=record.with_multiplicity > record.distinct,
+            restriction=f,
+            resolution=resolution,
         ))
     votes = {r.vote for r in rays}
     consistent = len(votes) == 1 and None not in votes

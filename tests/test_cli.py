@@ -364,3 +364,14 @@ def test_bad_ray_counts_exit_1(tmp_path, argv, message):
     code, out, err = run_cli(argv[:1] + [path] + argv[1:])
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("command", [
+    ["topology"], ["topology", "--format", "csv"], ["boundary"]])
+@pytest.mark.parametrize("resolution", ["0", "-1/2"])
+def test_nonpositive_resolution_exits_1(tmp_path, command, resolution):
+    path = write(tmp_path, "disc.poly", DISC_POLY)
+    code, out, err = run_cli(command[:1] + [path] + command[1:] + FAST
+                             + [f"--resolution={resolution}"])
+    assert (code, out) == (1, "")
+    assert "resolution must be positive" in err

@@ -1,13 +1,16 @@
 """Oval counting from 1-D root orderings along scan lines."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmicert import topology
+from lmicert.cli import main
 from lmicert.errors import CertifiedNotRZError, DimensionMismatch
-from lmicert.poly import Polynomial
+from lmicert.poly import Polynomial, parse_polynomial
 from lmicert.rzcheck import RaySampler
 from lmicert.topology import (OvalProfile, nesting_consistency_report,
                               oval_profile)
@@ -16,6 +19,7 @@ F = Fraction
 x1 = Polynomial.variable(1, 2)
 x2 = Polynomial.variable(2, 2)
 one = Polynomial.constant(1, 2)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SAMPLER = RaySampler(2, deterministic_count=31, random_count=8,
                      extra_directions=((1, 0), (0, 1)))
@@ -23,6 +27,21 @@ SAMPLER = RaySampler(2, deterministic_count=31, random_count=8,
 
 def circle(r):
     return r * r * one - x1 ** 2 - x2 ** 2
+
+
+@pytest.fixture
+def isolations(monkeypatch):
+    """Counts calls of isolate_real_roots made through the topology
+    module's binding; returns the list of counted restrictions."""
+    calls = []
+    isolate = topology.isolate_real_roots
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return isolate(f, *args, **kwargs)
+
+    monkeypatch.setattr(topology, "isolate_real_roots", counted)
+    return calls
 
 
 # === single oval ===
@@ -151,3 +170,53 @@ def test_nested_ellipse_families(depth, squeeze):
                                               extra_directions=((1, 0),)))
     assert (prof.ovals, prof.pseudo_line) == (depth, False)
     assert prof.consistent
+
+
+# === lazy parameters ===
+
+def test_json_topology_isolates_no_roots(isolations, capsys):
+    assert main(["topology", str(GOLDEN / "disc.poly"),
+                 "--rays", "31", "--random", "8"]) == 0
+    assert capsys.readouterr().out
+    assert isolations == []
+
+
+def test_parameters_isolate_once_per_ray_on_first_read(isolations):
+    # the line x1 = 1 restricts to a constant along the vertical ray
+    prof = oval_profile(one - x1, (0, 0), SAMPLER)
+    assert isolations == []
+    first = [ray.parameters for ray in prof.rays]
+    positive = [r for r in prof.rays if r.at_infinity < prof.degree]
+    assert len(isolations) == len(positive) < len(prof.rays)
+    assert [ray.parameters for ray in prof.rays] == first
+    assert len(isolations) == len(positive)
+
+
+def _assert_multiple_root_flags(prof):
+    for ray in prof.rays:
+        assert ray.has_multiple_root == any(m > 1 for _, m in ray.parameters)
+
+
+@pytest.mark.parametrize("curve, point", [
+    ("disc", (0, 0)), ("concentric", (0, 0)), ("tangent", (-4, 0)),
+    ("odd_cubic", (0, 0))])
+def test_multiple_root_flag_matches_parameters_on_golden_curves(curve,
+                                                               point):
+    p = parse_polynomial((GOLDEN / f"{curve}.poly").read_text())
+    _assert_multiple_root_flags(oval_profile(p, point, SAMPLER))
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(1, 3)).filter(lambda t: t[:2] != (0, 0)),
+                min_size=1, max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_multiple_root_flag_matches_parameters_on_line_products(factors):
+    # every line 1 - a x1 - b x2 misses the origin, so a product of
+    # their powers is rigidly convex there, singular where a factor
+    # repeats or two lines cross
+    p = one
+    for a, b, mult in factors:
+        p = p * (one - a * x1 - b * x2) ** mult
+    prof = oval_profile(p, (0, 0), RaySampler(2, 7, 2,
+                                              extra_directions=((1, 0),)))
+    _assert_multiple_root_flags(prof)

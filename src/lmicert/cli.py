@@ -353,11 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
+        # --resolution's type raises ParseError, which argparse passes on
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        return args.func(args)
     except CertifiedNotRZError as exc:
         document = {"error": str(exc), "kind": "CertifiedNotRZ"}
         if exc.verdict is not None and exc.verdict.witness is not None:

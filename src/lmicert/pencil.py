@@ -9,9 +9,9 @@ Each fact has one exact core: one diagonal-pivoted symmetric
 elimination (_eliminate) gives the PSD/PD verdict, is_psd's negative
 witness (lifted back through its pivots) and the LDL^T of a PD L0 that
 reduce_to_monic normalizes; the determinant expansion also yields the
-principal-minor sums of is_psd's certificate; one range condition
-(_range_compression) decides whether 0 is interior for a singular PSD
-L0, for both membership and reduce_to_monic.
+principal-minor sums of is_psd's certificate; one cached helper
+(_range_compression) decides L0 and, for a singular PSD L0, whether 0
+is interior, for both membership and reduce_to_monic.
 
 Matrices hold Fractions and the linear algebra on them is over Fraction;
 determinant expansion scales each block to integers over a common
@@ -109,7 +109,7 @@ class SymmetricMatrix:
 class LinearPencil:
     """Symmetric matrix tuple (L0, L1, ..., Lm) defining x -> L0 + sum x_i L_i."""
 
-    __slots__ = ("matrices", "num_vars", "size")
+    __slots__ = ("matrices", "num_vars", "size", "_hash")
 
     def __init__(self, matrices: Sequence[SymmetricMatrix]):
         mats = tuple(matrices)
@@ -122,6 +122,7 @@ class LinearPencil:
         self.matrices = mats
         self.num_vars = len(mats) - 1
         self.size = n
+        self._hash = None
 
     def monic(self) -> bool:
         return self.matrices[0].is_identity()
@@ -144,7 +145,9 @@ class LinearPencil:
                 and self.matrices == other.matrices)
 
     def __hash__(self):
-        return hash(self.matrices)
+        if self._hash is None:
+            self._hash = hash(self.matrices)
+        return self._hash
 
     def __repr__(self):
         return f"LinearPencil(size={self.size}, num_vars={self.num_vars})"
@@ -281,16 +284,14 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     the literal test is used (Interior is then typically empty).  A
     non-PSD L0 is an error.
     """
-    l0 = pencil.matrices[0]
-    base = Membership.INTERIOR if pencil.monic() else _classify(l0)
-    if base is Membership.OUTSIDE:
-        raise ReductionError(
-            "L0 is not positive semidefinite at the reference point; "
-            "apply reduce_to_monic after shifting to an interior point")
-    if base is Membership.BOUNDARY:
-        compressed, _ = _range_compression(pencil)
+    if not pencil.monic():
+        base, compressed, _ = _range_compression(pencil)
+        if base is Membership.OUTSIDE:
+            raise ReductionError(
+                "L0 is not positive semidefinite at the reference point; "
+                "apply reduce_to_monic after shifting to an interior point")
         if compressed is not None:
-            return _classify(compressed.evaluate(point))
+            pencil = compressed
     return _classify(pencil.evaluate(point))
 
 
@@ -492,7 +493,7 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
         raise ReductionError("L0 is not positive semidefinite")
     if pencil.monic():
         return MonicReduction(pencil, Fraction(1), pencil.size)
-    compressed, bad = _range_compression(pencil)
+    _, compressed, bad = _range_compression(pencil)
     if compressed is None:
         raise ReductionError(
             f"0 is not interior to the spectrahedron: L{bad} does not "
@@ -600,10 +601,11 @@ def _in_row_space(basis: List[List[Fraction]], vec: Row) -> bool:
 
 @lru_cache(maxsize=16)
 def _range_compression(pencil: LinearPencil):
-    """(the pencil compressed to range(L0), None) when ker L0 lies in
-    ker L_j for every j >= 1, else (None, the first j for which it does
-    not).  By symmetry that is range(L_j) inside range(L0), checked row
-    by row.
+    """(the verdict of L0, the pencil compressed to range(L0), None) when
+    ker L0 lies in ker L_j for every j >= 1, else (the verdict, None, the
+    first j for which it does not).  By symmetry that is range(L_j)
+    inside range(L0), checked row by row.  A PD L0 has range everything
+    and is its own compression; a non-PSD L0 gets no compression.
 
     For PSD L0 this range condition holds exactly when 0 is interior to
     the spectrahedron: for v in ker L0, v'(L0 + eps L_j)v = eps v'L_j v,
@@ -612,13 +614,18 @@ def _range_compression(pencil: LinearPencil):
     a small eps keeps the compression to range(L0) PD.  Cached because
     membership asks it again for every point of one pencil.
     """
+    base = _classify(pencil.matrices[0])
+    if base is Membership.INTERIOR:
+        return base, pencil, None
+    if base is Membership.OUTSIDE:
+        return base, None, None
     # the row space of symmetric L0 is its range
     basis = _rref(pencil.matrices[0].entries)
     for j, mat in enumerate(pencil.matrices[1:], start=1):
         if not all(_in_row_space(basis, row) for row in mat.entries):
-            return None, j
-    return LinearPencil([_compress(basis, mat)
-                         for mat in pencil.matrices]), None
+            return base, None, j
+    return base, LinearPencil([_compress(basis, mat)
+                               for mat in pencil.matrices]), None
 
 
 def _compress(basis: List[List[Fraction]], mat: SymmetricMatrix) -> SymmetricMatrix:

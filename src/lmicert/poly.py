@@ -3,7 +3,8 @@
 Multivariate polynomials are maps from exponent vectors to Fraction
 coefficients; univariate ones are dense coefficient tuples, lowest degree
 first.  Everything in this module is exact (no floats) and pure (values
-are never mutated after construction).
+are never mutated after construction; memo slots such as the hash hold
+only what is derived from the value).
 
 Conventions:
   * an m-variate polynomial lives in variables x1..xm; exponent vectors
@@ -17,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ZeroPolynomialError
@@ -58,7 +59,7 @@ def as_direction(coords: Sequence, num_vars: int) -> Tuple[Fraction, ...]:
 class Polynomial:
     """Immutable sparse polynomial in num_vars variables over Q."""
 
-    __slots__ = ("num_vars", "_terms", "_hash")
+    __slots__ = ("num_vars", "_terms", "_hash", "_forms")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponents, object] = ()):
         if num_vars < 1:
@@ -83,6 +84,7 @@ class Polynomial:
         self.num_vars = num_vars
         self._terms = clean
         self._hash = None
+        self._forms = None
 
     # -- constructors ----------------------------------------------------
 
@@ -264,38 +266,32 @@ class Polynomial:
         deg f can drop below deg p; that happens exactly when the
         top-degree form of p vanishes at v.
 
-        Computed in integers: with x0 = X/D, v = V/D and the coefficients
-        c_e = C_e/E over common denominators, p(x0 + mu*v) is
-        sum C_e D^(d-|e|) prod_i (X_i + mu V_i)^e_i / (E D^d).  A zero
-        coordinate X_i (always, at the origin) contributes one monomial.
+        The coefficient of mu^k is the degree-k form of p(x0 + y) at v.
+        Those forms are integers C_e over one denominator E, built by one
+        shift per base point and kept for the next call at that point.
+        With v = V/D, f_k = sum_{|e| = k} C_e V^e / (E D^k).
         """
         x = as_point(x0, self.num_vars)
         w = as_direction(v, self.num_vars)
         if self.is_zero():
             return UnivariatePolynomial(())
-        d = self.degree()
-        den = _lcm_denominators(x + w)
-        xs = [c.numerator * (den // c.denominator) for c in x]
-        vs = [c.numerator * (den // c.denominator) for c in w]
-        cden = _lcm_denominators(self._terms.values())
-        acc = [0] * (d + 1)
-        for exps, c in self._terms.items():
-            scale = (c.numerator * (cden // c.denominator)
-                     * den ** (d - sum(exps)))
-            shift = 0
-            factor = [1]
-            for xi, vi, e in zip(xs, vs, exps):
-                if not xi:
-                    scale *= vi ** e
-                    shift += e
-                elif e:
-                    factor = _convolve(factor, [
-                        comb(e, k) * xi ** (e - k) * vi ** k
-                        for k in range(e + 1)])
-            for k, fc in enumerate(factor):
-                acc[shift + k] += scale * fc
-        total = cden * den ** d
-        return UnivariatePolynomial([Fraction(a, total) for a in acc])
+        if self._forms is None or self._forms[0] != x:
+            q = self.shift(x) if any(x) else self
+            den = _lcm_denominators(q._terms.values())
+            forms = [[] for _ in range(self.degree() + 1)]
+            for exps, c in q._terms.items():
+                forms[sum(exps)].append(
+                    (exps, c.numerator * (den // c.denominator)))
+            self._forms = (x, den, forms)
+        _, den, forms = self._forms
+        dv = _lcm_denominators(w)
+        ws = [c.numerator * (dv // c.denominator) for c in w]
+        coeffs = []
+        for form in forms:
+            coeffs.append(Fraction(
+                sum(c * prod(map(pow, ws, exps)) for exps, c in form), den))
+            den *= dv
+        return UnivariatePolynomial(coeffs)
 
     def top_form(self) -> "Polynomial":
         """Sum of the terms of maximal total degree."""
@@ -344,26 +340,19 @@ def _lcm_denominators(values: Iterable[Fraction]) -> int:
     return out
 
 
-def _convolve(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi == 0:
-            continue
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return out
-
-
 class UnivariatePolynomial:
-    """Immutable dense univariate polynomial over Q, lowest degree first."""
+    """Immutable dense univariate polynomial over Q, lowest degree first.
 
-    __slots__ = ("coeffs",)
+    _roots is realroots' factor-chain analysis, filled on first use."""
+
+    __slots__ = ("coeffs", "_roots")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._roots = None
 
     @classmethod
     def zero(cls) -> "UnivariatePolynomial":
@@ -423,8 +412,11 @@ class UnivariatePolynomial:
             return UnivariatePolynomial([c * v for v in self.coeffs])
         if self.is_zero() or other.is_zero():
             return UnivariatePolynomial(())
-        return UnivariatePolynomial(_convolve(list(self.coeffs),
-                                              list(other.coeffs)))
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UnivariatePolynomial(out)
 
     __rmul__ = __mul__
 

@@ -15,12 +15,13 @@ is scaled by a positive constant once, which keeps every sign.
     once to l^n c(m y / l) and bisected on the integers (j, k).  Ends
     become Fractions only when they are returned.
 
-Every counter and the isolation go through one factor-chain loop
-(_factor_chains) and one counter (_count) whose interval ends may be
-infinite.  _factor_chains builds the Sturm chain of f first: its last
-element is gcd(f, f'), so a constant one proves f square-free and the
-chain is the whole answer, one remainder sequence in all.  Only
-otherwise does Yun's decomposition run, then one chain per factor.
+Every counter and the isolation read one root analysis per polynomial
+(_factor_chains, kept in its _roots slot) and go through one counter
+(_count) whose interval ends may be infinite.  The analysis builds the
+Sturm chain of f first: its last element is gcd(f, f'), so a constant
+one proves f square-free and the chain is the whole answer, one
+remainder sequence in all.  Only otherwise does Yun's decomposition
+run, then one chain per factor.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ def _to_int_poly(f: UnivariatePolynomial) -> IntPoly:
         den = lcm(den, c.denominator)
     return _int_primitive([c.numerator * (den // c.denominator)
                            for c in f.coeffs])
-
-
-def _from_int_poly(c: IntPoly) -> UnivariatePolynomial:
-    return UnivariatePolynomial([Fraction(v) for v in c])
 
 
 def _int_derivative(c: IntPoly) -> IntPoly:
@@ -251,29 +248,33 @@ def sturm_chain(f: UnivariatePolynomial) -> List[UnivariatePolynomial]:
     chain = _int_sturm_chain(_to_int_poly(f))
     if len(chain[-1]) > 1:
         raise ValueError("input is not square-free; decompose it first")
-    return [_from_int_poly(c) for c in chain]
+    return [UnivariatePolynomial([Fraction(v) for v in c]) for c in chain]
 
 
 def _factor_chains(f: UnivariatePolynomial, verb: str
                    ) -> List[Tuple[IntPoly, List[IntPoly], int]]:
     """(g, Sturm chain of g, multiplicity) for each square-free factor g
     of f, as a primitive integer polynomial with positive leading
-    coefficient; a square-free f is its own factor, with its chain."""
+    coefficient; a square-free f is its own factor, with its chain.
+    Computed on first use and kept in f's _roots slot."""
     if f.is_zero():
         raise ZeroPolynomialError(
             f"cannot {verb} roots of the zero polynomial")
-    if f.degree() == 0:
-        return []
-    fi = _to_int_poly(f)
-    if fi[-1] < 0:
-        fi = [-v for v in fi]
-    chain = _int_sturm_chain(fi)
-    if len(chain[-1]) == 1:
-        return [(fi, chain, 1)]
+    if f._roots is not None:
+        return f._roots
     out = []
-    for g, mult in square_free_decompose(f):
-        gi = _to_int_poly(g)
-        out.append((gi, _int_sturm_chain(gi), mult))
+    if f.degree() > 0:
+        fi = _to_int_poly(f)
+        if fi[-1] < 0:
+            fi = [-v for v in fi]
+        chain = _int_sturm_chain(fi)
+        if len(chain[-1]) == 1:
+            out.append((fi, chain, 1))
+        else:
+            for g, mult in square_free_decompose(f):
+                gi = _to_int_poly(g)
+                out.append((gi, _int_sturm_chain(gi), mult))
+    f._roots = out
     return out
 
 

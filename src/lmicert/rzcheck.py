@@ -12,7 +12,10 @@ Every scan goes through one core: _scan checks the base point and the
 sampler, restricts p to each direction, counts the roots and stops at
 the first failing ray.  rz_check, rigid_convexity_check,
 hyperbolicity_check and topology.oval_profile are thin shells over it;
-boundary_samples shares its base check and restriction step (_lines).
+boundary_samples shares its base check (_checked_base).  Restrictions
+are read off p's homogeneous forms at the base point, which
+Polynomial.restrict builds once per base point, and each restriction
+keeps its one root analysis for every later count or isolation.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, pi, tan
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
 from .poly import Polynomial, UnivariatePolynomial, as_point
@@ -157,13 +160,6 @@ def _checked_base(p: Polynomial, x0: Sequence, signed: bool = False
     return p, x
 
 
-def _lines(q: Polynomial, x: Tuple[Fraction, ...], directions
-           ) -> Iterator[Tuple[Direction, UnivariatePolynomial]]:
-    """Each direction v with the restriction f(mu) = q(x + mu v)."""
-    for v in directions:
-        yield v, q.restrict(x, v)
-
-
 def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
           reverse: bool = False
           ) -> Tuple[RZVerdict, List[UnivariatePolynomial]]:
@@ -183,7 +179,8 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     d = int(q.degree())
     per_ray: List[RayRecord] = []
     restrictions: List[UnivariatePolynomial] = []
-    for v, f in _lines(q, x, sampler.directions()):
+    for v in sampler.directions():
+        f = q.restrict(x, v)
         counts = count_real_roots(_reversal(f, d) if reverse else f)
         deg = counts.total_degree
         real = counts.real_with_multiplicity
@@ -296,7 +293,8 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
         directions.append((raw[0] / mx, raw[1] / mx))
     samples: List[BoundarySample] = []
     unbounded: List[float] = []
-    for j, (v, f) in enumerate(_lines(q, x, directions)):
+    for j, v in enumerate(directions):
+        f = q.restrict(x, v)
         angle = j * pi / rays
         if f.degree() <= 0:
             unbounded.extend((angle, angle + pi))
@@ -320,12 +318,8 @@ def _split_root_sides(f: UnivariatePolynomial, resolution: Fraction):
     res = Fraction(resolution)
     while True:
         intervals = isolate_real_roots(f, res)
-        if all(iv.low > 0 or iv.high < 0 or iv.low == iv.high
-               for iv in intervals):
+        if all(iv.low > 0 or iv.high < 0 for iv in intervals):
             break
         res = res / 16
-    neg = [iv for iv in intervals if (iv.high < 0 or
-                                      (iv.low == iv.high and iv.low < 0))]
-    pos = [iv for iv in intervals if (iv.low > 0 or
-                                      (iv.low == iv.high and iv.low > 0))]
-    return neg, pos
+    return ([iv for iv in intervals if iv.high < 0],
+            [iv for iv in intervals if iv.low > 0])

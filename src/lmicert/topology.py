@@ -9,7 +9,8 @@ branch that behaves like a line), possibly at infinity.  Nesting is
 read off 1-D root orderings only; no curve tracing is involved.
 
 The side counts and votes come from Sturm counts; a ray's roots are
-isolated only when its parameters are first read.
+isolated only when its parameters are first read.  The line test's
+count, the side counts and the isolation read one root analysis per ray.
 """
 
 from __future__ import annotations

@@ -375,3 +375,17 @@ def test_nonpositive_resolution_exits_1(tmp_path, command, resolution):
                              + [f"--resolution={resolution}"])
     assert (code, out) == (1, "")
     assert "resolution must be positive" in err
+
+
+@pytest.mark.parametrize("command", [
+    "check", "hyperbolic", "represent", "verify", "det", "reduce-monic",
+    "topology", "boundary"])
+@pytest.mark.parametrize("resolution", ["1/0", "abc"])
+def test_malformed_resolution_exits_1(tmp_path, command, resolution):
+    # the value is parsed with the other options, before any input is read
+    path = write(tmp_path, "disc.poly", DISC_POLY)
+    extra = [path] if command == "verify" else []
+    code, out, err = run_cli([command, path] + extra
+                             + [f"--resolution={resolution}"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bad rational '{resolution}'")

@@ -237,14 +237,18 @@ direction_st = point_st.filter(lambda v: v != (0, 0))
 @given(poly_st(), point_st, direction_st)
 @settings(max_examples=80, deadline=None)
 def test_restrict_agrees_with_evaluation_on_the_line(p, x0, v):
-    # a polynomial of degree <= d is fixed by its values at d + 1 points
-    f = p.restrict(x0, v)
-    if p.is_zero():
-        assert f.is_zero()
-        return
-    d = int(p.degree())
-    assert f.degree() <= d
-    for k in range(d + 1):
-        t = Fraction(2 * k - d, k + 3)
-        line = (x0[0] + t * v[0], x0[1] + t * v[1])
-        assert f.evaluate(t) == p.evaluate(line)
+    # a polynomial of degree <= d is fixed by its values at d + 1 points;
+    # moving to a second base point and back shows that the forms p keeps
+    # for its last base point are never read at another one
+    other = (x0[0] + 1, x0[1] - Fraction(1, 2))
+    for base in (x0, other, x0):
+        f = p.restrict(base, v)
+        if p.is_zero():
+            assert f.is_zero()
+            continue
+        d = int(p.degree())
+        assert f.degree() <= d
+        for k in range(d + 1):
+            t = Fraction(2 * k - d, k + 3)
+            line = (base[0] + t * v[0], base[1] + t * v[1])
+            assert f.evaluate(t) == p.evaluate(line)

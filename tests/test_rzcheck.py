@@ -236,6 +236,22 @@ def test_off_center_base_point_same_circle():
         assert abs(r2 - 1.0) < 1e-5
 
 
+def test_off_origin_scans_shift_once_per_base_point(monkeypatch):
+    # restrictions are read off the forms of p at the base point, which
+    # are built by one shift and kept while the base point stays
+    shifts = []
+    shift = Polynomial.shift
+    monkeypatch.setattr(Polynomial, "shift",
+                        lambda p, x0: shifts.append(x0) or shift(p, x0))
+    p = one - x1 ** 2 - x2 ** 2
+    base = (F(1, 2), F(-1, 3))
+    assert rz_check(p, base, SMALL).rays_checked > 1
+    assert boundary_samples(p, base, rays=12).samples
+    assert shifts == [base]
+    rz_check(p, (0, 0), SMALL)
+    assert shifts == [base]
+
+
 def test_strip_records_unbounded_directions():
     strip = one - x1 ** 2
     data = boundary_samples(strip, (0, 0), rays=16)

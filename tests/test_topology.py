@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmicert import topology
+from lmicert import realroots, topology
 from lmicert.cli import main
 from lmicert.errors import CertifiedNotRZError, DimensionMismatch
 from lmicert.poly import Polynomial, parse_polynomial
@@ -190,6 +190,23 @@ def test_parameters_isolate_once_per_ray_on_first_read(isolations):
     assert len(isolations) == len(positive) < len(prof.rays)
     assert [ray.parameters for ray in prof.rays] == first
     assert len(isolations) == len(positive)
+
+
+def test_each_ray_is_analysed_once(monkeypatch):
+    # the line test's count, the side counts and the isolation share one
+    # root analysis per ray; the cubic's restrictions are square-free, so
+    # that analysis is one Sturm chain on each ray of positive degree
+    chains = []
+    build = realroots._int_sturm_chain
+    monkeypatch.setattr(realroots, "_int_sturm_chain",
+                        lambda g: chains.append(g) or build(g))
+    p = (one - x1) * (4 * one - x1 ** 2 - x2 ** 2)
+    prof = oval_profile(p, (0, 0), SAMPLER)
+    assert not any(ray.has_multiple_root for ray in prof.rays)
+    positive = sum(1 for ray in prof.rays if ray.restriction.degree() > 0)
+    assert len(chains) == positive == len(prof.rays)
+    assert all(ray.parameters for ray in prof.rays)
+    assert len(chains) == positive
 
 
 def _assert_multiple_root_flags(prof):

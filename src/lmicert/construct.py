@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
@@ -529,24 +530,28 @@ def _unverified_pencil(p: Polynomial, tol: float, seed: int
 # -- verification --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _spot_points(num_vars: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The 100 seeded sample points in [-8, 8]^num_vars, drawn once."""
+    rng = random.Random(987654321)
+    return tuple(tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                       for _ in range(num_vars)) for _ in range(100))
+
+
 def _membership_spot_check(p: Polynomial, pencil: LinearPencil,
                            band: Fraction) -> Tuple[bool, int]:
     """Interior points of the pencil must have p > -band, boundary
     points |p| <= band; band 0 asks for the signs an exact match has."""
-    rng = random.Random(987654321)
-    for checked in range(100):
-        pt = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-                   for _ in range(p.num_vars))
+    for checked, pt in enumerate(_spot_points(p.num_vars), start=1):
         kind = membership(pencil, pt)
-        value = p.evaluate(pt)
         if kind is Membership.INTERIOR:
-            ok = value > -band
+            ok = p.evaluate(pt) > -band
         elif kind is Membership.BOUNDARY:
-            ok = abs(value) <= band
+            ok = abs(p.evaluate(pt)) <= band
         else:
             ok = True
         if not ok:
-            return False, checked + 1
+            return False, checked
     return True, 100
 
 
@@ -584,15 +589,17 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
         return VerifyOutcome(MISMATCH, None, None, None, None, 0)
     scale = det0 / p0
     diff = det - p * scale
-    worst, worst_mono = 0.0, None
+    worst, worst_mono, bound = 0.0, None, Fraction(0)
     for expo, coeff in diff.sorted_terms():
         dev = abs(float(coeff))
         if dev > worst:
             worst, worst_mono = dev, expo
+        bound = max(bound, abs(coeff))
     if worst <= tol and base_pd:
-        # |diff| at the sample points is at most the coefficient bound
-        # times the monomial mass on the sampling box [-8, 8]^2
-        band = Fraction(worst) * 17 ** max(int(p.degree()), 1) / scale
+        # |diff| at the sample points is at most the largest exact
+        # coefficient times the monomial mass on the sampling box
+        # [-8, 8]^2; the float worst may round below that coefficient
+        band = bound * 17 ** max(int(p.degree()), 1) / scale
         ok, points = _membership_spot_check(p, pencil, band)
         if not ok:
             return VerifyOutcome(MISMATCH, None, worst, worst_mono, worst,

@@ -13,9 +13,12 @@ principal-minor sums of is_psd's certificate; one cached helper
 (_range_compression) decides L0 and, for a singular PSD L0, whether 0
 is interior, for both membership and reduce_to_monic.
 
-Matrices hold Fractions and the linear algebra on them is over Fraction;
-determinant expansion scales each block to integers over a common
-denominator and works in int.  Decisions are exact, never floating.
+Matrices hold Fractions; the kernels scale them to integers over
+common denominators and work in int: point evaluation (one integer
+multiple of L(x) per point, which membership classifies as it is),
+determinant expansion, and the congruences of compression and monic
+reduction.  The elimination runs over Fraction.  Decisions are exact,
+never floating.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, isqrt
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ReductionError
@@ -54,6 +58,15 @@ class SymmetricMatrix:
                         f"{entries[i][j]} vs {entries[j][i]}")
         self.entries = entries
         self.size = n
+
+    @classmethod
+    def _trusted(cls, entries: Tuple[tuple, ...]) -> "SymmetricMatrix":
+        """Wrap entries that are square and symmetric by construction,
+        without coercing or checking them."""
+        mat = object.__new__(cls)
+        mat.entries = entries
+        mat.size = len(entries)
+        return mat
 
     @classmethod
     def identity(cls, n: int) -> "SymmetricMatrix":
@@ -107,9 +120,12 @@ class SymmetricMatrix:
 
 
 class LinearPencil:
-    """Symmetric matrix tuple (L0, L1, ..., Lm) defining x -> L0 + sum x_i L_i."""
+    """Symmetric matrix tuple (L0, L1, ..., Lm) defining x -> L0 + sum x_i L_i.
 
-    __slots__ = ("matrices", "num_vars", "size", "_hash")
+    _ints holds (D, the upper triangles of D L0, ..., D Lm as integer
+    lists), filled on first use."""
+
+    __slots__ = ("matrices", "num_vars", "size", "_hash", "_ints")
 
     def __init__(self, matrices: Sequence[SymmetricMatrix]):
         mats = tuple(matrices)
@@ -123,22 +139,35 @@ class LinearPencil:
         self.num_vars = len(mats) - 1
         self.size = n
         self._hash = None
+        self._ints = None
 
     def monic(self) -> bool:
         return self.matrices[0].is_identity()
 
     def evaluate(self, point: Sequence) -> SymmetricMatrix:
+        scale, upper = self._scaled(point)
+        return SymmetricMatrix._trusted(
+            _mirror(self.size, [Fraction(v, scale) for v in upper]))
+
+    def _scaled(self, point: Sequence) -> Tuple[int, List[int]]:
+        """(s, the upper triangle of s L(x), row by row) with a positive
+        integer s and integer entries: with x = X/Dx, s L(x) is
+        Dx (D L0) + sum X_i (D L_i) and s = D Dx."""
         x = as_point(point, self.num_vars)
-        rows = [list(row) for row in self.matrices[0].entries]
-        for xi, mat in zip(x, self.matrices[1:]):
-            if xi == 0:
-                continue
-            for i in range(self.size):
-                mrow = mat.entries[i]
-                row = rows[i]
-                for j in range(self.size):
-                    row[j] += xi * mrow[j]
-        return SymmetricMatrix(rows)
+        if self._ints is None:
+            uppers = [[v for i, row in enumerate(mat.entries) for v in row[i:]]
+                      for mat in self.matrices]
+            den = _lcm_denominators(v for upper in uppers for v in upper)
+            self._ints = (den, [[v.numerator * (den // v.denominator)
+                                 for v in upper] for upper in uppers])
+        den, (base, *rest) = self._ints
+        dx = _lcm_denominators(x)
+        acc = [dx * v for v in base]
+        for c, upper in zip(x, rest):
+            if c:
+                xi = c.numerator * (dx // c.denominator)
+                acc = [a + xi * b for a, b in zip(acc, upper)]
+        return den * dx, acc
 
     def __eq__(self, other):
         return (isinstance(other, LinearPencil)
@@ -151,6 +180,18 @@ class LinearPencil:
 
     def __repr__(self):
         return f"LinearPencil(size={self.size}, num_vars={self.num_vars})"
+
+
+def _mirror(n: int, upper: Sequence) -> Tuple[tuple, ...]:
+    """The symmetric n x n rows whose upper triangle, row by row, is
+    upper."""
+    rows = [[None] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = upper[k]
+            k += 1
+    return tuple(map(tuple, rows))
 
 
 # -- exact definiteness -------------------------------------------------------
@@ -215,6 +256,7 @@ def _eliminate(mat: SymmetricMatrix):
     otherwise stop is None.  After a positive pivot the complement is PSD
     (PD) exactly when the matrix is.  So a PD matrix pivots in natural
     order, and its steps are its LDL^T: T[i][p] = f, D = the pivots.
+    Entries may also be ints (membership passes an integer multiple).
     """
     m = [list(row) for row in mat.entries]
     idx = list(range(mat.size))
@@ -237,7 +279,7 @@ def _eliminate(mat: SymmetricMatrix):
         mults = []
         schur = []
         for i in rest:
-            f = m[i][p] / d
+            f = Fraction(m[i][p], d)
             mults.append((idx[i], f))
             schur.append([m[i][j] - f * pivot_row[j] for j in rest])
         steps.append((idx[p], d, mults))
@@ -292,7 +334,9 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
                 "apply reduce_to_monic after shifting to an interior point")
         if compressed is not None:
             pencil = compressed
-    return _classify(pencil.evaluate(point))
+    # s L(x) with s > 0 has the verdict of L(x)
+    _, upper = pencil._scaled(point)
+    return _classify(SymmetricMatrix._trusted(_mirror(pencil.size, upper)))
 
 
 # -- determinants -------------------------------------------------------------
@@ -530,7 +574,7 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
     out = []
     for mat in compressed.matrices:
         rows = [[v * scale for v in row] for row in mat.entries]
-        out.append(SymmetricMatrix(_congruence(w_inv, rows)))
+        out.append(_congruence(w_inv, rows))
     reduced = LinearPencil(out)
     if not reduced.monic():
         raise AssertionError("internal error: reduction did not reach I")
@@ -548,14 +592,24 @@ def _square_roots(pivots: Sequence[Fraction]):
     return roots
 
 
-def _congruence(b, m) -> List[List[Fraction]]:
-    """b m b^t for plain row-list matrices."""
-    n = len(b)
-    k = len(m)
-    bm = [[sum(b[i][t] * m[t][j] for t in range(k)) for j in range(k)]
-          for i in range(n)]
-    return [[sum(bm[i][t] * b[j][t] for t in range(k)) for j in range(n)]
-            for i in range(n)]
+def _congruence(b, m) -> SymmetricMatrix:
+    """b m b^t for plain row lists of Fractions, m symmetric, over the
+    integers: with row i of b equal to b_i / beta_i and m = m' / mu for
+    integer b_i and m', entry (i, j) is b_i m' b_j^t / (beta_i beta_j mu).
+    """
+    mu = _lcm_denominators(v for row in m for v in row)
+    mi = [[v.numerator * (mu // v.denominator) for v in row] for row in m]
+    bi, betas = [], []
+    for row in b:
+        beta = _lcm_denominators(row)
+        betas.append(beta)
+        bi.append([v.numerator * (beta // v.denominator) for v in row])
+    # m' is symmetric, so row j of b_i m' is b_i . m'_j
+    bm = [[sum(map(mul, row, mrow)) for mrow in mi] for row in bi]
+    n = len(bi)
+    return SymmetricMatrix._trusted(_mirror(n, [
+        Fraction(sum(map(mul, bm[i], bi[j])), betas[i] * betas[j] * mu)
+        for i in range(n) for j in range(i, n)]))
 
 
 def _rref(rows: Sequence[Row]) -> List[List[Fraction]]:
@@ -624,19 +678,9 @@ def _range_compression(pencil: LinearPencil):
     for j, mat in enumerate(pencil.matrices[1:], start=1):
         if not all(_in_row_space(basis, row) for row in mat.entries):
             return base, None, j
-    return base, LinearPencil([_compress(basis, mat)
+    # the compression of each form to the span of the basis rows
+    return base, LinearPencil([_congruence(basis, mat.entries)
                                for mat in pencil.matrices]), None
-
-
-def _compress(basis: List[List[Fraction]], mat: SymmetricMatrix) -> SymmetricMatrix:
-    """Quadratic form restricted to the span of the basis rows."""
-    r = len(basis)
-    n = mat.size
-    bm = [[sum(basis[i][t] * mat.entries[t][j] for t in range(n))
-           for j in range(n)] for i in range(r)]
-    return SymmetricMatrix(
-        [[sum(bm[i][t] * basis[j][t] for t in range(n)) for j in range(r)]
-         for i in range(r)])
 
 
 # -- text format --------------------------------------------------------------

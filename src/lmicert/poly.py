@@ -210,16 +210,27 @@ class Polynomial:
     # -- evaluation and substitution ---------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, read off the form table of
+        the last base point x0 (built at the origin if there is none).
+
+        With integer forms C_e over E and y = x - x0 = Y/D, the degree-k
+        form is h_k(Y) / (E D^k), h_k(Y) = sum_{|e| = k} C_e Y^e, so
+        p(x) = (sum_k h_k(Y) D^(d-k)) / (E D^d): one integer sum by
+        Horner over k and one Fraction.
+        """
         x = as_point(point, self.num_vars)
-        total = Fraction(0)
-        for exps, c in self._terms.items():
-            v = c
-            for xi, e in zip(x, exps):
-                if e:
-                    v *= xi ** e
-            total += v
-        return total
+        if not self._terms:
+            return Fraction(0)
+        x0, den, forms = self._forms or self._build_forms(
+            (Fraction(0),) * self.num_vars)
+        y = [a - b for a, b in zip(x, x0)] if any(x0) else x
+        dy = _lcm_denominators(y)
+        ys = [c.numerator * (dy // c.denominator) for c in y]
+        total = 0
+        for form in forms:
+            total = total * dy + sum(c * prod(map(pow, ys, exps))
+                                     for exps, c in form)
+        return Fraction(total, den * dy ** (len(forms) - 1))
 
     def partial_derivative(self, index: int) -> "Polynomial":
         """d/dx_index, with 1-based index."""
@@ -275,15 +286,10 @@ class Polynomial:
         w = as_direction(v, self.num_vars)
         if self.is_zero():
             return UnivariatePolynomial(())
-        if self._forms is None or self._forms[0] != x:
-            q = self.shift(x) if any(x) else self
-            den = _lcm_denominators(q._terms.values())
-            forms = [[] for _ in range(self.degree() + 1)]
-            for exps, c in q._terms.items():
-                forms[sum(exps)].append(
-                    (exps, c.numerator * (den // c.denominator)))
-            self._forms = (x, den, forms)
-        _, den, forms = self._forms
+        table = self._forms
+        if table is None or table[0] != x:
+            table = self._build_forms(x)
+        _, den, forms = table
         dv = _lcm_denominators(w)
         ws = [c.numerator * (dv // c.denominator) for c in w]
         coeffs = []
@@ -292,6 +298,19 @@ class Polynomial:
                 sum(c * prod(map(pow, ws, exps)) for exps, c in form), den))
             den *= dv
         return UnivariatePolynomial(coeffs)
+
+    def _build_forms(self, x0: Tuple[Fraction, ...]):
+        """Cache and return (x0, E, forms): forms[k] lists (e, C_e) with
+        integers C_e such that the degree-k form of p(x0 + y) is
+        sum C_e y^e / E.  p must not be zero."""
+        q = self.shift(x0) if any(x0) else self
+        den = _lcm_denominators(q._terms.values())
+        forms = [[] for _ in range(self.degree() + 1)]
+        for exps, c in q._terms.items():
+            forms[sum(exps)].append(
+                (exps, c.numerator * (den // c.denominator)))
+        self._forms = (x0, den, forms)
+        return self._forms
 
     def top_form(self) -> "Polynomial":
         """Sum of the terms of maximal total degree."""

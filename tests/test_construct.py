@@ -347,3 +347,48 @@ def test_verify_dimension_mismatch():
     p3 = Polynomial.constant(1, 3)
     with pytest.raises(DimensionMismatch):
         verify_representation(p3, disc_pencil())
+
+
+
+def test_approx_band_covers_the_exact_largest_coefficient(monkeypatch):
+    # 1/10^12 is not a float and its nearest float lies below it, so a
+    # band taken from the float would not cover the coefficient
+    eps = F(1, 10 ** 12)
+    assert F(float(eps)) < eps
+    bands = []
+    spot = construct._membership_spot_check
+
+    def watched(p, pencil, band):
+        bands.append(band)
+        return spot(p, pencil, band)
+    monkeypatch.setattr(construct, "_membership_spot_check", watched)
+    pencil = LinearPencil([SymmetricMatrix.identity(2),
+                           sym([[1 + eps, 0], [0, -1]]),
+                           sym([[0, 1], [1, 0]])])
+    assert verify_representation(DISC, pencil).kind == APPROX_MATCH
+    # det - p = eps x1 - eps x1^2 at scale 1 and degree 2
+    assert bands == [eps * 17 ** 2]
+
+
+def test_spot_check_builds_no_checked_matrix(monkeypatch):
+    p = parse_polynomial((GOLDEN / "approx.poly").read_text())
+    pencil = parse_pencil((GOLDEN / "approx.pencil").read_text())
+    inits = [0]
+    init = SymmetricMatrix.__init__
+
+    def counted(self, rows):
+        inits[0] += 1
+        init(self, rows)
+    inside = []
+    spot = construct._membership_spot_check
+
+    def watched(*args):
+        before = inits[0]
+        result = spot(*args)
+        inside.append(inits[0] - before)
+        return result
+    monkeypatch.setattr(SymmetricMatrix, "__init__", counted)
+    monkeypatch.setattr(construct, "_membership_spot_check", watched)
+    out = verify_representation(p, pencil)
+    assert (out.kind, out.membership_points) == (APPROX_MATCH, 100)
+    assert inside == [0]

@@ -461,3 +461,90 @@ def test_parse_pencil_accepts_comments_and_blank_lines():
     text = "# disc\npencil 2 1\n\nL 0\n1 0\n0 1\nL 1  # slope block\n0 1\n1 0\n"
     p = parse_pencil(text)
     assert p.size == 2 and p.num_vars == 1
+
+
+# === point evaluation against the entry sum ===
+
+def naive_at(mats, pt):
+    """Oracle: L0 + sum x_i L_i entry by entry, in Fraction."""
+    n = mats[0].size
+    return SymmetricMatrix(
+        [[mats[0][i, j] + sum(x * m[i, j] for x, m in zip(pt, mats[1:]))
+          for j in range(n)] for i in range(n)])
+
+
+def congruent(q, rows):
+    """q^t rows q for square row lists."""
+    rq = [[sum(a * b for a, b in zip(row, col)) for col in zip(*q)]
+          for row in rows]
+    return SymmetricMatrix(
+        [[sum(a * b for a, b in zip(qcol, col)) for col in zip(*rq)]
+         for qcol in zip(*q)])
+
+
+entry_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+coord_st = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=12),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2 ** 60))
+
+
+@st.composite
+def hidden_pencil_st(draw):
+    """(pencil, hidden block, literal) for the pencil q^t diag(P, K) q.
+
+    P has a PD diagonal L0 (the identity when monic), K is 0 in L0 and in
+    every L_j unless literal, q is unit upper triangular.  With K = 0 and
+    a zero block present, L0 is singular PSD with the range condition, so
+    membership takes the compressed path and must agree with P; with K
+    nonzero somewhere the condition fails and the literal test runs."""
+    monic = draw(st.booleans())
+    r = draw(st.integers(min_value=1, max_value=3))
+    k = 0 if monic else draw(st.integers(min_value=0, max_value=2))
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = r + k
+
+    def symmetric(size):
+        rows = [[F(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                rows[i][j] = rows[j][i] = draw(entry_st)
+        return rows
+
+    pos_st = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6)
+    blocks = [[[F(int(i == j)) if monic else
+                (draw(pos_st) if i == j else F(0)) for j in range(r)]
+               for i in range(r)]]
+    blocks += [symmetric(r) for _ in range(m)]
+    kernels = [[[F(0)] * k for _ in range(k)] for _ in range(m + 1)]
+    if k and draw(st.booleans()):
+        kernels[draw(st.integers(min_value=1, max_value=m))] = symmetric(k)
+    literal = any(v for kern in kernels for row in kern for v in row)
+    q = [[F(int(i == j)) if i >= j or monic else draw(entry_st)
+          for j in range(n)] for i in range(n)]
+    mats = []
+    for block, kern in zip(blocks, kernels):
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(r):
+            rows[i][:r] = block[i]
+        for i in range(k):
+            rows[r + i][r:] = kern[i]
+        mats.append(congruent(q, rows))
+    hidden = [SymmetricMatrix(b) for b in blocks]
+    return LinearPencil(mats), hidden, literal
+
+
+@given(hidden_pencil_st(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_evaluate_and_membership_agree_with_the_entry_sum(case, data):
+    pencil, hidden, literal = case
+    for _ in range(3):
+        pt = data.draw(st.tuples(*[coord_st] * pencil.num_vars))
+        naive = naive_at(pencil.matrices, pt)
+        assert pencil.evaluate(pt) == naive
+        if literal or hidden[0].size == pencil.size:
+            assert membership(pencil, pt) is _classify(naive)
+        if not literal:
+            # the compression is congruent to the hidden block, whose
+            # verdict is the verdict of the point (Sylvester's inertia)
+            assert membership(pencil, pt) is _classify(
+                naive_at(hidden, pt))

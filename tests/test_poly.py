@@ -252,3 +252,54 @@ def test_restrict_agrees_with_evaluation_on_the_line(p, x0, v):
             t = Fraction(2 * k - d, k + 3)
             line = (base[0] + t * v[0], base[1] + t * v[1])
             assert f.evaluate(t) == p.evaluate(line)
+
+
+def _term_by_term(p, x):
+    """Oracle: sum of c * x^e over the terms, in Fraction."""
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        v = c
+        for xi, e in zip(x, exps):
+            v *= xi ** e
+        total += v
+    return total
+
+
+wide_st = st.fractions(min_value=-2 ** 20, max_value=2 ** 20,
+                       max_denominator=2 ** 60)
+wide_point_st = st.tuples(wide_st, wide_st)
+
+
+@st.composite
+def wide_poly_st(draw):
+    # up to degree 5 with denominators up to 2^60; zero terms give the
+    # zero polynomial and only (0, 0) terms give a constant
+    p = Polynomial.zero(2)
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        i = draw(st.integers(min_value=0, max_value=5))
+        j = draw(st.integers(min_value=0, max_value=5 - i))
+        p = p + Polynomial.constant(draw(wide_st), 2) * x1 ** i * x2 ** j
+    return p
+
+
+@given(st.one_of(wide_poly_st(), st.builds(lambda c: Polynomial.constant(c, 2),
+                                           wide_st)),
+       wide_point_st, st.one_of(st.none(), st.tuples(point_st, direction_st)))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_agrees_with_term_by_term_sum(p, pt, line):
+    # evaluate reads the form table at the last base point: the origin
+    # when none is cached, else the base point of the last restrict
+    if line is not None:
+        p.restrict(*line)
+    assert p.evaluate(pt) == _term_by_term(p, pt)
+    # a second call reuses the table
+    assert p.evaluate(pt) == _term_by_term(p, pt)
+
+
+@pytest.mark.parametrize("p", [Polynomial.zero(2),
+                               Polynomial.constant(frac(-7, 2 ** 60), 2)])
+def test_evaluate_zero_and_constants_at_any_base_point(p):
+    pt = (frac(3, 2 ** 60 - 1), frac(-5, 7))
+    assert p.evaluate(pt) == _term_by_term(p, pt)
+    p.restrict((frac(1, 3), frac(-2)), (1, 1))
+    assert p.evaluate(pt) == _term_by_term(p, pt)

@@ -235,7 +235,7 @@ def _boundary_csv(data: BoundaryData) -> str:
     for sample in data.samples:
         mu_minus, mu_plus = by_ray[sample.direction]
         lines.append(",".join([
-            "%.12g" % sample.angle,
+            format_rational(sample.angle),
             "" if mu_minus is None else format_rational(mu_minus),
             "" if mu_plus is None else format_rational(mu_plus),
             format_rational(sample.point[0]),
@@ -280,7 +280,7 @@ def cmd_boundary(args) -> int:
         document = {
             "samples": [
                 {
-                    "angle": s.angle,
+                    "angle": format_rational(s.angle),
                     "direction": _fmt_direction(s.direction),
                     "parameter": format_rational(s.parameter),
                     "x": format_rational(s.point[0]),
@@ -288,7 +288,8 @@ def cmd_boundary(args) -> int:
                 }
                 for s in data.samples
             ],
-            "unbounded_angles": list(data.unbounded_angles),
+            "unbounded_angles": [format_rational(a)
+                                 for a in data.unbounded_angles],
         }
         _emit(_json(document), args.out)
     return EXIT_OK

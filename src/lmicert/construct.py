@@ -237,16 +237,10 @@ def _pencil_from_entries(l2: SymmetricMatrix, diag1: Sequence[Fraction],
     return LinearPencil([SymmetricMatrix.identity(d), l1, l2])
 
 
-def _coefficient_residual(pencil: LinearPencil, target: Polynomial
-                          ) -> Tuple[float, Optional[Tuple[int, ...]]]:
+def _coefficient_residual(pencil: LinearPencil, target: Polynomial) -> float:
+    """Largest |coefficient| of det(pencil) - target."""
     diff = determinant_polynomial(pencil) - target
-    worst = 0.0
-    worst_mono: Optional[Tuple[int, ...]] = None
-    for expo, coeff in diff.sorted_terms():
-        dev = abs(float(coeff))
-        if dev > worst:
-            worst, worst_mono = dev, expo
-    return worst, worst_mono
+    return max((abs(float(c)) for _, c in diff.sorted_terms()), default=0.0)
 
 
 def _grid(d: int) -> List[Tuple[Fraction, Fraction]]:
@@ -316,7 +310,7 @@ def match_offdiagonal(p: Polynomial,
     n_unknowns = d * (d - 1) // 2
     if n_unknowns == 0:
         pencil = _pencil_from_entries(l2, diag1, [])
-        residual, _ = _coefficient_residual(pencil, target)
+        residual = _coefficient_residual(pencil, target)
         return RepresentationResult(pencil, residual, CLOSED_FORM, None, None)
 
     points = _grid(d)
@@ -361,7 +355,6 @@ def match_offdiagonal(p: Polynomial,
     starts = [np.zeros(n_unknowns)]
     starts += [rng.normal(0.0, 0.4 + 0.2 * s, n_unknowns) for s in range(16)]
     best_residual = float("inf")
-    best_worst: Optional[Tuple[int, ...]] = None
     best_pencil: Optional[LinearPencil] = None
     for u0 in starts:
         u = _lm_minimize(residual_fn, jacobian_fn, u0)
@@ -369,9 +362,9 @@ def match_offdiagonal(p: Polynomial,
             continue
         pencil = _pencil_from_entries(l2, diag1,
                                       [Fraction(float(v)) for v in u])
-        residual, worst = _coefficient_residual(pencil, target)
+        residual = _coefficient_residual(pencil, target)
         if residual < best_residual:
-            best_residual, best_worst, best_pencil = residual, worst, pencil
+            best_residual, best_pencil = residual, pencil
             if residual <= tol * 1e-2:
                 break
     if best_pencil is None or best_residual > tol:
@@ -379,10 +372,12 @@ def match_offdiagonal(p: Polynomial,
             "no start of the off-diagonal solve reached the tolerance; "
             "retry with a different coordinate change or seed",
             residual=None if best_pencil is None else best_residual)
-    best_pencil = _try_promote(best_pencil, target) or best_pencil
-    residual, _ = _coefficient_residual(best_pencil, target)
-    return RepresentationResult(best_pencil, residual, COEFFICIENT_MATCHING,
-                                None, None)
+    promoted = _try_promote(best_pencil, target)
+    if promoted is not None:
+        # det(promoted) == target exactly
+        best_pencil, best_residual = promoted, 0.0
+    return RepresentationResult(best_pencil, best_residual,
+                                COEFFICIENT_MATCHING, None, None)
 
 
 def _try_promote(pencil: LinearPencil, target: Polynomial

@@ -16,6 +16,10 @@ boundary_samples shares its base check (_checked_base).  Restrictions
 are read off p's homogeneous forms at the base point, which
 Polynomial.restrict builds once per base point, and each restriction
 keeps its one root analysis for every later count or isolation.
+
+The scans and boundary_samples share one exact ray family in the plane
+(RaySampler); every direction has max-norm 1 and a positive last
+nonzero coordinate, so the rays are the same on every platform.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, pi, tan
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
@@ -35,20 +38,19 @@ Direction = Tuple[Fraction, ...]
 CERTIFIED_NOT_RZ = "CertifiedNotRZ"
 PROBABLY_RZ = "ProbablyRZ"
 
-# denominator grid for rationalizing tan(theta/2) of deterministic rays
-_TAN_DENOM = 2 ** 16
-
 
 @dataclass(frozen=True)
 class RaySampler:
     """Seeded family of exact rational directions through a base point.
 
-    For two variables: deterministic_count rays realize the angles
-    j*pi/K (half-turn coverage, one per line) through a tan half-angle
-    rationalization, followed by random_count seeded random rational
-    directions.  Other dimensions have no natural angle grid, so all
-    deterministic_count + random_count rays are seeded random there.
-    extra_directions are normalized and scanned first.
+    For two variables: ray j of the deterministic_count = K rays sits at
+    pseudo-angle s = 4j/K on the upper half of the max-norm unit square,
+    counter-clockwise from (1, 0): (1, s), (2 - s, 1) or (-1, 4 - s) for
+    s <= 1, s <= 3 or beyond, one ray per line in increasing angle.  Then
+    come random_count seeded random rational directions.  Other
+    dimensions have no natural angle grid, so all rays are seeded random
+    there.  extra_directions are scanned first.  Every direction is
+    canonical (_reduce_direction).
     """
     num_vars: int
     deterministic_count: int = 181
@@ -71,7 +73,7 @@ class RaySampler:
             out.append(_reduce_direction(coords))
         if self.num_vars == 2:
             for j in range(self.deterministic_count):
-                out.append(_half_turn_direction(j, self.deterministic_count))
+                out.append(_square_direction(j, self.deterministic_count))
             randoms = self.random_count
         else:
             randoms = self.deterministic_count + self.random_count
@@ -80,29 +82,29 @@ class RaySampler:
         return list(dict.fromkeys(out))
 
 
-def _half_turn_direction(j: int, count: int) -> Direction:
-    """Rational direction at angle j*pi/count, via the tangent
-    half-angle parametrization (1 - t^2, 2t)."""
-    half = j * pi / (2 * count)
-    t = Fraction(round(tan(half) * _TAN_DENOM), _TAN_DENOM)
-    a, b = t.numerator, t.denominator
-    return _reduce_direction((b * b - a * a, 2 * a * b))
+def _square_direction(j: int, count: int) -> Direction:
+    """Ray j of count: the point at pseudo-angle s = 4j/count on the
+    upper half of the max-norm unit square, already canonical."""
+    four_j = 4 * j
+    if four_j <= count:
+        return (Fraction(1), Fraction(four_j, count))
+    if four_j <= 3 * count:
+        return (Fraction(2 * count - four_j, count), Fraction(1))
+    return (Fraction(-1), Fraction(4 * count - four_j, count))
 
 
-def _reduce_direction(coords: Sequence[int]) -> Direction:
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
-    if g == 0:
+def _reduce_direction(coords: Sequence) -> Direction:
+    """The canonical direction of the line through coords: v / max|v_i|,
+    signed so that the last nonzero coordinate is positive.  In the
+    plane that keeps every ray in the upper half plane, so boundary
+    scans can trust the orientation."""
+    v = [Fraction(c) for c in coords]
+    top = max(map(abs, v))
+    if top == 0:
         raise DimensionMismatch("zero direction")
-    ints = [c // g for c in coords]
-    # canonical sign: last nonzero coordinate positive, which keeps the
-    # two-variable angle grid in the upper half plane so that boundary
-    # scans can trust the orientation
-    last = next(c for c in reversed(ints) if c != 0)
-    if last < 0:
-        ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    if next(c for c in reversed(v) if c != 0) < 0:
+        top = -top
+    return tuple(c / top for c in v)
 
 
 def _random_direction(rng: random.Random, m: int) -> Direction:
@@ -110,10 +112,7 @@ def _random_direction(rng: random.Random, m: int) -> Direction:
         coords = [Fraction(rng.randint(-64, 64), rng.randint(1, 16))
                   for _ in range(m)]
         if any(coords):
-            denom = 1
-            for c in coords:
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-            return _reduce_direction([int(c * denom) for c in coords])
+            return _reduce_direction(coords)
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ def _reversal(f: UnivariatePolynomial, total_degree: int) -> UnivariatePolynomia
 
 @dataclass(frozen=True)
 class BoundarySample:
-    angle: float                 # direction angle of the emitted point
+    angle: Fraction              # pseudo-angle in [0, 8) of the side
     direction: Direction
     parameter: Fraction          # signed mu with x = x0 + mu*direction
     point: Tuple[Fraction, Fraction]
@@ -262,8 +261,8 @@ class BoundarySample:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    samples: Tuple[BoundarySample, ...]   # sorted by angle in [0, 2*pi)
-    unbounded_angles: Tuple[float, ...]   # directions with no crossing
+    samples: Tuple[BoundarySample, ...]      # sorted by pseudo-angle
+    unbounded_angles: Tuple[Fraction, ...]   # sides with no crossing
 
 
 def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
@@ -272,10 +271,13 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     """Boundary points of the region component of x0, one per crossing
     of each scan line, for two-variable polynomials.
 
-    Along each of `rays` half-turn-spaced lines the nearest root on each
-    side of the base point is a boundary crossing; a side without real
-    roots means the region is unbounded in that direction, which is
-    recorded rather than raised.
+    The scan lines are RaySampler's `rays` deterministic rays, of
+    max-norm 1, so the resolution bounds the point error directly.
+    Along each, the nearest root on each side of the base point is a
+    boundary crossing, at pseudo-angle 4j/K on the positive side of ray
+    j of K and 4 + 4j/K on the negative side; a side without real roots
+    means the region is unbounded in that direction, which is recorded
+    rather than raised.
     """
     if p.num_vars != 2:
         raise DimensionMismatch("boundary extraction is two-variable only")
@@ -284,24 +286,18 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     q, x = _checked_base(p, x0)
-    directions = []
-    for j in range(rays):
-        raw = _half_turn_direction(j, rays)
-        # max-norm scaling keeps the ray parameter at geometric scale,
-        # so the isolation resolution bounds the point error directly
-        mx = max(abs(c) for c in raw)
-        directions.append((raw[0] / mx, raw[1] / mx))
     samples: List[BoundarySample] = []
-    unbounded: List[float] = []
-    for j, v in enumerate(directions):
+    unbounded: List[Fraction] = []
+    for j in range(rays):
+        v = _square_direction(j, rays)
         f = q.restrict(x, v)
-        angle = j * pi / rays
+        angle = Fraction(4 * j, rays)
         if f.degree() <= 0:
-            unbounded.extend((angle, angle + pi))
+            unbounded.extend((angle, angle + 4))
             continue
         neg, pos = _split_root_sides(f, resolution)
         for side_angle, iv in ((angle, pos[0] if pos else None),
-                               (angle + pi, neg[-1] if neg else None)):
+                               (angle + 4, neg[-1] if neg else None)):
             if iv is None:
                 unbounded.append(side_angle)
                 continue

@@ -167,6 +167,52 @@ def test_seeded_cubic_determinants_round_trip():
         done += 1
 
 
+def test_matching_expands_each_pencil_once(monkeypatch):
+    # one expansion per start that reached the tolerance, one per
+    # promotion candidate, and none for the winner again
+    rng = random.Random(7)
+    mats = [SymmetricMatrix.identity(3)]
+    for _ in range(2):
+        rows = [[F(0)] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                rows[i][j] = rows[j][i] = F(rng.randint(-2, 2), 2)
+        mats.append(SymmetricMatrix(rows))
+    q, data, _ = intercept_normalize(
+        determinant_polynomial(LinearPencil(mats)))
+    assert q.degree() == 3
+    expansions, reached, promoting = [], [], [False]
+    expand, minimize = construct.determinant_polynomial, construct._lm_minimize
+    promote = construct._try_promote
+
+    def counted_expand(pencil):
+        expansions.append(promoting[0])
+        return expand(pencil)
+
+    def counted_minimize(residual_fn, jacobian_fn, u0):
+        u = minimize(residual_fn, jacobian_fn, u0)
+        reached.append(max(abs(residual_fn(u))) <= 1e-6)
+        return u
+
+    def counted_promote(pencil, target):
+        promoting[0] = True
+        try:
+            return promote(pencil, target)
+        finally:
+            promoting[0] = False
+
+    monkeypatch.setattr(construct, "determinant_polynomial", counted_expand)
+    monkeypatch.setattr(construct, "_lm_minimize", counted_minimize)
+    monkeypatch.setattr(construct, "_try_promote", counted_promote)
+    result = match_offdiagonal(q, fixed_part(data))
+    assert result.residual <= 1e-9
+    candidates = expansions.count(True)
+    assert 1 <= candidates <= 10
+    if result.residual:
+        assert candidates == 10
+    assert expansions.count(False) == sum(reached) >= 1
+
+
 def test_coordinate_change_is_undone():
     p = (one - x1) * (one + x1) * (one + x2)
     result = represent(p, sampler=SMALL)

@@ -1,7 +1,7 @@
 """Line-test verdicts, ray sampling, and boundary extraction."""
 
+import random
 from fractions import Fraction
-from math import pi
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +31,50 @@ SMALL = RaySampler(2, deterministic_count=31, random_count=8)
 
 # === ray sampling ===
 
-def test_directions_are_reduced_integer_tuples():
-    for v in RaySampler(2, 37, 16, seed=5).directions():
-        assert all(c.denominator == 1 for c in v)
-        from math import gcd
-        assert gcd(int(v[0]), int(v[1])) == 1
+def _pseudo_angle(v):
+    """Position of a max-norm 1 direction on the upper half of the unit
+    square, counter-clockwise from (1, 0)."""
+    x, y = v
+    if x == 1:
+        return y
+    if y == 1:
+        return 2 - x
+    assert x == -1
+    return 4 - y
+
+
+def _canonical(v):
+    return (max(map(abs, v)) == 1
+            and next(c for c in reversed(v) if c != 0) > 0)
+
+
+def test_directions_are_the_exact_square_family():
+    for k in range(1, 401):
+        dirs = RaySampler(2, k, 0).directions()
+        assert len(dirs) == k
+        assert dirs[0] == (F(1), F(0))
+        assert all(_canonical(v) for v in dirs)
+        angles = [_pseudo_angle(v) for v in dirs]
+        assert angles == [F(4 * j, k) for j in range(k)]
+        assert all(a < b for a, b in zip(angles, angles[1:]))
+
+
+def test_random_directions_are_canonical_on_the_drawn_lines():
+    # the seeded draws are scaled to max-norm 1, signed, and kept on
+    # their lines
+    rng = random.Random(1)
+    drawn = []
+    while len(drawn) < 15:
+        coords = [F(rng.randint(-64, 64), rng.randint(1, 16))
+                  for _ in range(3)]
+        if any(coords):
+            drawn.append(coords)
+    dirs = RaySampler(3, 10, 5, seed=1).directions()
+    assert len(dirs) == 15
+    for v, raw in zip(dirs, drawn):
+        assert _canonical(v)
+        scale = next(c / r for c, r in zip(v, raw) if r != 0)
+        assert list(v) == [scale * r for r in raw]
 
 
 def test_directions_canonical_sign_upper_half_plane():
@@ -223,10 +262,11 @@ def test_disc_boundary_lies_on_unit_circle():
 
 def test_boundary_angles_sorted_and_cover_full_turn():
     data = boundary_samples(DISC, (0, 0), rays=16)
+    # pseudo-angles: 4j/16 on the positive side of ray j, 4 + 4j/16 on
+    # its negative side
     angles = [s.angle for s in data.samples]
-    assert angles == sorted(angles)
-    assert angles[0] < pi / 16
-    assert angles[-1] > 2 * pi - pi / 8 - 1e-9
+    assert angles == [F(j, 4) for j in range(16)] + \
+        [4 + F(j, 4) for j in range(16)]
 
 
 def test_off_center_base_point_same_circle():
@@ -257,8 +297,7 @@ def test_strip_records_unbounded_directions():
     data = boundary_samples(strip, (0, 0), rays=16)
     # the vertical scan line meets no boundary; both of its angles are
     # reported unbounded and every other ray exits through x1 = +-1
-    assert len(data.unbounded_angles) == 2
-    assert abs(data.unbounded_angles[0] - pi / 2) < 1e-12
+    assert data.unbounded_angles == (2, 6)
     assert len(data.samples) == 30
     for s in data.samples:
         assert abs(abs(float(s.point[0])) - 1.0) < 1e-5

@@ -209,6 +209,33 @@ def test_each_ray_is_analysed_once(monkeypatch):
     assert len(chains) == positive
 
 
+def test_concentric_parameters_need_no_clash_refinement(monkeypatch):
+    # max-norm directions keep the crossings at geometric scale, far
+    # apart at the isolation resolution, so isolate_real_roots never
+    # refines outside the per-factor isolation to separate two factors
+    inside, outside = [0], []
+    refine, isolate_factor = realroots._refine, realroots._isolate_factor
+
+    def counted_factor(*args):
+        inside[0] += 1
+        try:
+            return isolate_factor(*args)
+        finally:
+            inside[0] -= 1
+
+    def counted_refine(*args):
+        if not inside[0]:
+            outside.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(realroots, "_isolate_factor", counted_factor)
+    monkeypatch.setattr(realroots, "_refine", counted_refine)
+    p = parse_polynomial((GOLDEN / "concentric.poly").read_text())
+    prof = oval_profile(p, (0, 0), SAMPLER)
+    assert all(len(ray.parameters) == 4 for ray in prof.rays)
+    assert outside == []
+
+
 def _assert_multiple_root_flags(prof):
     for ray in prof.rays:
         assert ray.has_multiple_root == any(m > 1 for _, m in ray.parameters)

@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .construct import MISMATCH, represent, verify_representation
-from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
-                     DimensionMismatch, LmicertError, ParseError,
-                     ReductionError, ZeroPolynomialError)
+from .errors import (CertifiedNotRZError, ConstructionError, LmicertError,
+                     ParseError, ReductionError)
 from .pencil import (determinant_polynomial, format_pencil, parse_pencil,
                      reduce_to_monic)
 from .poly import format_polynomial, format_rational, parse_polynomial, \
@@ -89,18 +88,10 @@ def _verdict_document(verdict: RZVerdict) -> dict:
     }
 
 
-def cmd_check(args) -> int:
+def cmd_scan(args) -> int:
     p = parse_polynomial(_read(args.input))
     point = _parse_point(args.point, p.num_vars)
-    verdict = rigid_convexity_check(p, point, _sampler(args, p.num_vars))
-    _emit(_json(_verdict_document(verdict)), args.out)
-    return EXIT_OK if verdict.kind == "ProbablyRZ" else EXIT_NOT_RZ
-
-
-def cmd_hyperbolic(args) -> int:
-    p = parse_polynomial(_read(args.input))
-    point = _parse_point(args.point, p.num_vars)
-    verdict = hyperbolicity_check(p, point, _sampler(args, p.num_vars))
+    verdict = args.check(p, point, _sampler(args, p.num_vars))
     _emit(_json(_verdict_document(verdict)), args.out)
     return EXIT_OK if verdict.kind == "ProbablyRZ" else EXIT_NOT_RZ
 
@@ -295,59 +286,72 @@ def cmd_boundary(args) -> int:
     return EXIT_OK
 
 
+# every option, declared once; a command takes only those it reads
+_OPTIONS = {
+    "--point": dict(help="base point, comma-separated rationals "
+                         "(default: origin)"),
+    "--rays": dict(type=int, default=181,
+                   help="deterministic ray count (default 181)"),
+    "--random": dict(type=int, default=64,
+                     help="random ray count (default 64)"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for all randomness (default 0)"),
+    "--tol": dict(type=float, default=1e-9,
+                  help="numeric tolerance (default 1e-9)"),
+    "--resolution": dict(type=parse_rational, default=Fraction(1, 2 ** 20),
+                         help="root isolation width (default 1/1048576)"),
+    "--out": dict(help="output file (default: stdout)"),
+    "--format": dict(default="json", help="output format where supported"),
+    "--factors": dict(help="file of factor polynomials separated by blank "
+                           "lines; the result is their direct sum"),
+}
+
+
+def _options(parser, *names, **extra) -> argparse.ArgumentParser:
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name], **extra)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmicert",
         description="certify rigid convexity of plane algebraic regions "
                     "and build monic pencil representations")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--point", default=None,
-                        help="base point, comma-separated rationals "
-                             "(default: origin)")
-    common.add_argument("--rays", type=int, default=181,
-                        help="deterministic ray count (default 181)")
-    common.add_argument("--random", type=int, default=64,
-                        help="random ray count (default 64)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomness (default 0)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="numeric tolerance (default 1e-9)")
-    common.add_argument("--resolution", type=parse_rational,
-                        default=Fraction(1, 2 ** 20),
-                        help="root isolation width (default 1/1048576)")
-    common.add_argument("--out", default=None,
-                        help="output file (default: stdout)")
-    common.add_argument("--format", default="json",
-                        choices=["json", "csv", "svg"],
-                        help="output format where supported")
+    # parents share their option objects, cheaper than adding each anew
+    out = _options(argparse.ArgumentParser(add_help=False), "--out")
+    scan = _options(argparse.ArgumentParser(add_help=False, parents=[out]),
+                    "--point", "--rays", "--random", "--seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, func, help_text, *options, parent=out):
+        p = sub.add_parser(name, help=help_text, parents=[parent])
         p.add_argument("input", help="input file")
         p.set_defaults(func=func)
-        return p
+        return _options(p, *options)
 
-    add("check", cmd_check,
-        "line test for rigid convexity at a base point")
-    add("hyperbolic", cmd_hyperbolic,
-        "line test for the homogenized polynomial")
-    rep = add("represent", cmd_represent,
-              "build a monic pencil whose determinant matches the polynomial")
-    rep.add_argument("--factors", default=None,
-                     help="file of factor polynomials separated by blank "
-                          "lines; the result is their direct sum")
-    ver = add("verify", cmd_verify,
-              "compare a pencil determinant against a polynomial")
-    ver.add_argument("pencil", help="pencil file")
+    add("check", cmd_scan, "line test for rigid convexity at a base point",
+        parent=scan).set_defaults(check=rigid_convexity_check)
+    add("hyperbolic", cmd_scan, "line test for the homogenized polynomial",
+        parent=scan).set_defaults(check=hyperbolicity_check)
+    add("represent", cmd_represent,
+        "build a monic pencil whose determinant matches the polynomial",
+        "--tol", "--factors", parent=scan)
+    add("verify", cmd_verify,
+        "compare a pencil determinant against a polynomial",
+        "--tol").add_argument("pencil", help="pencil file")
     add("det", cmd_det, "expand a pencil determinant to a polynomial file")
     add("reduce-monic", cmd_reduce_monic,
         "convert a pencil with positive semidefinite constant term to "
         "an equivalent monic one")
-    add("topology", cmd_topology,
-        "count nested ovals of the region's boundary curve")
-    add("boundary", cmd_boundary,
-        "sample the region boundary along rays from the base point")
+    _options(add("topology", cmd_topology,
+                 "count nested ovals of the region's boundary curve",
+                 "--resolution", parent=scan),
+             "--format", choices=["json", "csv"])
+    _options(add("boundary", cmd_boundary,
+                 "sample the region boundary along rays from the base point",
+                 "--point", "--rays", "--resolution"),
+             "--format", choices=["json", "csv", "svg"])
     return parser
 
 
@@ -373,11 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             document["residual"] = residual
         sys.stdout.write(_json(document))
         return EXIT_CONSTRUCTION
-    except (ParseError, BasePointError, DimensionMismatch,
-            ZeroPolynomialError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except LmicertError as exc:
+    except (LmicertError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

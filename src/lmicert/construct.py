@@ -252,13 +252,12 @@ def _grid(d: int) -> List[Tuple[Fraction, Fraction]]:
     return [(a, b) for a in ts for b in ts]
 
 
-def _lm_minimize(residual_fn, jacobian_fn, u0: np.ndarray,
-                 iterations: int = 80) -> np.ndarray:
+def _lm_minimize(residual_fn, jacobian_fn, u0: np.ndarray) -> np.ndarray:
     u = u0.astype(float).copy()
     r = residual_fn(u)
     lam = 1e-3
     n = len(u)
-    for _ in range(iterations):
+    for _ in range(80):
         if np.max(np.abs(r)) < 1e-15:
             break
         jac = jacobian_fn(u)
@@ -419,8 +418,7 @@ def _sqrt_fraction(value: Fraction) -> Tuple[Fraction, bool]:
     return Fraction(approx, 1 << 64), False
 
 
-def _degree_two(p: Polynomial, data: InterceptData, tol: float
-                ) -> LinearPencil:
+def _degree_two(p: Polynomial, data: InterceptData) -> LinearPencil:
     l2, diag1 = fixed_part(data)
     target = _target_polynomial(p)
     # det = (1 + a1 x1 + b1 x2)(1 + a2 x1 + b2 x2) - l^2 x1^2, so the
@@ -512,7 +510,7 @@ def _unverified_pencil(p: Polynomial, tol: float, seed: int
 
     q, data, change = intercept_normalize(p, seed=seed)
     if d == 2:
-        pencil = _degree_two(q, data, tol)
+        pencil = _degree_two(q, data)
         method = CLOSED_FORM
     else:
         matched = match_offdiagonal(q, fixed_part(data), tol=tol, seed=seed)

@@ -3,10 +3,11 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from lmicert.cli import main
+from lmicert.cli import _build_parser, main
 from lmicert.pencil import determinant_polynomial, parse_pencil
 from lmicert.poly import parse_polynomial
 
@@ -304,6 +305,37 @@ def test_boundary_resolution_flag(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("resolution", [None, "8"])
+def test_boundary_crossing_on_one_side_only(tmp_path, resolution):
+    # 1 + x2 - x1^2 > 0: the line x1 = 0 meets the curve only at x2 = -1,
+    # so ray (0, 1), the third of four, has a crossing on its negative
+    # side alone; at resolution 8 the isolating interval (-2, 2) of 1 + mu
+    # straddles 0 and must be refined before the sides are split
+    path = write(tmp_path, "parabola.poly", "vars 2\n1 0 0\n1 0 1\n-1 2 0\n")
+    argv = ["boundary", path, "--rays", "4"]
+    if resolution is not None:
+        argv += ["--resolution", resolution]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["unbounded_angles"] == ["2"]
+    assert len(doc["samples"]) == 7
+    half = Fraction(resolution or Fraction(1, 2 ** 20)) / 2
+
+    def region(mu, direction):
+        x, y = (mu * Fraction(c) for c in direction)
+        return 1 + y - x * x
+
+    # a sign change between the ends of the window, cut at the base point
+    # (the crossing lies on the sample's side of it), is a crossing there
+    for sample in doc["samples"]:
+        mu = Fraction(sample["parameter"])
+        lo, hi = mu - half, mu + half
+        lo, hi = (max(lo, 0), hi) if mu > 0 else (lo, min(hi, 0))
+        assert region(lo, sample["direction"]) \
+            * region(hi, sample["direction"]) <= 0
+
+
 # === usage failures ===
 
 def test_missing_file_exits_1(tmp_path):
@@ -367,14 +399,39 @@ def test_bad_ray_counts_exit_1(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("command", [
-    ["topology"], ["topology", "--format", "csv"], ["boundary"]])
+    ["topology"] + FAST, ["topology", "--format", "csv"] + FAST,
+    ["boundary", "--rays", "15"]])
 @pytest.mark.parametrize("resolution", ["0", "-1/2"])
 def test_nonpositive_resolution_exits_1(tmp_path, command, resolution):
     path = write(tmp_path, "disc.poly", DISC_POLY)
-    code, out, err = run_cli(command[:1] + [path] + command[1:] + FAST
+    code, out, err = run_cli(command[:1] + [path] + command[1:]
                              + [f"--resolution={resolution}"])
     assert (code, out) == (1, "")
     assert "resolution must be positive" in err
+
+
+# the options each command reads, 33 of the 65 command-option slots
+# (each command with each option of OPTION_VALUES but --factors, which
+# only represent takes); any other slot is refused, not ignored
+SCAN_OPTIONS = {"--point", "--rays", "--random", "--seed", "--out"}
+COMMAND_OPTIONS = {
+    "check": SCAN_OPTIONS,
+    "hyperbolic": SCAN_OPTIONS,
+    "represent": SCAN_OPTIONS | {"--tol", "--factors"},
+    "verify": {"--tol", "--out"},
+    "det": {"--out"},
+    "reduce-monic": {"--out"},
+    "topology": SCAN_OPTIONS | {"--resolution", "--format"},
+    "boundary": {"--point", "--rays", "--resolution", "--format", "--out"},
+}
+# values chosen so that str() of the parsed value gives them back
+OPTION_VALUES = {"--point": "0,0", "--rays": "5", "--random": "2",
+                 "--seed": "3", "--tol": "0.5", "--resolution": "1/64",
+                 "--out": "out.txt", "--format": "csv",
+                 "--factors": "factors.txt"}
+OPTION_SLOTS = [(command, option) for command in COMMAND_OPTIONS
+                for option in OPTION_VALUES
+                if option != "--factors" or command == "represent"]
 
 
 @pytest.mark.parametrize("command", [
@@ -382,10 +439,40 @@ def test_nonpositive_resolution_exits_1(tmp_path, command, resolution):
     "topology", "boundary"])
 @pytest.mark.parametrize("resolution", ["1/0", "abc"])
 def test_malformed_resolution_exits_1(tmp_path, command, resolution):
-    # the value is parsed with the other options, before any input is read
+    # the value is parsed with the other options, before any input is read;
+    # a command that reads no resolution refuses the option itself
     path = write(tmp_path, "disc.poly", DISC_POLY)
     extra = [path] if command == "verify" else []
     code, out, err = run_cli([command, path] + extra
                              + [f"--resolution={resolution}"])
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: bad rational '{resolution}'")
+    if "--resolution" in COMMAND_OPTIONS[command]:
+        assert err.startswith(f"error: bad rational '{resolution}'")
+    else:
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command, option", OPTION_SLOTS)
+def test_each_command_takes_only_the_options_it_reads(tmp_path, command,
+                                                      option):
+    inputs = [write(tmp_path, "disc.poly", DISC_POLY)]
+    if command == "verify":
+        inputs.append(write(tmp_path, "disc.pencil", DISC_PENCIL))
+    argv = [command, *inputs, f"{option}={OPTION_VALUES[option]}"]
+    _, usage, _ = run_cli([command, "--help"])
+    if option in COMMAND_OPTIONS[command]:
+        assert option in usage
+        args = _build_parser().parse_args(argv)
+        assert str(getattr(args, option[2:])) == OPTION_VALUES[option]
+    else:
+        assert option not in usage
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
+
+
+def test_topology_refuses_svg(tmp_path):
+    path = write(tmp_path, "disc.poly", DISC_POLY)
+    code, out, err = run_cli(["topology", path, "--format", "svg"])
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'svg'" in err

@@ -22,7 +22,8 @@ import pytest
 from lmicert.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FAST = ["--rays", "31", "--random", "8"]
+RAYS = ["--rays", "31"]
+FAST = RAYS + ["--random", "8"]
 
 # curve file stem -> base point (None: the default origin)
 CURVES = {
@@ -80,8 +81,10 @@ EXTRA_CASES = {
 def cases():
     for curve, point in CURVES.items():
         for suffix, command in COMMANDS.items():
+            # boundary scans only the deterministic rays
+            sampling = RAYS if command[0] == "boundary" else FAST
             argv = command[:1] + [str(GOLDEN / f"{curve}.poly")] + \
-                command[1:] + FAST
+                command[1:] + sampling
             if point is not None:
                 argv.append(f"--point={point}")
             yield f"{curve}.{suffix}", argv

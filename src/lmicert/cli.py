@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, *options, parent=out):
         p = sub.add_parser(name, help=help_text, parents=[parent])
         p.add_argument("input", help="input file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return _options(p, *options)
 
     add("check", cmd_scan, "line test for rigid convexity at a base point",
@@ -359,7 +359,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         # --resolution's type raises ParseError, which argparse passes on
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # the command's own parser prints the command's usage
+            args.parser.error("unrecognized arguments: " + " ".join(extra))
         return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK

@@ -19,15 +19,19 @@ keeps its one root analysis for every later count or isolation.
 
 The scans and boundary_samples share one exact ray family in the plane
 (RaySampler); every direction has max-norm 1 and a positive last
-nonzero coordinate, so the rays are the same on every platform.
+nonzero coordinate, so the rays are the same on every platform.  A
+scan builds each ray only when it reaches it, so a scan that stops at
+an early witness never builds the rays after it.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
 from .poly import Polynomial, UnivariatePolynomial, as_point
@@ -50,7 +54,13 @@ class RaySampler:
     come random_count seeded random rational directions.  Other
     dimensions have no natural angle grid, so all rays are seeded random
     there.  extra_directions are scanned first.  Every direction is
-    canonical (_reduce_direction).
+    canonical (_reduce_direction), and each ray is listed once, at its
+    first occurrence.
+
+    directions() checks the sampler and canonicalises the extra
+    directions at once, but builds the other rays only as they are read,
+    so a scan that stops at an early witness pays only for the rays it
+    scanned.
     """
     num_vars: int
     deterministic_count: int = 181
@@ -58,28 +68,105 @@ class RaySampler:
     seed: int = 0
     extra_directions: Tuple[Tuple[int, ...], ...] = ()
 
-    def directions(self) -> List[Direction]:
+    def directions(self) -> Sequence[Direction]:
         if self.num_vars < 1:
             raise DimensionMismatch("sampler needs num_vars >= 1")
         if self.deterministic_count < 1:
             raise ValueError("deterministic_count must be >= 1")
         if self.random_count < 0:
             raise ValueError("random_count must be >= 0")
-        out: List[Direction] = []
-        rng = random.Random(self.seed)
+        extras = []
         for coords in self.extra_directions:
             if len(coords) != self.num_vars:
                 raise DimensionMismatch("extra direction has wrong length")
-            out.append(_reduce_direction(coords))
-        if self.num_vars == 2:
-            for j in range(self.deterministic_count):
-                out.append(_square_direction(j, self.deterministic_count))
+            extras.append(_reduce_direction(coords))
+        return _Rays(self._distinct_rays(list(dict.fromkeys(extras))))
+
+    def _distinct_rays(self, extras: List[Direction]) -> Iterator[Direction]:
+        """Every ray in scan order, each at its first occurrence.
+
+        The grid rays are pairwise distinct, so a grid ray is a repeat
+        only of an extra direction, found by its grid index; only the
+        extra and random rays are hashed."""
+        yield from extras
+        count = self.deterministic_count
+        plane = self.num_vars == 2
+        if plane:
+            taken = {_grid_index(v, count) for v in extras}
+            for j in range(count):
+                if j not in taken:
+                    yield _square_direction(j, count)
             randoms = self.random_count
         else:
-            randoms = self.deterministic_count + self.random_count
+            randoms = count + self.random_count
+        seen = set(extras)
+        rng = random.Random(self.seed)
         for _ in range(randoms):
-            out.append(_random_direction(rng, self.num_vars))
-        return list(dict.fromkeys(out))
+            v = _random_direction(rng, self.num_vars)
+            if plane and _grid_index(v, count) is not None:
+                continue
+            # one hash per ray: a tuple of Fractions does not cache it
+            size = len(seen)
+            seen.add(v)
+            if len(seen) != size:
+                yield v
+
+
+class _Rays(Sequence):
+    """The distinct rays of one RaySampler.directions() call, read-only.
+
+    Iteration builds each ray the first time any reader reaches it;
+    len, indexing and count build all that is left.  Two families are
+    equal when they hold the same rays in the same order."""
+
+    __slots__ = ("_built", "_pending")
+
+    def __init__(self, rays: Iterator[Direction]):
+        self._built: List[Direction] = []
+        self._pending = rays
+
+    def __iter__(self) -> Iterator[Direction]:
+        built = self._built
+        i = 0
+        while True:
+            if i == len(built):
+                v = next(self._pending, None)
+                if v is None:
+                    return
+                built.append(v)
+            yield built[i]
+            i += 1
+
+    def _all(self) -> List[Direction]:
+        self._built.extend(self._pending)
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Rays):
+            return NotImplemented
+        return self._all() == other._all()
+
+    __hash__ = None
+
+
+def _grid_index(v: Direction, count: int) -> Optional[int]:
+    """j if the canonical plane direction v is ray j of count grid rays,
+    else None: v's pseudo-angle n/d must be 4j/count."""
+    a, b = v
+    if a == 1:
+        n, d = b.numerator, b.denominator
+    elif b == 1:
+        n, d = 2 * a.denominator - a.numerator, a.denominator
+    else:
+        n, d = 4 * b.denominator - b.numerator, b.denominator
+    j, rest = divmod(n * count, 4 * d)
+    return None if rest else j
 
 
 def _square_direction(j: int, count: int) -> Direction:
@@ -108,11 +195,21 @@ def _reduce_direction(coords: Sequence) -> Direction:
 
 
 def _random_direction(rng: random.Random, m: int) -> Direction:
+    """m seeded draws n/q, n in [-64, 64] and q in [1, 16], redrawn
+    while all are zero, in canonical form.  The form is taken on
+    integers: w = n * lcm(q) / q lies on the same line, and w / max|w|
+    (signed) is _reduce_direction's result without Fraction division."""
     while True:
-        coords = [Fraction(rng.randint(-64, 64), rng.randint(1, 16))
-                  for _ in range(m)]
-        if any(coords):
-            return _reduce_direction(coords)
+        draws = [(rng.randint(-64, 64), rng.randint(1, 16))
+                 for _ in range(m)]
+        if any(n for n, _ in draws):
+            break
+    scale = lcm(*[q for _, q in draws])
+    w = [n * (scale // q) for n, q in draws]
+    top = max(map(abs, w))
+    if next(c for c in reversed(w) if c) < 0:
+        top = -top
+    return tuple([Fraction(c, top) for c in w])
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,30 @@ def test_each_command_takes_only_the_options_it_reads(tmp_path, command,
         assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_unknown_option_names_the_command(tmp_path, command):
+    # the usage error comes from the command's own parser, so it shows
+    # the command's usage, not the list of commands
+    inputs = [write(tmp_path, "disc.poly", DISC_POLY)]
+    if command == "verify":
+        inputs.append(write(tmp_path, "disc.pencil", DISC_PENCIL))
+    code, out, err = run_cli([command, *inputs, "--bogus", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: lmicert {command} [-h]")
+    assert err.endswith(f"lmicert {command}: error: unrecognized "
+                        "arguments: --bogus 3\n")
+
+
+def test_verify_with_seed_shows_verify_usage(tmp_path):
+    poly = write(tmp_path, "disc.poly", DISC_POLY)
+    pencil = write(tmp_path, "disc.pencil", DISC_PENCIL)
+    code, out, err = run_cli(["verify", poly, pencil, "--seed", "3"])
+    assert (code, out) == (1, "")
+    assert err == ("usage: lmicert verify [-h] [--out OUT] [--tol TOL] "
+                   "input pencil\nlmicert verify: error: unrecognized "
+                   "arguments: --seed 3\n")
+
+
 def test_topology_refuses_svg(tmp_path):
     path = write(tmp_path, "disc.poly", DISC_POLY)
     code, out, err = run_cli(["topology", path, "--format", "svg"])

@@ -1,16 +1,21 @@
 """Line-test verdicts, ray sampling, and boundary extraction."""
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmicert import rzcheck
 from lmicert.errors import (BasePointError, DimensionMismatch,
                             ZeroPolynomialError)
-from lmicert.poly import Polynomial
+from lmicert.poly import Polynomial, parse_polynomial
 from lmicert.rzcheck import (CERTIFIED_NOT_RZ, PROBABLY_RZ, RaySampler,
+                             _grid_index, _reduce_direction,
+                             _square_direction,
                              boundary_samples, hyperbolicity_check,
                              rigid_convexity_check, rz_check)
 
@@ -116,6 +121,127 @@ def test_three_variable_sampler_is_all_random():
     dirs = RaySampler(3, 10, 5, seed=1).directions()
     assert len(dirs) <= 15
     assert all(len(v) == 3 for v in dirs)
+
+
+def _eager_rays(m, k, randoms, seed, extras):
+    """The eager construction the lazy family must reproduce: every ray
+    built up front, random draws canonicalised by Fraction division in
+    _reduce_direction, repeats dropped by dict.fromkeys."""
+    out = [_reduce_direction(c) for c in extras]
+    if m == 2:
+        out += [_square_direction(j, k) for j in range(k)]
+    else:
+        randoms += k
+    rng = random.Random(seed)
+    for _ in range(randoms):
+        while True:
+            coords = [F(rng.randint(-64, 64), rng.randint(1, 16))
+                      for _ in range(m)]
+            if any(coords):
+                break
+        out.append(_reduce_direction(coords))
+    return list(dict.fromkeys(out)), len(out)
+
+
+def _extras(m, k):
+    # repeats of one another and of grid ray 0, and in the plane of grid
+    # ray 1 for k >= 4 and of grid ray 2 for k = 4
+    if m == 2:
+        return ((3, 0), (-2, 0), (k, 4), (0, -7))
+    return ((1, 0, 0), (-2, 0, 0), (0, 0, 5), (1, -1, 3))
+
+
+def test_lazy_directions_match_the_eager_family():
+    dropped = 0
+    for m in (2, 3):
+        for k in (1, 4, 7, 31, 181):
+            for randoms in (0, 8, 64):
+                for seed in (0, 1, 5, 17):
+                    for extras in ((), _extras(m, k)):
+                        expected, total = _eager_rays(m, k, randoms, seed,
+                                                      extras)
+                        dropped += total - len(expected)
+                        sampler = RaySampler(m, k, randoms, seed, extras)
+                        dirs = sampler.directions()
+                        assert isinstance(dirs, Sequence)
+                        assert list(dirs) == expected
+                        # len, indexing and count build the same rays
+                        assert len(sampler.directions()) == len(expected)
+                        fresh = sampler.directions()
+                        assert ([fresh[i] for i in range(len(expected))]
+                                == expected)
+                        assert fresh[-1] == expected[-1]
+                        fresh = sampler.directions()
+                        assert all(fresh.count(v) == 1 for v in expected)
+                        assert fresh.count((F(5),) * m) == 0
+    # the repeats above, and repeated random lines, were dropped
+    assert dropped > 200
+
+
+def test_grid_index_finds_exactly_the_grid_rays():
+    # rays of other grids cover all three sides of the square
+    for k in range(1, 41):
+        grid = {_square_direction(j, k): j for j in range(k)}
+        for other in range(1, 41):
+            for i in range(other):
+                v = _square_direction(i, other)
+                assert _grid_index(v, k) == grid.get(v)
+
+
+def test_partial_reads_interleave():
+    sampler = RaySampler(2, 31, 8, seed=3, extra_directions=((1, 0),))
+    expected = list(sampler.directions())
+    dirs = sampler.directions()
+    first, second = iter(dirs), iter(dirs)
+    head = [next(first) for _ in range(5)]
+    assert [next(second) for _ in range(7)] == expected[:7]
+    assert head + list(first) == expected
+    assert len(dirs) == len(expected) and list(second) == expected[7:]
+    assert dirs == sampler.directions()
+    with pytest.raises(TypeError):
+        dirs[0] = (F(0), F(1))
+
+
+@pytest.mark.parametrize("sampler, error", [
+    (RaySampler(2, 5, 0, extra_directions=((1, 2, 3),)), DimensionMismatch),
+    (RaySampler(2, 5, 0, extra_directions=((1, 0), (0, 0))),
+     DimensionMismatch),
+    (RaySampler(2, 5, -1), ValueError),
+    (RaySampler(3, 0, 4), ValueError),
+    (RaySampler(0, 5, 4), DimensionMismatch),
+])
+def test_bad_sampler_raises_before_reading(sampler, error):
+    # directions() itself raises; no ray has to be read first
+    with pytest.raises(error):
+        sampler.directions()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_rejecting_scan_builds_only_the_rays_it_reads(monkeypatch):
+    built = {"grid": 0, "random": 0}
+
+    def counted(key, build):
+        def wrapper(*args):
+            built[key] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(rzcheck, "_square_direction",
+                        counted("grid", _square_direction))
+    monkeypatch.setattr(rzcheck, "_random_direction",
+                        counted("random", rzcheck._random_direction))
+    fermat = parse_polynomial((GOLDEN / "fermat.poly").read_text())
+    verdict = rigid_convexity_check(fermat, (0, 0))
+    assert verdict.certified_not_rz() and verdict.rays_checked == 1
+    assert built == {"grid": 1, "random": 0}
+
+    built.update(grid=0, random=0)
+    lobe = parse_polynomial((GOLDEN / "lobe.poly").read_text())
+    verdict = rigid_convexity_check(lobe, (F(7, 10), 0))
+    assert verdict.certified_not_rz() and verdict.rays_checked > 1
+    assert built == {"grid": verdict.rays_checked, "random": 0}
 
 
 # === rz_check ===

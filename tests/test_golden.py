@@ -77,6 +77,12 @@ EXTRA_CASES = {
         "odd_cubic", "topology", "--format", "csv", "--resolution", "1/1024"],
 }
 
+# pencil cases added after EXTRA_CASES, last for the same reason
+EXTRA_PENCIL_CASES = {
+    # a singular L0 whose kernel is not spanned by coordinate vectors
+    "kernel2.reduce-monic": ["reduce-monic", "kernel2.pencil"],
+}
+
 
 def cases():
     for curve, point in CURVES.items():
@@ -92,6 +98,8 @@ def cases():
         yield name, [command] + [str(GOLDEN / f) for f in files]
     for name, (curve, command, *extra) in EXTRA_CASES.items():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
+    for name, (command, *files) in EXTRA_PENCIL_CASES.items():
+        yield name, [command] + [str(GOLDEN / f) for f in files]
 
 
 def run(argv):

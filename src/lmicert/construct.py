@@ -33,7 +33,7 @@ from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
                      DimensionMismatch)
 from .pencil import (LinearPencil, Membership, SymmetricMatrix, direct_sum,
                      determinant_polynomial, is_psd, membership)
-from .poly import Polynomial, UnivariatePolynomial
+from .poly import Polynomial, UnivariatePolynomial, _exact_sqrt
 from .realroots import count_real_roots, isolate_real_roots
 from .rzcheck import RaySampler, rz_check
 
@@ -407,15 +407,14 @@ def _degree_one(p: Polynomial) -> LinearPencil:
                          SymmetricMatrix([[a2]])])
 
 
-def _sqrt_fraction(value: Fraction) -> Tuple[Fraction, bool]:
+def _sqrt_fraction(value: Fraction) -> Fraction:
     """Square root, exact when the value is a rational square, else a
     rational approximation good to ~2^-64."""
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd), True
-    approx = isqrt((num << 128) // den)
-    return Fraction(approx, 1 << 64), False
+    root = _exact_sqrt(value)
+    if root is None:
+        root = Fraction(isqrt((value.numerator << 128) // value.denominator),
+                        1 << 64)
+    return root
 
 
 def _degree_two(p: Polynomial, data: InterceptData) -> LinearPencil:
@@ -428,7 +427,7 @@ def _degree_two(p: Polynomial, data: InterceptData) -> LinearPencil:
         raise ConstructionError(
             "off-diagonal closed form needs a nonnegative square; the "
             "input is likely not rigidly convex")
-    l_value, _ = _sqrt_fraction(l_squared)
+    l_value = _sqrt_fraction(l_squared)
     return _pencil_from_entries(l2, diag1, [l_value])
 
 

@@ -7,18 +7,19 @@ an equivalent monic pencil on its range.
 
 Each fact has one exact core: one diagonal-pivoted symmetric
 elimination (_eliminate) gives the PSD/PD verdict, is_psd's negative
-witness (lifted back through its pivots) and the LDL^T of a PD L0 that
-reduce_to_monic normalizes; the determinant expansion also yields the
-principal-minor sums of is_psd's certificate; one cached helper
-(_range_compression) decides L0 and, for a singular PSD L0, whether 0
-is interior, for both membership and reduce_to_monic.
+witness and ker L0 (both lifted back through its pivots by _lift) and
+the LDL^T of a PD L0 that reduce_to_monic normalizes; the determinant
+expansion also yields the principal-minor sums of is_psd's
+certificate.  One cached helper (_range_compression) reads off a single
+elimination of L0 its verdict, whether 0 is interior for a singular
+PSD L0, and the compression: the principal block on L0's pivots, for
+both membership and reduce_to_monic.
 
 Matrices hold Fractions; the kernels scale them to integers over
 common denominators and work in int: point evaluation (one integer
 multiple of L(x) per point, which membership classifies as it is),
-determinant expansion, and the congruences of compression and monic
-reduction.  The elimination runs over Fraction.  Decisions are exact,
-never floating.
+determinant expansion, and the congruence of monic reduction.  The
+elimination runs over Fraction.  Decisions are exact, never floating.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, isqrt
+from math import factorial
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ReductionError
-from .poly import (Polynomial, _lcm_denominators, as_point, format_rational,
-                   parse_rational)
-
-Row = Tuple[Fraction, ...]
+from .poly import (Polynomial, _exact_sqrt, _lcm_denominators, as_point,
+                   format_rational, parse_rational)
 
 
 class SymmetricMatrix:
@@ -299,8 +298,8 @@ def _witness(n: int, steps, stop) -> List[Fraction]:
 
     The stopping row a of the complement S gives e_a when s_aa < 0, and
     t e_a - sign(s_ab) e_b with form -2 t |s_ab| + s_bb < 0 when s_aa = 0
-    and s_ab != 0.  Each pivot p, in reverse, gets w_p = -sum f_i w_i,
-    which keeps w'Mw equal to the form of the complement it came from.
+    and s_ab != 0.  _lift then keeps w'Mw equal to the form of the
+    complement it came from.
     """
     idx, s, a = stop
     w = [Fraction(0)] * n
@@ -311,6 +310,14 @@ def _witness(n: int, steps, stop) -> List[Fraction]:
         b = next(b for b, v in enumerate(row) if v)
         w[idx[a]] = s[b][b] / (2 * abs(row[b])) + 1
         w[idx[b]] = Fraction(-1 if row[b] > 0 else 1)
+    return _lift(w, steps)
+
+
+def _lift(w: List[Fraction], steps) -> List[Fraction]:
+    """Back-substitute w through the steps of _eliminate, in place: each
+    pivot p, in reverse, gets w_p = -sum f_i w_i.  One step maps (w_p, u)
+    to (0, S u) under M, S the complement it leaves; so M w is 0 on the
+    pivot rows, and w'Mw is the form of the last complement on w."""
     for p, _, mults in reversed(steps):
         w[p] = -sum(f * w[i] for i, f in mults)
     return w
@@ -515,8 +522,9 @@ def shift_pencil(pencil: LinearPencil, x0: Sequence) -> LinearPencil:
 
 @dataclass(frozen=True)
 class MonicReduction:
-    """Result of reduce_to_monic: det of the compressed pencil equals
-    det_scale times det of the monic pencil, with det_scale > 0."""
+    """Result of reduce_to_monic: det of the compressed pencil, the
+    principal block on L0's pivots, equals det_scale times det of the
+    monic pencil; det_scale > 0 is the product of that block's pivots."""
     pencil: LinearPencil
     det_scale: Fraction
     rank: int
@@ -527,11 +535,12 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
 
     Steps: verify L0 is PSD and 0 is interior, which for PSD L0 holds
     exactly when ker L0 lies in ker L_j for every j (the range condition
-    of _range_compression); compress everything to range(L0); factor the
-    compressed L0 = T D T^t by _eliminate; normalize the positive diagonal
-    D away exactly.  The last step needs every pivot to be a rational square
-    (after an optional uniform rescale); otherwise no exact rational
-    congruence to a monic pencil exists, and a structured error says so.
+    of _range_compression); compress to the principal block on L0's
+    pivots; factor the compressed L0 = T D T^t by _eliminate; normalize
+    the positive diagonal D away exactly.  The last step needs every pivot
+    to be a rational square (after an optional uniform rescale);
+    otherwise no exact rational congruence to a monic pencil exists, and
+    a structured error says so.
     """
     if not is_psd(pencil.matrices[0]).is_psd:
         raise ReductionError("L0 is not positive semidefinite")
@@ -583,13 +592,8 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
 
 def _square_roots(pivots: Sequence[Fraction]):
     """Exact square roots of every pivot, or None if any is irrational."""
-    roots = []
-    for d in pivots:
-        rn, rd = isqrt(d.numerator), isqrt(d.denominator)
-        if rn * rn != d.numerator or rd * rd != d.denominator:
-            return None
-        roots.append(Fraction(rn, rd))
-    return roots
+    roots = [_exact_sqrt(d) for d in pivots]
+    return None if None in roots else roots
 
 
 def _congruence(b, m) -> SymmetricMatrix:
@@ -612,75 +616,45 @@ def _congruence(b, m) -> SymmetricMatrix:
         for i in range(n) for j in range(i, n)]))
 
 
-def _rref(rows: Sequence[Row]) -> List[List[Fraction]]:
-    """Row-reduced basis of the row space."""
-    rows = [list(row) for row in rows]
-    n_cols = len(rows[0]) if rows else 0
-    out: List[List[Fraction]] = []
-    for col in range(n_cols):
-        pivot_row = None
-        for row in rows:
-            if row[col] != 0 and all(row[c] == 0 for c in range(col)):
-                pivot_row = row
-                break
-        if pivot_row is None:
-            continue
-        rows.remove(pivot_row)
-        piv = pivot_row[col]
-        pivot_row = [v / piv for v in pivot_row]
-        for row in rows:
-            f = row[col]
-            if f:
-                for c in range(n_cols):
-                    row[c] -= f * pivot_row[c]
-        for row in out:
-            f = row[col]
-            if f:
-                for c in range(n_cols):
-                    row[c] -= f * pivot_row[c]
-        out.append(pivot_row)
-    return out
-
-
-def _in_row_space(basis: List[List[Fraction]], vec: Row) -> bool:
-    v = list(vec)
-    for row in basis:
-        lead = next(c for c, val in enumerate(row) if val != 0)
-        if v[lead]:
-            f = v[lead]
-            for c in range(len(v)):
-                v[c] -= f * row[c]
-    return all(c == 0 for c in v)
-
-
 @lru_cache(maxsize=16)
 def _range_compression(pencil: LinearPencil):
-    """(the verdict of L0, the pencil compressed to range(L0), None) when
-    ker L0 lies in ker L_j for every j >= 1, else (the verdict, None, the
-    first j for which it does not).  By symmetry that is range(L_j)
-    inside range(L0), checked row by row.  A PD L0 has range everything
-    and is its own compression; a non-PSD L0 gets no compression.
+    """(the verdict of L0, the compression, None) when ker L0 lies in
+    ker L_j for every j >= 1, else (the verdict, None, the first j for
+    which it does not), all read off one _eliminate(L0).  A PD L0 is its
+    own compression; a non-PSD L0 gets none.
+
+    Each index k that is not a pivot gives the kernel vector _lift(e_k),
+    and these span ker L0.  The pivot coordinates span a complement of
+    ker L0, so when every L_j vanishes on ker L0, L(x) is congruent to
+    blockdiag(L(x)[P, P], 0): the compression is the principal block on
+    L0's pivots P.  It has the membership verdicts of the pencil, and its
+    determinant is, up to a positive constant, that of any compression
+    to a complement of ker L0.
 
     For PSD L0 this range condition holds exactly when 0 is interior to
     the spectrahedron: for v in ker L0, v'(L0 + eps L_j)v = eps v'L_j v,
     so both signs of eps keep the matrix PSD only if that form is 0, and
     a PSD matrix M with v'Mv = 0 has Mv = 0, here eps L_j v; conversely
-    a small eps keeps the compression to range(L0) PD.  Cached because
-    membership asks it again for every point of one pencil.
+    a small eps keeps the compression PD.  Cached because membership
+    asks it again for every point of one pencil.
     """
-    base = _classify(pencil.matrices[0])
+    base, steps, _ = _eliminate(pencil.matrices[0])
     if base is Membership.INTERIOR:
         return base, pencil, None
     if base is Membership.OUTSIDE:
         return base, None, None
-    # the row space of symmetric L0 is its range
-    basis = _rref(pencil.matrices[0].entries)
+    n = pencil.size
+    pivots = [p for p, _, _ in steps]
+    kernel = [_lift([Fraction(int(i == k)) for i in range(n)], steps)
+              for k in sorted(set(range(n)) - set(pivots))]
     for j, mat in enumerate(pencil.matrices[1:], start=1):
-        if not all(_in_row_space(basis, row) for row in mat.entries):
+        if any(sum(map(mul, row, v)) for v in kernel for row in mat.entries):
             return base, None, j
-    # the compression of each form to the span of the basis rows
-    return base, LinearPencil([_congruence(basis, mat.entries)
-                               for mat in pencil.matrices]), None
+    # _eliminate pivots in increasing index order
+    return base, LinearPencil([
+        SymmetricMatrix._trusted(tuple(tuple(mat.entries[i][k] for k in pivots)
+                                       for i in pivots))
+        for mat in pencil.matrices]), None
 
 
 # -- text format --------------------------------------------------------------

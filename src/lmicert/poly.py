@@ -18,8 +18,8 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from math import comb, isqrt, lcm, prod
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ZeroPolynomialError
 
@@ -357,6 +357,15 @@ def _lcm_denominators(values: Iterable[Fraction]) -> int:
     for c in values:
         out = lcm(out, c.denominator)
     return out
+
+
+def _exact_sqrt(value: Fraction) -> Optional[Fraction]:
+    """The square root of a nonnegative rational, or None when it is not
+    a rational square."""
+    rn, rd = isqrt(value.numerator), isqrt(value.denominator)
+    if rn * rn != value.numerator or rd * rd != value.denominator:
+        return None
+    return Fraction(rn, rd)
 
 
 class UnivariatePolynomial:

@@ -5,14 +5,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lmicert.errors import DimensionMismatch, ParseError, ReductionError
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            _classify, _eliminate, determinant_polynomial,
-                            direct_sum, format_pencil, is_psd, membership,
-                            parse_pencil, reduce_to_monic, shift_pencil)
+                            _classify, _eliminate, _range_compression,
+                            determinant_polynomial, direct_sum, format_pencil,
+                            is_psd, membership, parse_pencil, reduce_to_monic,
+                            shift_pencil)
 from lmicert.poly import Polynomial
 
 F = Fraction
@@ -414,6 +415,17 @@ def test_reduce_monic_decides_interior_exactly():
     assert "L2" in str(err.value)
 
 
+def test_reduce_monic_names_the_first_matrix_that_breaks_the_range_condition():
+    # ker L0 = span(e1, e2): L2 fails on e1 and L1 on e2, so the error
+    # names L1 although the first kernel vector fails only in L2
+    p = LinearPencil([sym([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                      sym([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
+                      sym([[0, 0, 0], [0, 1, 0], [0, 0, 0]])])
+    with pytest.raises(ReductionError) as err:
+        reduce_to_monic(p)
+    assert "L1 does not vanish on ker L0" in str(err.value)
+
+
 def test_reduce_monic_rejects_indefinite_l0():
     p = LinearPencil([sym([[-1, 0], [0, 1]]),
                       sym([[1, 0], [0, 1]]),
@@ -548,3 +560,21 @@ def test_evaluate_and_membership_agree_with_the_entry_sum(case, data):
             # verdict is the verdict of the point (Sylvester's inertia)
             assert membership(pencil, pt) is _classify(
                 naive_at(hidden, pt))
+
+
+@given(hidden_pencil_st())
+@settings(max_examples=60, deadline=None)
+def test_range_compression_is_the_hidden_block_up_to_a_positive_constant(
+        case):
+    pencil, hidden, literal = case
+    assume(not literal and not pencil.monic())
+    _, compressed, bad = _range_compression(pencil)
+    assert bad is None
+    # rank(L0) is the size of the hidden PD block
+    assert compressed.size == hidden[0].size
+    det = determinant_polynomial(compressed)
+    hidden_det = determinant_polynomial(LinearPencil(hidden))
+    origin = (0,) * pencil.num_vars
+    scale = det.coefficient(origin) / hidden_det.coefficient(origin)
+    assert scale > 0
+    assert det == hidden_det * scale

@@ -22,7 +22,7 @@ from .poly import (Polynomial, UnivariatePolynomial, format_polynomial,
                    format_rational, parse_polynomial, parse_rational)
 from .realroots import (RootCount, RootInterval, count_real_roots,
                         count_roots_in_open_interval, isolate_real_roots,
-                        side_counts, square_free_decompose, sturm_chain)
+                        side_counts, square_free_decompose)
 from .rzcheck import (BoundaryData, BoundarySample, RaySampler, RayRecord,
                       RZVerdict, boundary_samples, hyperbolicity_check,
                       rigid_convexity_check, rz_check)
@@ -46,6 +46,6 @@ __all__ = [
     "is_psd", "match_offdiagonal", "membership", "nesting_consistency_report",
     "oval_profile", "parse_pencil", "parse_polynomial", "parse_rational",
     "reduce_to_monic", "represent", "rigid_convexity_check", "rz_check",
-    "shift_pencil", "side_counts", "square_free_decompose", "sturm_chain",
+    "shift_pencil", "side_counts", "square_free_decompose",
     "verify_representation",
 ]

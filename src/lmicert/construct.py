@@ -63,10 +63,9 @@ class InterceptData:
     """Axis intercepts (0, c_i) of the curve and the implicit slopes
     there.  Roots are exact rationals when the curve passes through
     one, otherwise rational approximations accurate to the working
-    resolution; the exact flags record which."""
+    resolution."""
     roots: Tuple[Fraction, ...]
     slopes: Tuple[Fraction, ...]
-    exact: Tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class VerifyOutcome:
     constant: Optional[Fraction]     # det = constant * p, when exact
     residual: Optional[float]        # scaled coefficient deviation
     worst_monomial: Optional[Tuple[int, ...]]
-    worst_deviation: Optional[float]
     membership_points: int           # spot-check sample size (ApproxMatch)
 
 
@@ -97,16 +95,16 @@ def _axis_poly(p: Polynomial) -> UnivariatePolynomial:
 
 
 def _snap_root(g: UnivariatePolynomial, low: Fraction, high: Fraction,
-               mid: Fraction) -> Tuple[Fraction, bool]:
+               mid: Fraction) -> Fraction:
     """Prefer an exact rational root inside the isolating interval;
     keep the midpoint approximation otherwise."""
     if low == high:
-        return low, True
+        return low
     for dmax in (1, 2, 3, 4, 6, 8, 12, 16, 24, 60, 1000, 10 ** 6):
         cand = Fraction(mid).limit_denominator(dmax)
         if low < cand < high and g.evaluate(cand) == 0:
-            return cand, True
-    return mid, False
+            return cand
+    return mid
 
 
 def _intercepts(p: Polynomial) -> Optional[InterceptData]:
@@ -119,17 +117,12 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     counts = count_real_roots(g)
     if not (counts.distinct_real == d and counts.real_with_multiplicity == d):
         return None
-    roots: List[Fraction] = []
-    flags: List[bool] = []
-    for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION):
-        c, is_exact = _snap_root(g, iv.low, iv.high, iv.midpoint())
-        roots.append(c)
-        flags.append(is_exact)
+    roots = [_snap_root(g, iv.low, iv.high, iv.midpoint())
+             for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION)]
     # inner intercepts first, positive before negative on ties; this
     # fixes the representation among the diag-permutation equivalents
     order = sorted(range(d), key=lambda i: (abs(roots[i]), roots[i] < 0))
     roots = [roots[i] for i in order]
-    flags = [flags[i] for i in order]
     p1 = p.partial_derivative(1)
     p2 = p.partial_derivative(2)
     slopes: List[Fraction] = []
@@ -142,7 +135,7 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
             # derivative stays away from zero, but guard anyway
             return None
         slopes.append(-p1.evaluate(at) / denom)
-    return InterceptData(tuple(roots), tuple(slopes), tuple(flags))
+    return InterceptData(tuple(roots), tuple(slopes))
 
 
 def _random_change(rng: random.Random) -> Matrix2:
@@ -478,7 +471,7 @@ def represent(p: Polynomial, tol: float = 1e-9,
         failure = "direct sum failed verification"
     outcome = verify_representation(p, pencil, tol)
     if outcome.kind == MISMATCH:
-        raise ConstructionError(failure, residual=outcome.worst_deviation)
+        raise ConstructionError(failure, residual=outcome.residual)
     residual = 0.0 if outcome.kind == EXACT_MATCH else (outcome.residual or 0.0)
     return RepresentationResult(pencil, residual, method, change, outcome)
 
@@ -566,19 +559,19 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
     det = determinant_polynomial(pencil)
     terms = p.sorted_terms()
     if not terms:
-        return VerifyOutcome(MISMATCH, None, None, None, None, 0)
+        return VerifyOutcome(MISMATCH, None, None, None, 0)
     lead_expo, lead_coeff = terms[-1]
     constant = det.coefficient(lead_expo) / lead_coeff
     base_pd = is_psd(pencil.matrices[0]).is_pd
     if constant > 0 and det == p * constant:
         if not base_pd:
-            return VerifyOutcome(MISMATCH, None, None, None, None, 0)
-        return VerifyOutcome(EXACT_MATCH, constant, None, None, None, 0)
+            return VerifyOutcome(MISMATCH, None, None, None, 0)
+        return VerifyOutcome(EXACT_MATCH, constant, None, None, 0)
 
     origin = tuple(Fraction(0) for _ in range(p.num_vars))
     det0, p0 = det.evaluate(origin), p.evaluate(origin)
     if p0 == 0 or det0 == 0 or det0 / p0 <= 0:
-        return VerifyOutcome(MISMATCH, None, None, None, None, 0)
+        return VerifyOutcome(MISMATCH, None, None, None, 0)
     scale = det0 / p0
     diff = det - p * scale
     worst, worst_mono, bound = 0.0, None, Fraction(0)
@@ -594,7 +587,7 @@ def verify_representation(p: Polynomial, pencil: LinearPencil,
         band = bound * 17 ** max(int(p.degree()), 1) / scale
         ok, points = _membership_spot_check(p, pencil, band)
         if not ok:
-            return VerifyOutcome(MISMATCH, None, worst, worst_mono, worst,
+            return VerifyOutcome(MISMATCH, None, worst, worst_mono,
                                  points)
-        return VerifyOutcome(APPROX_MATCH, None, worst, None, None, points)
-    return VerifyOutcome(MISMATCH, None, worst, worst_mono, worst, 0)
+        return VerifyOutcome(APPROX_MATCH, None, worst, None, points)
+    return VerifyOutcome(MISMATCH, None, worst, worst_mono, 0)

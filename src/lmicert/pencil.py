@@ -7,13 +7,13 @@ an equivalent monic pencil on its range.
 
 Each fact has one exact core: one diagonal-pivoted symmetric
 elimination (_eliminate) gives the PSD/PD verdict, is_psd's negative
-witness and ker L0 (both lifted back through its pivots by _lift) and
-the LDL^T of a PD L0 that reduce_to_monic normalizes; the determinant
-expansion also yields the principal-minor sums of is_psd's
+witness and ker L0 (both lifted back through its pivots by _lift); the
+determinant expansion also yields the principal-minor sums of is_psd's
 certificate.  One cached helper (_range_compression) reads off a single
 elimination of L0 its verdict, whether 0 is interior for a singular
-PSD L0, and the compression: the principal block on L0's pivots, for
-both membership and reduce_to_monic.
+PSD L0, the compression (the principal block on L0's pivots, for both
+membership and reduce_to_monic) and the LDL^T of the compressed L0
+that reduce_to_monic normalizes.
 
 Matrices hold Fractions; the kernels scale them to integers over
 common denominators and work in int: point evaluation (one integer
@@ -334,7 +334,7 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     non-PSD L0 is an error.
     """
     if not pencil.monic():
-        base, compressed, _ = _range_compression(pencil)
+        base, compressed, _, _ = _range_compression(pencil)
         if base is Membership.OUTSIDE:
             raise ReductionError(
                 "L0 is not positive semidefinite at the reference point; "
@@ -536,7 +536,7 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
     Steps: verify L0 is PSD and 0 is interior, which for PSD L0 holds
     exactly when ker L0 lies in ker L_j for every j (the range condition
     of _range_compression); compress to the principal block on L0's
-    pivots; factor the compressed L0 = T D T^t by _eliminate; normalize
+    pivots, whose L0 = T D T^t the same elimination of L0 gives; normalize
     the positive diagonal D away exactly.  The last step needs every pivot
     to be a rational square (after an optional uniform rescale);
     otherwise no exact rational congruence to a monic pencil exists, and
@@ -546,15 +546,11 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
         raise ReductionError("L0 is not positive semidefinite")
     if pencil.monic():
         return MonicReduction(pencil, Fraction(1), pencil.size)
-    _, compressed, bad = _range_compression(pencil)
+    _, compressed, steps, bad = _range_compression(pencil)
     if compressed is None:
         raise ReductionError(
             f"0 is not interior to the spectrahedron: L{bad} does not "
             f"vanish on ker L0")
-    verdict, steps, _ = _eliminate(compressed.matrices[0])
-    if verdict is not Membership.INTERIOR:
-        raise ReductionError(
-            "internal invariant failure: compressed L0 is not PD")
     piv = [d for _, d, _ in steps]
     scale = Fraction(1)
     roots = _square_roots(piv)
@@ -618,10 +614,11 @@ def _congruence(b, m) -> SymmetricMatrix:
 
 @lru_cache(maxsize=16)
 def _range_compression(pencil: LinearPencil):
-    """(the verdict of L0, the compression, None) when ker L0 lies in
-    ker L_j for every j >= 1, else (the verdict, None, the first j for
-    which it does not), all read off one _eliminate(L0).  A PD L0 is its
-    own compression; a non-PSD L0 gets none.
+    """(the verdict of L0, the compression, its L0's steps, None) when
+    ker L0 lies in ker L_j for every j >= 1, else (the verdict, None,
+    None, the first j for which it does not), all read off one
+    _eliminate(L0).  A PD L0 is its own compression, with its own steps;
+    a non-PSD L0 gets none.
 
     Each index k that is not a pivot gives the kernel vector _lift(e_k),
     and these span ker L0.  The pivot coordinates span a complement of
@@ -629,7 +626,9 @@ def _range_compression(pencil: LinearPencil):
     blockdiag(L(x)[P, P], 0): the compression is the principal block on
     L0's pivots P.  It has the membership verdicts of the pencil, and its
     determinant is, up to a positive constant, that of any compression
-    to a complement of ker L0.
+    to a complement of ker L0.  Its L0's steps are L0's on the pivot rows,
+    renumbered to block positions: a Schur complement entry on pivot rows
+    reads only pivot rows, and each pivot is the first pivot row left.
 
     For PSD L0 this range condition holds exactly when 0 is interior to
     the spectrahedron: for v in ker L0, v'(L0 + eps L_j)v = eps v'L_j v,
@@ -640,21 +639,25 @@ def _range_compression(pencil: LinearPencil):
     """
     base, steps, _ = _eliminate(pencil.matrices[0])
     if base is Membership.INTERIOR:
-        return base, pencil, None
+        return base, pencil, steps, None
     if base is Membership.OUTSIDE:
-        return base, None, None
+        return base, None, None, None
     n = pencil.size
     pivots = [p for p, _, _ in steps]
     kernel = [_lift([Fraction(int(i == k)) for i in range(n)], steps)
               for k in sorted(set(range(n)) - set(pivots))]
     for j, mat in enumerate(pencil.matrices[1:], start=1):
         if any(sum(map(mul, row, v)) for v in kernel for row in mat.entries):
-            return base, None, j
+            return base, None, None, j
     # _eliminate pivots in increasing index order
-    return base, LinearPencil([
+    compressed = LinearPencil([
         SymmetricMatrix._trusted(tuple(tuple(mat.entries[i][k] for k in pivots)
                                        for i in pivots))
-        for mat in pencil.matrices]), None
+        for mat in pencil.matrices])
+    at = {p: k for k, p in enumerate(pivots)}
+    steps = [(at[p], d, [(at[i], f) for i, f in mults if i in at])
+             for p, d, mults in steps]
+    return base, compressed, steps, None
 
 
 # -- text format --------------------------------------------------------------

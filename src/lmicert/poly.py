@@ -312,45 +312,6 @@ class Polynomial:
         self._forms = (x0, den, forms)
         return self._forms
 
-    def top_form(self) -> "Polynomial":
-        """Sum of the terms of maximal total degree."""
-        if self.is_zero():
-            return self
-        d = self.degree()
-        return Polynomial(self.num_vars,
-                          {e: c for e, c in self._terms.items()
-                           if sum(e) == d})
-
-    def homogenize(self) -> "Polynomial":
-        """Degree-d homogenization in m+1 variables; the new variable X0
-        is placed first."""
-        if self.is_zero():
-            raise ZeroPolynomialError("cannot homogenize the zero polynomial")
-        d = self.degree()
-        out = {}
-        for exps, c in self._terms.items():
-            out[(d - sum(exps),) + exps] = c
-        return Polynomial(self.num_vars + 1, out)
-
-    def dehomogenize(self) -> "Polynomial":
-        """Substitute X0 = 1 into a homogeneous polynomial whose first
-        variable is X0.  Rejects inputs divisible by X0 (the degree
-        would not survive the round trip)."""
-        if self.is_zero():
-            raise ZeroPolynomialError("cannot dehomogenize the zero polynomial")
-        if self.num_vars < 2:
-            raise DimensionMismatch("dehomogenize needs at least 2 variables")
-        degrees = {sum(e) for e in self._terms}
-        if len(degrees) != 1:
-            raise ValueError("input is not homogeneous")
-        if all(e[0] > 0 for e in self._terms):
-            raise ValueError("input is divisible by X0; dehomogenizing "
-                             "would lose degree information")
-        out = {}
-        for exps, c in self._terms.items():
-            out[exps[1:]] = out.get(exps[1:], Fraction(0)) + c
-        return Polynomial(self.num_vars - 1, out)
-
 
 def _lcm_denominators(values: Iterable[Fraction]) -> int:
     out = 1
@@ -369,9 +330,10 @@ def _exact_sqrt(value: Fraction) -> Optional[Fraction]:
 
 
 class UnivariatePolynomial:
-    """Immutable dense univariate polynomial over Q, lowest degree first.
-
-    _roots is realroots' factor-chain analysis, filled on first use."""
+    """Immutable dense univariate polynomial over Q, lowest degree first:
+    a restriction p(x0 + mu v), the input of realroots' root analysis,
+    kept in _roots on first use.  *, divmod/%, monic, derivative and
+    leading are the arithmetic of the tests' independent oracles."""
 
     __slots__ = ("coeffs", "_roots")
 
@@ -381,14 +343,6 @@ class UnivariatePolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
         self._roots = None
-
-    @classmethod
-    def zero(cls) -> "UnivariatePolynomial":
-        return cls(())
-
-    @classmethod
-    def constant(cls, value) -> "UnivariatePolynomial":
-        return cls((value,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -411,28 +365,6 @@ class UnivariatePolynomial:
     def derivative(self) -> "UnivariatePolynomial":
         return UnivariatePolynomial(
             [c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        if not isinstance(other, UnivariatePolynomial):
-            other = UnivariatePolynomial.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePolynomial(
-            [(self.coeffs[i] if i < len(self.coeffs) else 0)
-             + (other.coeffs[i] if i < len(other.coeffs) else 0)
-             for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UnivariatePolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, UnivariatePolynomial):
-            other = UnivariatePolynomial.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, UnivariatePolynomial):
@@ -466,17 +398,8 @@ class UnivariatePolynomial:
                 rem[i - dd + j] -= f * div[j]
         return UnivariatePolynomial(q), UnivariatePolynomial(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def exact_div(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
 
     def monic(self) -> "UnivariatePolynomial":
         if self.is_zero():

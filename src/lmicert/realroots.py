@@ -240,17 +240,6 @@ def square_free_decompose(
     return out
 
 
-def sturm_chain(f: UnivariatePolynomial) -> List[UnivariatePolynomial]:
-    """Sturm chain of a square-free polynomial.  The last element is a
-    nonzero constant; anything else means the input was not square-free."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot build a Sturm chain for zero")
-    chain = _int_sturm_chain(_to_int_poly(f))
-    if len(chain[-1]) > 1:
-        raise ValueError("input is not square-free; decompose it first")
-    return [UnivariatePolynomial([Fraction(v) for v in c]) for c in chain]
-
-
 def _factor_chains(f: UnivariatePolynomial, verb: str
                    ) -> List[Tuple[IntPoly, List[IntPoly], int]]:
     """(g, Sturm chain of g, multiplicity) for each square-free factor g

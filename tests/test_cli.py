@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import lmicert
 from lmicert.cli import _build_parser, main
 from lmicert.pencil import determinant_polynomial, parse_pencil
 from lmicert.poly import parse_polynomial
@@ -500,3 +501,9 @@ def test_topology_refuses_svg(tmp_path):
     code, out, err = run_cli(["topology", path, "--format", "svg"])
     assert (code, out) == (1, "")
     assert "invalid choice: 'svg'" in err
+
+
+def test_every_public_name_resolves_once():
+    assert len(set(lmicert.__all__)) == len(lmicert.__all__)
+    for name in lmicert.__all__:
+        assert hasattr(lmicert, name), name

@@ -40,7 +40,6 @@ def test_disc_intercepts_are_exact():
     assert change is None
     assert data.roots == (F(1), F(-1))
     assert data.slopes == (F(0), F(0))
-    assert data.exact == (True, True)
 
 
 def test_intercept_sort_prefers_small_then_positive():
@@ -71,7 +70,7 @@ def test_fixed_part_from_disc():
 
 
 def test_fixed_part_rejects_origin_intercept():
-    data = InterceptData((F(0), F(1)), (F(0), F(0)), (True, True))
+    data = InterceptData((F(0), F(1)), (F(0), F(0)))
     with pytest.raises(ConstructionError):
         fixed_part(data)
 
@@ -310,7 +309,7 @@ def test_verify_small_perturbation_is_approx():
 def test_verify_wrong_region_is_mismatch():
     out = verify_representation(4 * one - x1 ** 2 - x2 ** 2, disc_pencil())
     assert out.kind == MISMATCH
-    assert out.worst_deviation == pytest.approx(0.75)
+    assert out.residual == pytest.approx(0.75)
     assert out.worst_monomial in ((2, 0), (0, 2))
 
 

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lmicert import pencil as pencil_module
 from lmicert.errors import DimensionMismatch, ParseError, ReductionError
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
                             _classify, _eliminate, _range_compression,
@@ -17,6 +19,7 @@ from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
 from lmicert.poly import Polynomial
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def sym(rows):
@@ -452,6 +455,19 @@ def test_reduce_monic_congruence_preserves_membership():
         assert membership(red.pencil, pt) is membership(base, pt)
 
 
+@pytest.mark.parametrize("name", ["kernel2.pencil", "embedded.pencil"])
+def test_reduce_monic_eliminates_l0_twice(monkeypatch, name):
+    # once in is_psd and once in _range_compression, whose steps are
+    # also the LDL^T of the compressed L0
+    p = parse_pencil((GOLDEN / name).read_text())
+    calls = []
+    monkeypatch.setattr(pencil_module, "_eliminate",
+                        lambda mat: calls.append(mat) or _eliminate(mat))
+    _range_compression.cache_clear()
+    reduce_to_monic(p)
+    assert len(calls) == 2
+
+
 # === text format ===
 
 def test_pencil_round_trip():
@@ -568,8 +584,10 @@ def test_range_compression_is_the_hidden_block_up_to_a_positive_constant(
         case):
     pencil, hidden, literal = case
     assume(not literal and not pencil.monic())
-    _, compressed, bad = _range_compression(pencil)
+    _, compressed, steps, bad = _range_compression(pencil)
     assert bad is None
+    # its steps are those of eliminating the compressed L0 afresh
+    assert steps == _eliminate(compressed.matrices[0])[1]
     # rank(L0) is the size of the hidden PD block
     assert compressed.size == hidden[0].size
     det = determinant_polynomial(compressed)

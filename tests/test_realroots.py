@@ -12,7 +12,7 @@ from lmicert.errors import ZeroPolynomialError
 from lmicert.poly import UnivariatePolynomial
 from lmicert.realroots import (count_real_roots, count_roots_in_open_interval,
                                isolate_real_roots, side_counts,
-                               square_free_decompose, sturm_chain)
+                               square_free_decompose)
 
 
 def poly(*coeffs):
@@ -90,16 +90,6 @@ def test_square_free_decompose_shape():
     assert by_mult[3] == poly(1, 1)
     # multiplicity-1 part carries the complex pair and the simple root
     assert by_mult[1].degree() == 3
-
-
-def test_sturm_chain_rejects_repeated_roots():
-    with pytest.raises(ValueError):
-        sturm_chain(from_roots([2, 2]))
-
-
-def test_sturm_chain_ends_in_constant():
-    chain = sturm_chain(poly(-2, 0, 1))
-    assert chain[-1].degree() == 0
 
 
 # === isolation ===

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional, Sequence
 
 from .construct import MISMATCH, represent, verify_representation
@@ -91,7 +92,10 @@ def _verdict_document(verdict: RZVerdict) -> dict:
 def cmd_scan(args) -> int:
     p = parse_polynomial(_read(args.input))
     point = _parse_point(args.point, p.num_vars)
-    verdict = args.check(p, point, _sampler(args, p.num_vars))
+    # looked up per call: the parser is cached and holds no check
+    check = (rigid_convexity_check if args.command == "check"
+             else hyperbolicity_check)
+    verdict = check(p, point, _sampler(args, p.num_vars))
     _emit(_json(_verdict_document(verdict)), args.out)
     return EXIT_OK if verdict.kind == "ProbablyRZ" else EXIT_NOT_RZ
 
@@ -313,7 +317,9 @@ def _options(parser, *names, **extra) -> argparse.ArgumentParser:
     return parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built by the first main call and reused."""
     parser = argparse.ArgumentParser(
         prog="lmicert",
         description="certify rigid convexity of plane algebraic regions "
@@ -331,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return _options(p, *options)
 
     add("check", cmd_scan, "line test for rigid convexity at a base point",
-        parent=scan).set_defaults(check=rigid_convexity_check)
+        parent=scan)
     add("hyperbolic", cmd_scan, "line test for the homogenized polynomial",
-        parent=scan).set_defaults(check=hyperbolicity_check)
+        parent=scan)
     add("represent", cmd_represent,
         "build a monic pencil whose determinant matches the polynomial",
         "--tol", "--factors", parent=scan)

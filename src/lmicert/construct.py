@@ -10,12 +10,13 @@ x2 axis: with p(0, c_i) = 0 and s_i the implicit slope dx2/dx1 at
 
 That pins everything except the off-diagonal of L1, which is found by
 matching det coefficients numerically (degree 3 and up) or by a one
-unknown closed form (degree 2).  The returned pencil is verified once,
-by exact rational determinant expansion, before it is returned, so
-floating point can only cause failures, never wrong answers: an exact
-identity det = c * p with c > 0 plus a positive definite L0 certifies
-the whole region, and only an approximate match falls back on sampled
-membership points.
+unknown closed form (degree 2).  That numeric solve is the package's
+only use of numpy, imported on its first call.  The returned pencil is
+verified once, by exact rational determinant expansion, before it is
+returned, so floating point can only cause failures, never wrong
+answers: an exact identity det = c * p with c > 0 plus a positive
+definite L0 certifies the whole region, and only an approximate match
+falls back on sampled membership points.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
                      DimensionMismatch)
@@ -246,6 +245,7 @@ def _grid(d: int) -> List[Tuple[Fraction, Fraction]]:
 
 
 def _lm_minimize(residual_fn, jacobian_fn, u0: np.ndarray) -> np.ndarray:
+    import numpy as np
     u = u0.astype(float).copy()
     r = residual_fn(u)
     lam = 1e-3
@@ -305,6 +305,7 @@ def match_offdiagonal(p: Polynomial,
         residual = _coefficient_residual(pencil, target)
         return RepresentationResult(pencil, residual, CLOSED_FORM, None, None)
 
+    import numpy as np
     points = _grid(d)
     tvals = np.array([float(target.evaluate(pt)) for pt in points])
     avals = np.array([float(a) for a, _ in points])

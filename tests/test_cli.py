@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import lmicert
+from lmicert import cli
 from lmicert.cli import _build_parser, main
 from lmicert.pencil import determinant_polynomial, parse_pencil
 from lmicert.poly import parse_polynomial
@@ -507,3 +512,82 @@ def test_every_public_name_resolves_once():
     assert len(set(lmicert.__all__)) == len(lmicert.__all__)
     for name in lmicert.__all__:
         assert hasattr(lmicert, name), name
+
+
+# === one parser per process ===
+
+GOLDEN_DISC, GOLDEN_LOBE, GOLDEN_TANGENT, GOLDEN_PENCIL = (
+    str(Path(__file__).resolve().parent / "golden" / name)
+    for name in ("disc.poly", "lobe.poly", "tangent.poly", "disc.pencil"))
+
+# two calls in one process, the second of which would show state the
+# first left in the parser
+REUSE_SEQUENCES = {
+    "check-then-hyperbolic": [["check", GOLDEN_DISC, *FAST],
+                              ["hyperbolic", GOLDEN_DISC, *FAST]],
+    "point-then-origin": [["check", GOLDEN_LOBE, "--point=7/10,0", *FAST],
+                          ["check", GOLDEN_LOBE, *FAST]],
+    "csv-then-json": [["topology", GOLDEN_TANGENT, "--point=-4,0",
+                       "--format", "csv", *FAST],
+                      ["topology", GOLDEN_TANGENT, "--point=-4,0", *FAST]],
+    "usage-error-then-verify": [
+        ["verify", GOLDEN_DISC, GOLDEN_PENCIL, "--seed", "3"],
+        ["verify", GOLDEN_DISC, GOLDEN_PENCIL]],
+    "bad-resolution-then-default": [
+        ["boundary", GOLDEN_DISC, "--rays", "8", "--resolution", "0"],
+        ["boundary", GOLDEN_DISC, "--rays", "8"]],
+    "help-then-det": [["--help"], ["det", GOLDEN_PENCIL]],
+}
+
+
+def run_fresh(argv):
+    """The same call as run_cli, in a new interpreter."""
+    src = str(Path(lmicert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lmicert.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, encoding="utf-8", env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("calls", list(REUSE_SEQUENCES.values()),
+                         ids=list(REUSE_SEQUENCES))
+def test_reused_parser_leaks_no_state(monkeypatch, calls):
+    # help is wrapped to the terminal width: pin it for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = [run_cli(argv) for argv in calls]
+    # the second call differs from the first, so leftovers would show
+    assert in_process[0] != in_process[1]
+    assert in_process == [run_fresh(argv) for argv in calls]
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    disc = write(tmp_path, "disc.poly", DISC_POLY)
+    pencil = write(tmp_path, "disc.pencil", DISC_PENCIL)
+    _build_parser.cache_clear()
+    for argv in (["check", disc, *FAST], ["hyperbolic", disc, *FAST],
+                 ["det", pencil], ["verify", disc, pencil], ["--help"],
+                 ["nonsense"], ["check", disc, *FAST]):
+        run_cli(argv)
+    assert _build_parser.cache_info().misses == 1
+    assert _build_parser.cache_info().hits == 6
+
+
+def test_cached_parser_calls_the_current_check(tmp_path, monkeypatch):
+    # a tracer rebinds the check functions in cli's namespace after the
+    # parser may have been built; the next call must go through them
+    path = write(tmp_path, "disc.poly", DISC_POLY)
+    run_cli(["check", path, *FAST])
+    seen = []
+    for name in ("rigid_convexity_check", "hyperbolicity_check"):
+        def spy(*args, _name=name, _real=getattr(cli, name)):
+            seen.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(cli, name, spy)
+    assert run_cli(["check", path, *FAST])[0] == 0
+    assert run_cli(["hyperbolic", path, *FAST])[0] == 0
+    assert seen == ["rigid_convexity_check", "hyperbolicity_check"]

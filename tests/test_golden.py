@@ -13,12 +13,15 @@ and announce the change.
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import lmicert
 from lmicert.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -121,6 +124,62 @@ def test_golden_output(name, argv):
     assert (GOLDEN / f"{name}.out").read_text(encoding="utf-8") == out
     assert code == expected["exit"]
     assert err == expected["stderr"]
+
+
+# reads a JSON list of argv lists on stdin, runs each through cli.main
+# and prints [exit, stdout, stderr] per call; with the argument
+# "block-numpy" any import of numpy fails
+_RUNNER = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+if sys.argv[1:] == ["block-numpy"]:
+    sys.modules["numpy"] = None
+import lmicert.cli
+at_import = sys.modules.get("numpy") is not None
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = lmicert.cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"numpy_at_import": at_import, "results": results,
+                  "numpy_after": sys.modules.get("numpy") is not None}))
+"""
+
+
+def run_in_subprocess(argvs, *flags):
+    src = str(Path(lmicert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNNER, *flags], input=json.dumps(argvs),
+        capture_output=True, encoding="utf-8", env=env, check=True)
+    return json.loads(done.stdout)
+
+
+def _expected(name):
+    entry = _manifest()[name]
+    return [entry["exit"],
+            (GOLDEN / f"{name}.out").read_text(encoding="utf-8"),
+            entry["stderr"]]
+
+
+def test_commands_that_do_not_construct_never_load_numpy():
+    # with numpy unimportable, every case but represent gives its bytes
+    named = [(name, argv) for name, argv in cases()
+             if argv[0] != "represent"]
+    report = run_in_subprocess([argv for _, argv in named], "block-numpy")
+    assert report["results"] == [_expected(name) for name, _ in named]
+
+
+def test_represent_loads_numpy_for_its_solve():
+    # the degree-3 solve imports numpy on first use, not lmicert
+    argv = dict(cases())["odd_cubic.represent"]
+    report = run_in_subprocess([argv])
+    assert report["numpy_at_import"] is False
+    assert report["results"] == [_expected("odd_cubic.represent")]
+    assert report["numpy_after"] is True
 
 
 def regenerate():

@@ -1,10 +1,11 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
 Multivariate polynomials are maps from exponent vectors to Fraction
-coefficients; univariate ones are dense coefficient tuples, lowest degree
-first.  Everything in this module is exact (no floats) and pure (values
-are never mutated after construction; memo slots such as the hash hold
-only what is derived from the value).
+coefficients; univariate ones are dense, lowest degree first, and a
+restriction keeps its coefficients as primitive integers times one
+positive rational.  Everything in this module is exact (no floats) and
+pure (values are never mutated after construction; memo slots such as
+the hash hold only what is derived from the value).
 
 Conventions:
   * an m-variate polynomial lives in variables x1..xm; exponent vectors
@@ -17,8 +18,9 @@ Conventions:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import comb, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ZeroPolynomialError
@@ -40,20 +42,16 @@ def _frac(value) -> Fraction:
 
 
 def as_point(coords: Sequence, num_vars: int) -> Tuple[Fraction, ...]:
-    """Validate and coerce a coordinate sequence to exact rationals."""
-    pt = tuple(_frac(c) for c in coords)
+    """Validate and coerce a coordinate sequence to exact rationals; a
+    tuple of Fractions is returned as it is."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        pt = coords
+    else:
+        pt = tuple(_frac(c) for c in coords)
     if len(pt) != num_vars:
         raise DimensionMismatch(
             f"point has {len(pt)} coordinates, expected {num_vars}")
     return pt
-
-
-def as_direction(coords: Sequence, num_vars: int) -> Tuple[Fraction, ...]:
-    """Like as_point but additionally rejects the zero vector."""
-    v = as_point(coords, num_vars)
-    if all(c == 0 for c in v):
-        raise DimensionMismatch("direction must have a nonzero entry")
-    return v
 
 
 class Polynomial:
@@ -85,6 +83,19 @@ class Polynomial:
         self._terms = clean
         self._hash = None
         self._forms = None
+
+    @classmethod
+    def _from_clean(cls, num_vars: int,
+                    terms: Dict[Exponents, Fraction]) -> "Polynomial":
+        """The polynomial on a term dict that is already clean: keys are
+        tuples of num_vars nonnegative ints, values nonzero Fractions.
+        Nothing is checked, and the dict is kept, not copied."""
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p._terms = terms
+        p._hash = None
+        p._forms = None
+        return p
 
     # -- constructors ----------------------------------------------------
 
@@ -144,13 +155,13 @@ class Polynomial:
                 out.pop(exps, None)
             else:
                 out[exps] = s
-        return Polynomial(self.num_vars, out)
+        return Polynomial._from_clean(self.num_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.num_vars,
-                          {e: -c for e, c in self._terms.items()})
+        return Polynomial._from_clean(
+            self.num_vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -175,7 +186,7 @@ class Polynomial:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return Polynomial(self.num_vars, out)
+        return Polynomial._from_clean(self.num_vars, out)
 
     __rmul__ = __mul__
 
@@ -242,8 +253,8 @@ class Polynomial:
             e = exps[i]
             if e:
                 key = exps[:i] + (e - 1,) + exps[i + 1:]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return Polynomial(self.num_vars, out)
+                out[key] = c * e
+        return Polynomial._from_clean(self.num_vars, out)
 
     def shift(self, x0: Sequence) -> "Polynomial":
         """p(x + x0), exactly."""
@@ -269,7 +280,7 @@ class Polynomial:
                     result.pop(exps2, None)
                 else:
                     result[exps2] = s
-        return Polynomial(self.num_vars, result)
+        return Polynomial._from_clean(self.num_vars, result)
 
     def restrict(self, x0: Sequence, v: Sequence) -> "UnivariatePolynomial":
         """The univariate restriction f(mu) = p(x0 + mu*v), exactly.
@@ -279,25 +290,49 @@ class Polynomial:
 
         The coefficient of mu^k is the degree-k form of p(x0 + y) at v.
         Those forms are integers C_e over one denominator E, built by one
-        shift per base point and kept for the next call at that point.
-        With v = V/D, f_k = sum_{|e| = k} C_e V^e / (E D^k).
+        shift per base point and kept for the next call at that point;
+        a caller that passes the kept base point tuple back, as the scans
+        do, skips its validation.  With v = V/D and n = deg f,
+        f_k = N_k / (E D^k) for N_k = sum_{|e| = k} C_e V^e, so f is
+        g / (E D^n) times the primitive integers N_k D^(n-k) / g, where g
+        is their content.  f carries those integers; its Fraction
+        coefficients are built only when they are read.
         """
-        x = as_point(x0, self.num_vars)
-        w = as_direction(v, self.num_vars)
-        if self.is_zero():
-            return UnivariatePolynomial(())
         table = self._forms
-        if table is None or table[0] != x:
-            table = self._build_forms(x)
+        if table is None or x0 is not table[0]:
+            x0 = as_point(x0, self.num_vars)
+            if table is not None and table[0] == x0:
+                # key the kept table by the caller's tuple
+                table = self._forms = (x0,) + table[1:]
+            else:
+                table = None
+        v = as_point(v, self.num_vars)
+        dv = _lcm_denominators(v)
+        ws = [c.numerator * (dv // c.denominator) for c in v]
+        if not any(ws):
+            raise DimensionMismatch("direction must have a nonzero entry")
+        if not self._terms:
+            return UnivariatePolynomial(())
+        if table is None:
+            table = self._build_forms(x0)
         _, den, forms = table
-        dv = _lcm_denominators(w)
-        ws = [c.numerator * (dv // c.denominator) for c in w]
-        coeffs = []
-        for form in forms:
-            coeffs.append(Fraction(
-                sum(c * prod(map(pow, ws, exps)) for exps, c in form), den))
-            den *= dv
-        return UnivariatePolynomial(coeffs)
+        nums = [sum(c * prod(map(pow, ws, exps)) for exps, c in form)
+                for form in forms]
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return UnivariatePolynomial(())
+        top = len(nums) - 1
+        if dv != 1:
+            power = 1
+            for k in range(top, -1, -1):
+                nums[k] *= power
+                power *= dv
+        g = gcd(*nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+        return UnivariatePolynomial._from_primitive(tuple(nums), g,
+                                                    den * dv ** top)
 
     def _build_forms(self, x0: Tuple[Fraction, ...]):
         """Cache and return (x0, E, forms): forms[k] lists (e, C_e) with
@@ -333,22 +368,61 @@ class UnivariatePolynomial:
     """Immutable dense univariate polynomial over Q, lowest degree first:
     a restriction p(x0 + mu v), the input of realroots' root analysis,
     kept in _roots on first use.  *, divmod/%, monic, derivative and
-    leading are the arithmetic of the tests' independent oracles."""
+    leading are the arithmetic of the tests' independent oracles.
 
-    __slots__ = ("coeffs", "_roots")
+    Root analysis reads primitive(): f = (a/b) c with c primitive
+    integers and a, b > 0, so c has f's signs.  A polynomial built from
+    Fractions works it out on first use; a restriction, a reversal or a
+    square-free factor is built from those integers (_from_primitive)
+    and works out its Fraction coeffs only when they are read.
+    """
+
+    __slots__ = ("_coeffs", "_primitive", "_roots")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
+        self._primitive = None
         self._roots = None
 
+    @classmethod
+    def _from_primitive(cls, ints: Tuple[int, ...], a: int = 1,
+                        b: int = 1) -> "UnivariatePolynomial":
+        """(a/b) * ints, for primitive integers ints with a nonzero last
+        entry and a, b > 0.  Nothing is checked."""
+        f = object.__new__(cls)
+        f._coeffs = None
+        f._primitive = (ints, a, b)
+        f._roots = None
+        return f
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        if self._coeffs is None:
+            ints, a, b = self._primitive
+            self._coeffs = tuple([Fraction(c * a, b) for c in ints])
+        return self._coeffs
+
+    def primitive(self) -> Tuple[Tuple[int, ...], int, int]:
+        """(c, a, b) with f = (a/b) c, c primitive integers (empty for
+        zero) and a, b > 0."""
+        if self._primitive is None:
+            den = _lcm_denominators(self._coeffs)
+            ints = [c.numerator * (den // c.denominator)
+                    for c in self._coeffs]
+            g = gcd(*ints) or 1
+            self._primitive = (tuple([c // g for c in ints]), g, den)
+        return self._primitive
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree() == NEG_INF
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        n = len(self._coeffs if self._primitive is None
+                else self._primitive[0])
+        return n - 1 if n else NEG_INF
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -426,17 +500,29 @@ class UnivariatePolynomial:
 #
 # First line:            vars m
 # Each further line:     NUM/DEN e1 e2 ... em      (or integer NUM)
-# '#' starts a comment; blank lines are ignored.  Canonical output is
-# graded-lex ordered with coefficients in lowest terms.
+# '#' starts a comment; blank lines are ignored.  A coefficient may be
+# any one token that Fraction reads; lines with the same exponents add
+# up.  Canonical output is graded-lex ordered with coefficients in
+# lowest terms.
 
 
 def format_rational(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+# the common tokens, read with int(); every other token is read by
+# Fraction, which accepts what it accepts on the running Python
+_INT_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(token: str, line: int | None = None) -> Fraction:
+    """The value of one token, as fractions.Fraction reads it."""
     try:
-        return Fraction(token)
+        m = _INT_RATIONAL.fullmatch(token)
+        if m is None:
+            return Fraction(token)
+        num, den = m.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {token!r}: {exc}", line)
 
@@ -472,12 +558,16 @@ def parse_polynomial(text: str) -> Polynomial:
                 f"got {len(fields)} fields", lineno)
         coeff = parse_rational(fields[0], lineno)
         try:
-            exps = tuple(int(f) for f in fields[1:])
+            exps = tuple(map(int, fields[1:]))
         except ValueError:
             raise ParseError("exponents must be integers", lineno)
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise ParseError("exponents must be nonnegative", lineno)
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        if exps in terms:
+            terms[exps] += coeff
+        else:
+            terms[exps] = coeff
     if num_vars is None:
         raise ParseError("missing 'vars m' header")
-    return Polynomial(num_vars, terms)
+    return Polynomial._from_clean(
+        num_vars, {e: c for e, c in terms.items() if c})

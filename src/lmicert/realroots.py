@@ -1,7 +1,9 @@
 """Exact real-root counting and isolation for univariate rational polynomials.
 
-Everything below runs on primitive integer polynomials; a rational input
-is scaled by a positive constant once, which keeps every sign.
+Everything below runs on primitive integer polynomials, read off the
+input with UnivariatePolynomial.primitive(): a positive multiple of it,
+so every sign is kept.  A restriction from Polynomial.restrict carries
+those integers from the start; any other input is scaled once.
 
   * Yun's square-free decomposition: gcds are primitive pseudo-remainder
     sequences and every quotient is an exact division in Z[x].
@@ -28,26 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ZeroPolynomialError
 from .poly import UnivariatePolynomial
 
-# Integer polynomials are plain lists of ints, lowest degree first, with a
-# nonzero last entry (the zero polynomial is the empty list).
+# Integer polynomials are plain sequences of ints, lowest degree first,
+# with a nonzero last entry (the zero polynomial is empty).
 
-IntPoly = List[int]
-
-
-def _to_int_poly(f: UnivariatePolynomial) -> IntPoly:
-    """Scale a rational polynomial by a positive constant to a primitive
-    integer polynomial.  The sign pattern is preserved exactly."""
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    return _int_primitive([c.numerator * (den // c.denominator)
-                           for c in f.coeffs])
+IntPoly = Sequence[int]
 
 
 def _int_derivative(c: IntPoly) -> IntPoly:
@@ -222,7 +214,7 @@ def square_free_decompose(
         raise ZeroPolynomialError("cannot decompose the zero polynomial")
     if f.degree() == 0:
         return []
-    fi = _to_int_poly(f)
+    fi = f.primitive()[0]
     fp = _int_derivative(fi)
     g = _int_gcd(fi, fp)
     out: List[Tuple[UnivariatePolynomial, int]] = []
@@ -232,8 +224,8 @@ def square_free_decompose(
     while len(b) > 1:
         a = _int_gcd(b, d)
         if len(a) > 1:
-            out.append((UnivariatePolynomial(
-                [Fraction(v, a[-1]) for v in a]), i))
+            out.append((UnivariatePolynomial._from_primitive(
+                tuple(a), 1, a[-1]), i))
         b = _int_exact_div(b, a)
         d = _int_sub(_int_exact_div(d, a), _int_derivative(b))
         i += 1
@@ -253,7 +245,7 @@ def _factor_chains(f: UnivariatePolynomial, verb: str
         return f._roots
     out = []
     if f.degree() > 0:
-        fi = _to_int_poly(f)
+        fi = f.primitive()[0]
         if fi[-1] < 0:
             fi = [-v for v in fi]
         chain = _int_sturm_chain(fi)
@@ -261,7 +253,7 @@ def _factor_chains(f: UnivariatePolynomial, verb: str
             out.append((fi, chain, 1))
         else:
             for g, mult in square_free_decompose(f):
-                gi = _to_int_poly(g)
+                gi = g.primitive()[0]
                 out.append((gi, _int_sturm_chain(gi), mult))
     f._roots = out
     return out
@@ -291,17 +283,18 @@ def count_roots_in_open_interval(f: UnivariatePolynomial,
     (lo, hi).  The endpoints must not be roots of f."""
     factors = _factor_chains(f, "count")
     lo, hi = Fraction(lo), Fraction(hi)
-    if f.evaluate(lo) == 0 or f.evaluate(hi) == 0:
+    lo, hi = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+    fi = f.primitive()[0]
+    if _int_sign_at(fi, *lo) == 0 or _int_sign_at(fi, *hi) == 0:
         raise ValueError("interval endpoints must not be roots")
-    return _tally(factors, (lo.numerator, lo.denominator),
-                  (hi.numerator, hi.denominator))
+    return _tally(factors, lo, hi)
 
 
 def side_counts(f: UnivariatePolynomial) -> Tuple[int, int]:
     """Roots with multiplicity on each side of 0: (negative, positive).
     Requires f(0) != 0."""
     factors = _factor_chains(f, "count")
-    if f.coeffs[0] == 0:
+    if f.primitive()[0][0] == 0:
         raise ValueError("f(0) = 0; side counts are undefined")
     zero = (0, 1)
     return _tally(factors, hi=zero)[1], _tally(factors, lo=zero)[1]

@@ -340,9 +340,11 @@ def hyperbolicity_check(p: Polynomial, x0: Sequence,
 
 def _reversal(f: UnivariatePolynomial, total_degree: int) -> UnivariatePolynomial:
     """Coefficients reversed after padding to total_degree: the root
-    polynomial in the at-infinity chart."""
-    coeffs = list(f.coeffs) + [Fraction(0)] * (total_degree + 1 - len(f.coeffs))
-    return UnivariatePolynomial(coeffs[::-1])
+    polynomial in the at-infinity chart.  f(0) must be nonzero; the
+    reversal keeps f's primitive integers and scale."""
+    ints, a, b = f.primitive()
+    return UnivariatePolynomial._from_primitive(
+        (0,) * (total_degree + 1 - len(ints)) + ints[::-1], a, b)
 
 
 # -- boundary extraction ------------------------------------------------------

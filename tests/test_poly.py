@@ -1,9 +1,10 @@
 """Exact polynomial arithmetic, substitution, and text format."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmicert.errors import DimensionMismatch, ParseError
@@ -263,3 +264,118 @@ def test_evaluate_zero_and_constants_at_any_base_point(p):
     assert p.evaluate(pt) == _term_by_term(p, pt)
     p.restrict((frac(1, 3), frac(-2)), (1, 1))
     assert p.evaluate(pt) == _term_by_term(p, pt)
+
+
+# === integer-first input and restriction ===
+
+# ASCII digits, other Unicode digits (Arabic-Indic three, fullwidth one)
+# and a superscript two, which is a digit to str.isdigit but not to int()
+TOKEN_ALPHABET = "0123456789" + "٣１²" + "+-/_.e"
+
+
+def _fraction_reading(token):
+    """The reference reading of a token: Fraction(token), or the
+    ParseError message parse_rational must give when Fraction fails."""
+    try:
+        return Fraction(token), None
+    except (ValueError, ZeroDivisionError) as exc:
+        return None, f"line 3: bad rational {token!r}: {exc}"
+
+
+@given(st.one_of(st.text(TOKEN_ALPHABET, min_size=0, max_size=8),
+                 st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,4})?", fullmatch=True)))
+@settings(max_examples=400, deadline=None)
+@example("1/0")
+@example("-0004/0")
+@example("0/0")
+@example("-0/5")
+@example("+1")
+@example("-2/2")
+@example("-1.0")
+@example("-0004/4")
+@example("1_000")       # Fraction reads it on Python >= 3.11 only
+@example("٣/１")
+@example("²")
+@example("1/-2")
+@example("")
+def test_parse_rational_reads_tokens_as_fraction_does(token):
+    value, message = _fraction_reading(token)
+    if message is None:
+        assert parse_rational(token, line=3) == value
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_rational(token, line=3)
+        assert str(err.value) == message
+
+
+def test_parse_polynomial_drops_cancelled_terms():
+    p = parse_polynomial("vars 2\n1 0 0\n1/2 1 1\n-1 0 2\n-2/4 1 1\n")
+    assert p == Polynomial(2, {(0, 0): 1, (0, 2): -1})
+    assert (1, 1) not in p.terms
+    assert p.degree() == 2
+
+
+token_st = st.one_of(
+    st.integers(min_value=-30, max_value=30).map(str),
+    st.tuples(st.integers(min_value=-30, max_value=30),
+              st.integers(min_value=1, max_value=12)).map(
+        lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.sampled_from(["0", "-0", "+1", "0.5", "-1.25", "2e1", "-0004/4"]))
+
+
+@st.composite
+def poly_file_st(draw):
+    """A polynomial file and its (coefficient token, exponents) lines;
+    exponents come from a small set, so lines often repeat a term."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    exps_st = st.tuples(*[st.integers(min_value=0, max_value=2)] * m)
+    lines = draw(st.lists(st.tuples(token_st, exps_st), max_size=12))
+    text = f"vars {m}\n" + "".join(
+        f"{tok} {' '.join(map(str, exps))}\n" for tok, exps in lines)
+    return m, lines, text
+
+
+@given(poly_file_st())
+@settings(max_examples=150, deadline=None)
+def test_parse_polynomial_matches_validated_construction(case):
+    m, lines, text = case
+    terms = {}
+    for tok, exps in lines:
+        terms[exps] = terms.get(exps, Fraction(0)) + Fraction(tok)
+    expected = Polynomial(m, terms)
+    p = parse_polynomial(text)
+    assert p == expected
+    assert p.terms == expected.terms
+    assert all(c != 0 for c in p.terms.values())
+    assert hash(p) == hash(expected)
+
+
+def _restriction_oracle(p, x0, v):
+    """p(x0 + mu v) by substitution in p.shift(x0), in Fraction."""
+    by_degree = {}
+    for exps, c in p.shift(x0).terms.items():
+        for vi, e in zip(v, exps):
+            c *= Fraction(vi) ** e
+        by_degree[sum(exps)] = by_degree.get(sum(exps), 0) + c
+    out = [Fraction(by_degree.get(k, 0))
+           for k in range(max(by_degree, default=-1) + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@given(poly_st(), point_st, direction_st)
+@settings(max_examples=120, deadline=None)
+def test_restriction_matches_substitution_oracle(p, x0, v):
+    expected = _restriction_oracle(p, x0, v)
+    f = p.restrict(x0, v)
+    ints, a, b = f.primitive()
+    assert len(ints) == len(expected)
+    assert f.degree() == (len(expected) - 1 if expected else float("-inf"))
+    if ints:
+        assert a > 0 and b > 0
+        assert gcd(*ints) == 1
+        assert f._coeffs is None        # not built before they are read
+        # ints is a positive multiple of the oracle's coefficients
+        assert all(Fraction(a, b) * c == e for c, e in zip(ints, expected))
+    assert f.coeffs == expected

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from lmicert import rzcheck
 from lmicert.errors import (BasePointError, DimensionMismatch,
                             ZeroPolynomialError)
-from lmicert.poly import Polynomial, parse_polynomial
+from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
+from lmicert.realroots import count_real_roots
 from lmicert.rzcheck import (CERTIFIED_NOT_RZ, PROBABLY_RZ, RaySampler,
                              _grid_index, _reduce_direction,
                              _square_direction,
@@ -373,6 +374,44 @@ def test_hyperbolicity_counts_infinity_as_root_at_zero():
     assert vertical.degree == 3
     assert vertical.with_multiplicity == 3
     assert vertical.at_infinity == 0
+
+
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def hyperbolic_case_st(draw):
+    """(p, x0, v) with p(x0) != 0, p of degree <= 4."""
+    p = Polynomial.zero(2)
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        i = draw(st.integers(min_value=0, max_value=4))
+        j = draw(st.integers(min_value=0, max_value=4 - i))
+        p = p + Polynomial.constant(draw(small_q), 2) * x1 ** i * x2 ** j
+    x0 = (draw(small_q), draw(small_q))
+    v = draw(st.tuples(small_q, small_q).filter(lambda w: any(w)))
+    return p, x0, v
+
+
+@given(hyperbolic_case_st())
+@settings(max_examples=60, deadline=None)
+def test_hyperbolicity_counts_match_fraction_reversal(case):
+    p, x0, v = case
+    if p.is_zero() or p.evaluate(x0) == 0:
+        return
+    sampler = RaySampler(2, 7, 2, extra_directions=(v,))
+    verdict = hyperbolicity_check(p, x0, sampler)
+    d = int(p.degree())
+    shifted = p.shift(x0).terms
+    for record in verdict.per_ray:
+        # p(x0 + mu w) by substitution, padded to degree d and reversed
+        coeffs = [Fraction(0)] * (d + 1)
+        for exps, c in shifted.items():
+            coeffs[sum(exps)] += (c * record.direction[0] ** exps[0]
+                                  * record.direction[1] ** exps[1])
+        counts = count_real_roots(UnivariatePolynomial(coeffs[::-1]))
+        assert (record.degree, record.distinct, record.with_multiplicity) \
+            == (d, counts.distinct_real, counts.real_with_multiplicity)
+        assert record.passed == (counts.real_with_multiplicity == d)
 
 
 # === boundary extraction ===

@@ -86,6 +86,15 @@ EXTRA_PENCIL_CASES = {
     "kernel2.reduce-monic": ["reduce-monic", "kernel2.pencil"],
 }
 
+# line tests with the default sampler (181 grid and 64 random rays),
+# last for the same reason: case name -> curve file stem, command and
+# extra arguments
+DEFAULT_SAMPLER_CASES = {
+    "odd_cubic.check.default": ["odd_cubic", "check"],
+    "tangent.hyperbolic.default": ["tangent", "hyperbolic", "--point=-4,0"],
+    "concentric.check.default": ["concentric", "check"],
+}
+
 
 def cases():
     for curve, point in CURVES.items():
@@ -103,6 +112,8 @@ def cases():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
     for name, (command, *files) in EXTRA_PENCIL_CASES.items():
         yield name, [command] + [str(GOLDEN / f) for f in files]
+    for name, (curve, command, *extra) in DEFAULT_SAMPLER_CASES.items():
+        yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra]
 
 
 def run(argv):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from functools import cache
 from typing import List, Optional, Sequence
@@ -46,7 +47,58 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """json.dumps(document, indent=2, sort_keys=True) plus a newline,
+    the same bytes, written by one recursive pass: with indent set,
+    json.dumps runs its pure-Python encoder, which costs more than the
+    rest of a line test.  Keys must be strings."""
+    return _json_text(document, "\n") + "\n"
+
+
+def _json_scalar(value) -> str:
+    """The JSON text of a string, number, bool or None, as json.dumps
+    writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# the writers of the exact scalar types, looked up first; subclasses
+# take the general path
+_SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: _json_scalar, type(None): _json_scalar,
+                float: json.dumps}
+
+
+def _json_text(value, newline: str) -> str:
+    """value's JSON text; newline is the line break and indent that come
+    before its closing bracket."""
+    scalar = _SCALAR_JSON.get
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([
+            w(v) if (w := scalar(type(v))) else _json_text(v, inner)
+            for v in value]) + newline + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": "
+            + (w(v) if (w := scalar(type(v))) else _json_text(v, inner))
+            for k, v in sorted(value.items())]) + newline + "}")
+    return _json_scalar(value)
 
 
 def _parse_point(text: Optional[str], num_vars: int):

@@ -416,8 +416,19 @@ def _component_det(pencil: LinearPencil, comp: List[int]) -> Polynomial:
                     for j, v in enumerate(mrow):
                         row[j] += c * v
         table[a] = _bareiss_det(rows)
+    den_s = den ** s
+    return Polynomial(m, {e: Fraction(c, den_s)
+                          for e, c in _interpolate(table, s, m).items()})
+
+
+def _interpolate(table, s: int, m: int):
+    """The nonzero coefficients {e: c} of the polynomial in m variables
+    of total degree at most s that takes the integer value table[a] at
+    each lattice point a of the simplex |a| <= s.  The polynomial must
+    have integer coefficients; table is overwritten."""
+    points = list(table)
     # forward differences along each axis in turn, line by line: then
-    # table[a] is the Newton coefficient Delta^a det(0)
+    # table[a] is the Newton coefficient Delta^a f(0)
     for k in range(m):
         for a in points:
             if a[k]:
@@ -428,7 +439,7 @@ def _component_det(pencil: LinearPencil, comp: List[int]) -> Polynomial:
                 for i in range(len(g) - 1, j - 1, -1):
                     g[i] -= g[i - 1]
             table.update(zip(line, g))
-    # det(x) = sum_a table[a] prod_k (x_k)_(a_k) / a_k!; the falling
+    # f(x) = sum_a table[a] prod_k (x_k)_(a_k) / a_k!; the falling
     # factorials expand by signed Stirling numbers of the first kind,
     # and s! clears every a_k! (|a| <= s)
     stirling = [[1]]
@@ -452,16 +463,15 @@ def _component_det(pencil: LinearPencil, comp: List[int]) -> Polynomial:
                     break
             if term:
                 acc[e] = acc.get(e, 0) + term
-    den_s = den ** s
     terms = {}
     for e, c in acc.items():
         q, r = divmod(c, scale)
         if r:
-            raise AssertionError("internal error: interpolated determinant "
+            raise AssertionError("internal error: interpolated polynomial "
                                  "has a non-integer coefficient")
         if q:
-            terms[e] = Fraction(q, den_s)
-    return Polynomial(m, terms)
+            terms[e] = q
+    return terms
 
 
 def _bareiss_det(rows: List[List[int]]) -> int:

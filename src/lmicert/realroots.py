@@ -28,6 +28,7 @@ run, then one chain per factor.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -438,3 +439,167 @@ def _refine(grid: _Grid, ja: int, jb: int, k: int,
         else:
             jb = jm
     return ja, jb, k
+
+
+# -- cells of the real line by Descartes bisection ----------------------------
+
+
+def power_of_two_bound(c: IntPoly) -> int:
+    """An exponent e >= 1 such that every real root of the nonzero
+    integer polynomial c lies strictly inside (-2^e, 2^e).
+
+    Fujiwara's bound in powers of two, over the coefficients that can
+    balance the leading term: a root x >= 2^e of c, with c_n > 0 say,
+    has c_n x^n <= sum |c_(n-k)| x^(n-k) over the c_(n-k) < 0.  When each
+    of those has |c_(n-k)| <= c_n 2^(k(e-1)), the right side is at most
+    (1 - 2^-n) c_n x^n, so there is no such root; the same holds for
+    c(-x).  Each exponent is read off bit lengths: |a| <= |l| 2^j for
+    j = len(a) - len(l) + 1."""
+    n = len(c) - 1
+    lead = abs(c[-1]).bit_length()
+    e = 1
+    for k in range(1, n + 1):
+        a = c[n - k]
+        if a:
+            j = abs(a).bit_length() - lead + 1
+            # a opposes the lead at x > 0 when the signs differ, and at
+            # x < 0 when they differ after (-1)^k; one of them when k
+            # is odd
+            if k % 2 or (a < 0) != (c[-1] < 0):
+                e = max(e, 1 - (-j // k))
+    return e
+
+
+def _taylor_shift(c: IntPoly, a: int) -> List[int]:
+    """The coefficients of c(x + a)."""
+    out = list(c)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return out
+
+
+def _descartes_bound(q: IntPoly) -> int:
+    """The sign variations of (x + 1)^n q(1 / (x + 1)), capped at 2: 0
+    proves that q has no root in (0, 1) and 1 that it has one simple
+    root there (Descartes' rule of signs).  The variations are read as
+    the Taylor shift finishes each coefficient, lowest first, and the
+    shift stops at the second."""
+    out = list(q[::-1])
+    while out and not out[-1]:
+        out.pop()           # roots at 0 are not in (0, 1)
+    n = len(out)
+    variations = 0
+    prev = 0
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += out[j + 1]
+        v = out[i]
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                variations += 1
+                if variations == 2:
+                    return 2
+            prev = v
+    return variations
+
+
+class RootCells:
+    """The real line cut at the real zeros of a nonzero integer
+    polynomial c, as far as Descartes bisection decides them
+    (Collins-Akritas 1976).
+
+    With B = 2^e, e = power_of_two_bound(c), every real zero lies in
+    (-B, B).  That interval is bisected on the dyadic grid; each piece
+    is mapped onto (0, 1), where its polynomial q is a positive multiple
+    of c, so it has c's signs.  A piece with Descartes bound 0 has no
+    zero.  Bound 1 means one simple zero; the sign of c just right of
+    the piece's left end is the sign of q's lowest nonzero coefficient,
+    also where that end is a zero.  A piece with a larger bound is split
+    at its midpoint until it is narrower than 2^-width_exp, and then kept
+    undecided: a multiple zero, or zeros closer than that, keeps the
+    bound at 2 or more at every width, so only the depth limit makes
+    the bisection stop, and it always stops.  A midpoint where c
+    vanishes is an exact zero.  No gcd is taken.
+
+    cell(a, b) numbers the open cells between the zeros from left to
+    right: two points with the same number lie in one zero-free
+    interval.  A point that is a zero, or lies in an undecided piece,
+    gets None; an undecided piece may hide zeros, so the cells on its
+    two sides get different numbers.
+    """
+
+    __slots__ = ("c", "exp", "depth", "ends", "end_cells", "pieces")
+
+    def __init__(self, c: IntPoly, width_exp: int):
+        self.c = c
+        e = self.exp = power_of_two_bound(c)
+        n = len(c) - 1
+        # q(x) = c(2^e (2x - 1)): (0, 1) is (-B, B)
+        q = _taylor_shift([v << (e * k) for k, v in enumerate(c)], -1)
+        q = [v << k for k, v in enumerate(q)]
+        deepest = e + 1 + width_exp
+        leaves = []             # (i, k, bound, sign right of i/2^k)
+        zeros = set()           # midpoints (i, k), i odd, where q vanishes
+        stack = [(_int_primitive(q), 0, 0)]
+        while stack:
+            q, i, k = stack.pop()
+            bound = _descartes_bound(q)
+            if bound <= 1 or k == deepest:
+                leaves.append((i, k, bound,
+                               _sign(next(v for v in q if v))))
+                continue
+            left = [v << (n - j) for j, v in enumerate(q)]   # 2^n q(x/2)
+            right = _taylor_shift(left, 1)
+            if not right[0]:
+                zeros.add((2 * i + 1, k + 1))
+            stack.append((_int_primitive(right), 2 * i + 1, k + 1))
+            stack.append((_int_primitive(left), 2 * i, k + 1))
+        # the leaves came off the stack left to right.  An end x = i/2^k
+        # is kept as the integer (2i - 2^k) 2^(depth - k), which is
+        # t 2^(depth - e) for t = 2^e (2x - 1).  A piece is a cell number
+        # (no zero), (cell left of the zero, sign right of the piece's
+        # left end) for one simple zero, or None (undecided).
+        depth = self.depth = max(k for _, k, _, _ in leaves)
+        self.ends = [-1 << depth]
+        self.end_cells = [0]
+        self.pieces = []
+        cell = 0
+        for i, k, bound, sign in leaves:
+            if bound == 0:
+                self.pieces.append(cell)
+            else:
+                self.pieces.append((cell, sign) if bound == 1 else None)
+                cell += 1
+            i += 1
+            self.ends.append((2 * i - (1 << k)) << (depth - k))
+            while k and not i & 1:
+                i >>= 1
+                k -= 1
+            if (i, k) in zeros:
+                self.end_cells.append(None)
+                cell += 1
+            else:
+                self.end_cells.append(cell)
+
+    def cell(self, a: int, b: int) -> Optional[int]:
+        """The number of the zero-free cell that holds t = a/b (b > 0),
+        or None."""
+        u, rest = divmod(a << self.depth, b << self.exp)
+        ends = self.ends
+        if u < ends[0]:
+            return 0
+        if u >= ends[-1]:
+            return self.end_cells[-1]
+        j = bisect_right(ends, u) - 1       # ends[j] <= u < ends[j + 1]
+        if not rest and ends[j] == u:
+            return self.end_cells[j]
+        piece = self.pieces[j]
+        if piece is None or type(piece) is int:
+            return piece
+        left, sign = piece
+        s = _int_sign_at(self.c, a, b)
+        if not s:
+            return None
+        return left if s == sign else left + 1

@@ -22,6 +22,22 @@ The scans and boundary_samples share one exact ray family in the plane
 nonzero coordinate, so the rays are the same on every platform.  A
 scan builds each ray only when it reaches it, so a scan that stops at
 an early witness never builds the rays after it.
+
+In the plane the root count along a line through x0 is constant
+between the real zeros of P(t) = D(t) h_d(1, t), where t is the line's
+slope, D(t) is the discriminant of g_t(s) = s^d p(x0 + (1, t)/s) (up
+to a constant factor) and h_d is p's top form: a 1-D cylindrical
+decomposition.  So once a line test of degree >= 2 has passed
+_CELLS_AFTER rays, it builds these slope cells once (D by
+interpolation from Sylvester determinants, the zeros of P by
+Descartes bisection, realroots.RootCells), and each later ray whose
+slope lies strictly inside a cell where a ray was already counted
+takes that ray's root count, with no restriction.  Vertical rays,
+slopes that may be zeros of P, and every ray when D = 0 (p not
+square-free) are counted directly.  The verdict and every record are
+those of counting every ray.  rz_check, rigid_convexity_check and
+hyperbolicity_check use the cells; oval_profile, which needs every
+restriction, and boundary_samples do not.
 """
 
 from __future__ import annotations
@@ -34,8 +50,10 @@ from math import lcm
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
+from .pencil import _bareiss_det, _interpolate
 from .poly import Polynomial, UnivariatePolynomial, as_point
-from .realroots import RootCount, count_real_roots, isolate_real_roots
+from .realroots import (RootCells, RootCount, count_real_roots,
+                        isolate_real_roots)
 
 Direction = Tuple[Fraction, ...]
 
@@ -257,10 +275,11 @@ def _checked_base(p: Polynomial, x0: Sequence, signed: bool = False
 
 
 def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
-          reverse: bool = False
+          reverse: bool = False, keep: bool = False
           ) -> Tuple[RZVerdict, List[UnivariatePolynomial]]:
-    """The line test along the sampler's directions: the verdict, and the
-    restriction of p (negated if p(x0) < 0) to every scanned ray.
+    """The line test along the sampler's directions: the verdict, and
+    with keep the restriction of p (negated if p(x0) < 0) to every
+    scanned ray.
 
     Roots are counted on the restriction f, or with reverse on its
     degree-padded reversal, which allows p(x0) < 0.  A ray passes when
@@ -268,6 +287,12 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     first failing ray stops the scan and is the witness.  f(0) = q(x0)
     is nonzero, so neither polynomial is zero and the reversal has
     degree deg p: nothing of it is left at infinity.
+
+    Without keep, a plane scan of degree >= 2 builds the slope cells
+    (_slope_cells) once _CELLS_AFTER rays have passed.  From then on, a
+    ray whose slope lies in a cell where an earlier ray was counted
+    takes that ray's RootCount, with no restriction; the verdict is the
+    one of counting every ray.
     """
     q, x = _checked_base(p, x0, signed=reverse)
     if sampler.num_vars != p.num_vars:
@@ -275,19 +300,139 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     d = int(q.degree())
     per_ray: List[RayRecord] = []
     restrictions: List[UnivariatePolynomial] = []
+    build = not keep and d >= 2 and p.num_vars == 2
+    cells = None
+    counted = {}                # cell -> RootCount of a ray in it
     for v in sampler.directions():
-        f = q.restrict(x, v)
-        counts = count_real_roots(_reversal(f, d) if reverse else f)
+        cell = None if cells is None else _slope_cell(cells, v)
+        counts = None if cell is None else counted.get(cell)
+        if counts is None:
+            f = q.restrict(x, v)
+            counts = count_real_roots(_reversal(f, d) if reverse else f)
+            if keep:
+                restrictions.append(f)
+            if cell is not None:
+                counted[cell] = counts
         deg = counts.total_degree
         real = counts.real_with_multiplicity
         per_ray.append(RayRecord(v, deg, counts.distinct_real, real,
                                  d - deg, real == deg))
-        restrictions.append(f)
         if real != deg:
             return (RZVerdict(CERTIFIED_NOT_RZ, (v, counts), len(per_ray),
                               sampler.seed, tuple(per_ray)), restrictions)
+        if build and len(per_ray) == _CELLS_AFTER:
+            build = False
+            cells = _slope_cells(q, x)
+            # the rays counted so far are the first of their cells
+            for r in per_ray if cells is not None else ():
+                cell = _slope_cell(cells, r.direction)
+                if cell is not None and cell not in counted:
+                    counted[cell] = RootCount(r.distinct, r.with_multiplicity,
+                                              r.degree)
     return (RZVerdict(PROBABLY_RZ, None, len(per_ray), sampler.seed,
                       tuple(per_ray)), restrictions)
+
+
+# -- slope cells --------------------------------------------------------------
+#
+# In the plane, the line through x0 with slope t meets p = 0 where
+# g_t(s) = s^d p(x0 + (1, t)/s) = sum_k h_k(1, t) s^(d-k) vanishes, h_k
+# the degree-k form of p(x0 + y); the ray v = (v1, v2), v1 != 0, has the
+# restriction f(mu) = sum_k v1^k h_k(1, t) mu^k with t = v2/v1, whose
+# roots are those of g_t at s = 1/(v1 mu) and whose degree drops are
+# roots s = 0.  g_t has the constant leading coefficient p(x0) != 0.
+# Where P(t) = D(t) h_d(1, t) is nonzero, with D(t) the resultant of
+# g_t and g_t', g_t is square-free and has no root at 0, so deg f = d,
+# f is square-free, and its count of real roots cannot change without
+# two roots meeting: the RootCount of every ray (and of its reversal)
+# is constant on each open interval between the real zeros of P.  That
+# is the one-dimensional cylindrical decomposition (Collins 1975).
+
+# Rays a scan counts directly before it builds the cells, by the
+# ski-rental rule: count (rent) until the counts made cost what one
+# build (buying) costs.  On four seeded determinantal inputs per degree
+# at the origin, a build cost as much as 5-9 direct counts (restriction
+# plus Sturm count) at d = 2, 23-31 at d = 4 and 45-87 at d = 6, and a
+# later lookup under 0.15 of a count.  So a scan that stops before this
+# ray pays nothing more, as the rejecting scans of the lobe curve do
+# (witnesses at rays 34-48), and one that goes on pays at most about
+# twice what the best choice in hindsight would.
+_CELLS_AFTER = 64
+
+# undecided pieces of the bisection are narrower than 2^-_CELL_WIDTH_EXP
+_CELL_WIDTH_EXP = 12
+
+
+def _slope_heads(forms) -> List[List[int]]:
+    """H_k(t) = sum_(|e| = k) C_e t^e2 = E h_k(1, t) for k = 0..d, as
+    integers lowest degree first, from the integer form table (E, C_e)
+    of Polynomial._build_forms for a polynomial in two variables."""
+    heads = [[0] * (k + 1) for k in range(len(forms))]
+    for k, form in enumerate(forms):
+        for exps, c in form:
+            heads[k][exps[1]] = c
+    return heads
+
+
+def _slope_discriminant(heads: List[List[int]]) -> List[int]:
+    """The integer coefficients of D(t) = Res_s(G_t, G_t'), lowest
+    degree first ([] when D = 0), for G_t(s) = sum_k H_k(t) s^(d-k) =
+    E g_t(s); so D(t) = E^(2d-1) Res_s(g_t, g_t').
+
+    deg D <= d(d-1), so D is interpolated (pencil._interpolate) from its
+    values at t = 0..d(d-1): Bareiss determinants of the (2d-1)-square
+    Sylvester matrix of G_t and G_t'."""
+    d = len(heads) - 1
+    top = d * (d - 1)
+    table = {}
+    for t in range(top + 1):
+        # G_t, highest power of s first, and its derivative
+        g = []
+        for h in heads:
+            value = 0
+            for c in reversed(h):
+                value = value * t + c
+            g.append(value)
+        dg = [(d - k) * c for k, c in enumerate(g[:-1])]
+        rows = [[0] * r + g + [0] * (d - 2 - r) for r in range(d - 1)]
+        rows += [[0] * r + dg + [0] * (d - 1 - r) for r in range(d)]
+        table[(t,)] = _bareiss_det(rows)
+    coeffs = _interpolate(table, top, 1)
+    out = [coeffs.get((k,), 0) for k in range(top + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _slope_cells(q: Polynomial, x: Tuple[Fraction, ...]
+                 ) -> Optional[RootCells]:
+    """The cells of the real zeros of P(t) = D(t) H_d(t) for q at x, or
+    None when D = 0 (q is not square-free)."""
+    table = q._forms
+    if table is None or table[0] != x:
+        table = q._build_forms(x)
+    heads = _slope_heads(table[2])
+    disc = _slope_discriminant(heads)
+    if not disc:
+        return None
+    top = heads[-1]
+    while not top[-1]:
+        top.pop()
+    product = [0] * (len(disc) + len(top) - 1)
+    for i, a in enumerate(disc):
+        for j, b in enumerate(top):
+            product[i + j] += a * b
+    return RootCells(product, _CELL_WIDTH_EXP)
+
+
+def _slope_cell(cells: RootCells, v: Direction) -> Optional[int]:
+    """The cell of v's slope v2/v1; None for a vertical ray or a slope
+    that may be a zero of P."""
+    a, b = v
+    if not a:
+        return None
+    num, den = b.numerator * a.denominator, b.denominator * a.numerator
+    return cells.cell(num, den) if den > 0 else cells.cell(-num, -den)
 
 
 def rz_check(p: Polynomial, x0: Sequence,

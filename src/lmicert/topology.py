@@ -95,8 +95,11 @@ def oval_profile(p: Polynomial, x0: Sequence,
         raise DimensionMismatch("oval profiles are two-variable only")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    # the side counts need every restriction, so the scan keeps them
+    # and counts every ray
     verdict, restrictions = _scan(
-        p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))))
+        p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))),
+        keep=True)
     if verdict.certified_not_rz():
         v, counts = verdict.witness
         raise CertifiedNotRZError(

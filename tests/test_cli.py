@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmicert
 from lmicert import cli
@@ -591,3 +593,62 @@ def test_cached_parser_calls_the_current_check(tmp_path, monkeypatch):
     assert run_cli(["check", path, *FAST])[0] == 0
     assert run_cli(["hyperbolic", path, *FAST])[0] == 0
     assert seen == ["rigid_convexity_check", "hyperbolicity_check"]
+
+
+# === the JSON writer ===
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _dumps(document):
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_reproduces_every_golden_document():
+    seen = 0
+    for path in sorted(GOLDEN.glob("*.out")):
+        text = path.read_text(encoding="utf-8")
+        try:
+            document = json.loads(text)
+        except ValueError:
+            continue                    # CSV, SVG and pencil text
+        assert cli._json(document) == _dumps(document) == text, path.name
+        seen += 1
+    assert seen >= 40
+
+
+_JSON_SCALARS = (st.none() | st.booleans()
+                 | st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.text(alphabet=st.characters(max_codepoint=0x1F600)))
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=20)
+
+
+@given(_JSON_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(document):
+    assert cli._json(document) == _dumps(document)
+
+
+@pytest.mark.parametrize("document", [
+    {"a": float("nan"), "b": [float("inf"), -float("inf"), -0.0, 1e300]},
+    {"é \n\t\"\\": ["\x00\x1f\x7f", "\U0001f600"]},
+    [[], {}, [[]], {"": {}}],
+    {"z": True, "y": False, "x": None, "w": 10 ** 40},
+])
+def test_json_writer_edge_documents(document):
+    assert cli._json(document) == _dumps(document)
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    for document in ({"a": Fraction(1, 2)}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            _dumps(document)
+        with pytest.raises(TypeError):
+            cli._json(document)

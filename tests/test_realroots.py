@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from lmicert.errors import ZeroPolynomialError
 from lmicert.poly import UnivariatePolynomial
-from lmicert.realroots import (count_real_roots, count_roots_in_open_interval,
-                               isolate_real_roots, side_counts,
-                               square_free_decompose)
+from lmicert.realroots import (RootCells, count_real_roots,
+                               count_roots_in_open_interval,
+                               isolate_real_roots, power_of_two_bound,
+                               side_counts, square_free_decompose)
 
 
 def poly(*coeffs):
@@ -249,3 +250,137 @@ def test_square_free_decompose_properties(parts, scale):
     for a in range(len(out)):
         for b in range(a + 1, len(out)):
             assert _gcd(out[a][0], out[b][0]) == poly(1)
+
+
+# === Descartes cells ===
+
+def _int_coeffs(f):
+    return list(f.primitive()[0])
+
+
+def _cells_parts(cells):
+    """(ends, end cells, pieces) of a RootCells, with the ends as
+    Fractions t."""
+    scale = Fraction(1 << cells.exp, 1 << cells.depth)
+    return ([e * scale for e in cells.ends], cells.end_cells, cells.pieces)
+
+
+# real roots: dyadic ones sit on bisection midpoints, others do not;
+# repeated roots keep Descartes' bound at 2 or more at every width
+_ROOTS = st.one_of(
+    st.integers(min_value=-40, max_value=40).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-40, max_value=40),
+              st.sampled_from([2, 4, 8, 64])),
+    st.fractions(min_value=-20, max_value=20, max_denominator=30))
+
+
+@given(st.lists(st.tuples(_ROOTS, st.integers(min_value=1, max_value=3)),
+                max_size=5),
+       st.lists(st.integers(min_value=1, max_value=50), max_size=2),
+       st.integers(min_value=1, max_value=9))
+@settings(max_examples=120, deadline=None)
+def test_root_cells_isolate_every_real_root(roots, rootless, lead):
+    f = poly(lead)
+    for c in rootless:                      # t^2 + c has no real root
+        f = f * poly(c, 0, 1)
+    mults = {}
+    for r, m in roots:
+        mults[r] = mults.get(r, 0) + m
+    f = f * from_roots(list(mults), list(mults.values()))
+    c = _int_coeffs(f)
+    bound = 1 << power_of_two_bound(c)
+    assert all(-bound < r < bound for r in mults)
+    cells = RootCells(c, 12)
+    ends, end_cells, pieces = _cells_parts(cells)
+    assert ends == sorted(ends) and ends[0] == -bound == -ends[-1]
+    for r in mults:
+        assert cells.cell(r.numerator, r.denominator) is None
+        j = next(j for j in range(len(ends) - 1) if ends[j] <= r < ends[j + 1])
+        if ends[j] == r:
+            assert end_cells[j] is None             # an exact zero
+        else:
+            assert type(pieces[j]) is not int       # an isolating piece
+
+    def without(lo, hi):
+        # f with the roots at lo and hi divided out: the same roots
+        # inside (lo, hi), and neither end a root
+        g = poly(1)
+        for r, m in mults.items():
+            if r not in (lo, hi):
+                g = g * from_roots([r], [m])
+        return g
+
+    for j, piece in enumerate(pieces):
+        lo, hi = ends[j], ends[j + 1]
+        inside = [r for r in mults if lo < r < hi]
+        if type(piece) is int:
+            assert count_roots_in_open_interval(without(lo, hi), lo, hi) \
+                == (0, 0)
+        elif piece is not None:
+            # one simple root, and its sign test splits the piece there
+            assert len(inside) == 1 and mults[inside[0]] == 1
+            left, _ = piece
+            for t in (lo + (inside[0] - lo) / 3, hi - (hi - inside[0]) / 3):
+                want = left if t < inside[0] else left + 1
+                assert cells.cell(t.numerator, t.denominator) == want
+        if end_cells[j + 1] is None:
+            assert hi in mults
+
+
+@given(st.lists(st.fractions(min_value=-30, max_value=30,
+                             max_denominator=12), min_size=1, max_size=6,
+                unique=True),
+       st.lists(st.fractions(min_value=-40, max_value=40,
+                             max_denominator=7), min_size=2, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_root_cells_number_the_gaps_between_simple_roots(roots, points):
+    cells = RootCells(_int_coeffs(from_roots(roots)), 12)
+    for a in points:
+        for b in points:
+            ca = cells.cell(a.numerator, a.denominator)
+            cb = cells.cell(b.numerator, b.denominator)
+            if a in roots:
+                assert ca is None
+            elif ca is not None and ca == cb:
+                assert not any(min(a, b) <= r <= max(a, b) for r in roots)
+    # simple roots this far apart are all isolated, so every gap is
+    # one cell and the numbers rise with t
+    numbers = [cells.cell(t.numerator, t.denominator)
+               for t in sorted(points) if t not in roots]
+    assert None not in numbers and numbers == sorted(numbers)
+    below = sorted(roots)[0] - 1
+    assert cells.cell(below.numerator, below.denominator) == 0
+    above = sorted(roots)[-1] + 1
+    assert cells.cell(above.numerator, above.denominator) == len(roots)
+
+
+def test_root_cells_split_at_a_sixfold_zero_on_a_midpoint():
+    # t^6 (t - 1/3)(t + 5): the zero at 0 is the first bisection point;
+    # the sign just right of it comes from the piece's polynomial
+    f = from_roots([0, Fraction(1, 3), -5], [6, 1, 1])
+    cells = RootCells(_int_coeffs(f), 12)
+    at = [cells.cell(Fraction(t).numerator, Fraction(t).denominator)
+          for t in (-6, -1, 0, Fraction(1, 10), Fraction(1, 3), 1)]
+    assert at[2] is None and at[4] is None
+    assert at[0] < at[1] < at[3] < at[5]
+
+
+def test_root_cells_of_a_constant_are_one_cell():
+    cells = RootCells([7], 12)
+    assert {cells.cell(t, 1) for t in (-100, 0, 3, 10 ** 6)} == {0}
+
+
+def test_undecided_pieces_keep_the_bisection_finite():
+    # (t^2 - 2)^2: two double irrational zeros, never on a midpoint
+    c = _int_coeffs(poly(-2, 0, 1) * poly(-2, 0, 1))
+    cells = RootCells(c, 8)
+    ends, _, pieces = _cells_parts(cells)
+    undecided = [(ends[j], ends[j + 1]) for j, piece in enumerate(pieces)
+                 if piece is None]
+    assert undecided and all(hi - lo <= Fraction(1, 2 ** 8)
+                             for lo, hi in undecided)
+    # one piece holds sqrt(2), one -sqrt(2)
+    assert any(0 < lo and lo * lo < 2 < hi * hi for lo, hi in undecided)
+    assert any(hi < 0 and hi * hi < 2 < lo * lo for lo, hi in undecided)
+    assert [cells.cell(a, b) for a, b in ((-3, 2), (-7, 5), (7, 5), (3, 2))] \
+        == [0, 1, 1, 2]

@@ -488,3 +488,214 @@ def test_ellipse_boundary_points_near_zero_set(a, b):
     assert data.unbounded_angles == ()
     for s in data.samples:
         assert abs(float(p.evaluate(s.point))) < 1e-4
+
+
+# === slope cells ===
+#
+# A plane scan builds the cells of the zeros of D(t) h_d(1, t) after
+# rzcheck._CELLS_AFTER rays and takes the RootCount of a later ray from
+# an earlier ray of its cell.  The oracle below restricts p and counts
+# every ray, so the verdicts must agree record for record.
+
+def _direct_verdict(p, x0, sampler, reverse=False):
+    """The line test with every ray counted: p restricted along the ray
+    and, with reverse, the Fraction reversal padded to deg p."""
+    x0 = tuple(F(c) for c in x0)
+    q = -p if p.evaluate(x0) < 0 else p
+    d = int(q.degree())
+    per_ray = []
+    for v in sampler.directions():
+        f = q.restrict(x0, v)
+        if reverse:
+            coeffs = f.coeffs + (F(0),) * (d + 1 - len(f.coeffs))
+            f = UnivariatePolynomial(coeffs[::-1])
+        counts = count_real_roots(f)
+        deg, real = counts.total_degree, counts.real_with_multiplicity
+        per_ray.append(rzcheck.RayRecord(v, deg, counts.distinct_real, real,
+                                         d - deg, real == deg))
+        if real != deg:
+            return CERTIFIED_NOT_RZ, (v, counts), tuple(per_ray)
+    return PROBABLY_RZ, None, tuple(per_ray)
+
+
+def _assert_cells_agree(p, x0, sampler=None):
+    sampler = sampler or RaySampler(2)
+    for check, reverse in ((rigid_convexity_check, False),
+                           (hyperbolicity_check, True)):
+        if not reverse and p.evaluate(x0) <= 0:
+            continue
+        verdict = check(p, x0, sampler)
+        kind, witness, per_ray = _direct_verdict(p, x0, sampler, reverse)
+        assert (verdict.kind, verdict.witness) == (kind, witness)
+        assert verdict.rays_checked == len(per_ray)
+        assert verdict.per_ray == per_ray
+
+
+def _golden(name):
+    return parse_polynomial((GOLDEN / f"{name}.poly").read_text())
+
+
+def _determinantal(rng, d):
+    """det(I + x1 A1 + x2 A2) for random symmetric integer A1, A2: real
+    zero at the origin."""
+    from lmicert.pencil import (LinearPencil, SymmetricMatrix,
+                                determinant_polynomial)
+    mats = [SymmetricMatrix.identity(d)]
+    for _ in range(2):
+        rows = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        mats.append(SymmetricMatrix(rows))
+    return determinant_polynomial(LinearPencil(mats))
+
+
+# every golden curve at its golden point, the lobe at the six
+# benchmark points and at (1/2, 0), where P has a sixfold zero at t = 0,
+# and at (1/10, 0), where the witness is ray 75
+SLOPE_CASES = [
+    ("disc", (0, 0)), ("fermat", (0, 0)), ("odd_cubic", (0, 0)),
+    ("concentric", (0, 0)), ("tangent", (-4, 0)), ("forms7", (0, 0)),
+    ("approx", (0, 0)), ("lobe", (F(7, 10), 0)), ("lobe", (F(1, 2), 0)),
+    ("lobe", (F(3, 5), 0)), ("lobe", (F(4, 5), 0)),
+    ("lobe", (F(3, 5), F(1, 10))), ("lobe", (F(7, 10), F(-1, 10))),
+    ("lobe", (F(1, 10), 0)),
+]
+
+
+@pytest.mark.parametrize("name, x0", SLOPE_CASES)
+def test_slope_cells_keep_the_verdict_of_golden_curves(name, x0):
+    _assert_cells_agree(_golden(name), x0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_slope_cells_keep_the_verdict_of_determinantal_curves(d):
+    _assert_cells_agree(_determinantal(random.Random(40 + d), d), (0, 0))
+
+
+def test_slope_cells_keep_the_verdict_of_fermat_curves():
+    for k in (4, 6):
+        _assert_cells_agree(one - x1 ** k - x2 ** k, (0, 0))
+        # under a rational shear
+        shear = one - (x1 + 3 * x2) ** k - x2 ** k
+        _assert_cells_agree(shear, (0, 0))
+
+
+def test_slope_cells_are_skipped_when_p_is_not_square_free():
+    # (1 - x1^2 - x2^2)^2: every g_t has double roots, so D = 0
+    square = DISC * DISC
+    q, x = square, (F(0), F(0))
+    heads = rzcheck._slope_heads(q._build_forms(x)[2])
+    assert rzcheck._slope_discriminant(heads) == []
+    assert rzcheck._slope_cells(q, x) is None
+    _assert_cells_agree(square, (0, 0))
+
+
+def test_slope_cells_handle_degree_drops_on_grid_slopes():
+    # the top form x1 x2 (181 x2 - 4 x1) vanishes at slope 0, at the
+    # vertical and at slope 4/181, the slope of grid ray 1 of 181
+    cubic = (one - x1) * (one + x2) * (one - (181 * x2 - 4 * x1) * F(1, 200))
+    verdict = rz_check(cubic, (0, 0))
+    assert {r.at_infinity for r in verdict.per_ray[:2]} == {1}
+    _assert_cells_agree(cubic, (0, 0))
+
+
+def _random_plane_polynomial(data, constant):
+    terms = {(0, 0): F(constant)}
+    degree = data.draw(st.integers(min_value=2, max_value=4))
+    for total in range(1, degree + 1):
+        for i in range(total + 1):
+            terms[(i, total - i)] = F(data.draw(
+                st.integers(min_value=-4, max_value=4)))
+    terms[(degree, 0)] = terms[(degree, 0)] or F(1)
+    return Polynomial(2, terms)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_slope_cells_keep_the_verdict_of_random_polynomials(data):
+    constant = data.draw(st.sampled_from([-3, -1, 1, 2, 5]))
+    p = _random_plane_polynomial(data, constant)
+    _assert_cells_agree(p, (0, 0))
+
+
+def test_slope_cells_replace_most_restrictions(monkeypatch):
+    calls = []
+    restrict = Polynomial.restrict
+
+    def counted(self, x, v):
+        calls.append(v)
+        return restrict(self, x, v)
+
+    monkeypatch.setattr(Polynomial, "restrict", counted)
+    for name, x0 in (("disc", (0, 0)), ("tangent", (-4, 0))):
+        verdict = rigid_convexity_check(_golden(name), x0)
+        assert verdict.kind == PROBABLY_RZ and verdict.rays_checked == 243
+        # the rays before the build, and a few first rays of cells
+        assert rzcheck._CELLS_AFTER <= len(calls) <= rzcheck._CELLS_AFTER + 8
+        calls.clear()
+    # without keep, topology's scan restricts every ray
+    verdict, kept = rzcheck._scan(DISC, (0, 0), RaySampler(2), keep=True)
+    assert len(kept) == len(calls) == verdict.rays_checked == 243
+
+
+def test_scan_with_a_late_witness_builds_only_the_rays_it_reads(monkeypatch):
+    built = {"grid": 0, "random": 0}
+
+    def counted(key, build):
+        def wrapper(*args):
+            built[key] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(rzcheck, "_square_direction",
+                        counted("grid", _square_direction))
+    monkeypatch.setattr(rzcheck, "_random_direction",
+                        counted("random", rzcheck._random_direction))
+    verdict = rigid_convexity_check(_golden("lobe"), (F(1, 20), 0))
+    assert verdict.certified_not_rz()
+    assert verdict.rays_checked > rzcheck._CELLS_AFTER
+    assert built == {"grid": verdict.rays_checked, "random": 0}
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_slope_discriminant_is_a_fraction_sylvester_determinant(data):
+    p = _random_plane_polynomial(data, data.draw(st.sampled_from([1, 3])))
+    x0 = tuple(data.draw(st.fractions(min_value=-2, max_value=2,
+                                      max_denominator=5)) for _ in range(2))
+    if p.evaluate(x0) == 0:
+        return
+    _, den, forms = p._build_forms(x0)
+    disc = rzcheck._slope_discriminant(rzcheck._slope_heads(forms))
+    d = int(p.degree())
+    shifted = p.shift(x0)
+    t = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    # g_t(s) = sum_k h_k(1, t) s^(d - k), highest power first
+    g = [sum((c * t ** e[1] for e, c in shifted.terms.items()
+              if sum(e) == k), F(0)) for k in range(d + 1)]
+    dg = [(d - k) * c for k, c in enumerate(g[:-1])]
+    rows = [[F(0)] * r + g + [F(0)] * (d - 2 - r) for r in range(d - 1)]
+    rows += [[F(0)] * r + dg + [F(0)] * (d - 1 - r) for r in range(d)]
+    value = sum((c * t ** k for k, c in enumerate(disc)), F(0))
+    assert value == den ** (2 * d - 1) * _fraction_det(rows)
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination in Fractions."""
+    rows = [row[:] for row in rows]
+    n = len(rows)
+    det = F(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / rows[k][k]
+            for j in range(k, n):
+                rows[i][j] -= factor * rows[k][j]
+    return det

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence
 
 from .construct import MISMATCH, represent, verify_representation
@@ -49,8 +49,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _json(document) -> str:
     """json.dumps(document, indent=2, sort_keys=True) plus a newline,
     the same bytes, written by one recursive pass: with indent set,
-    json.dumps runs its pure-Python encoder, which costs more than the
-    rest of a line test.  Keys must be strings."""
+    json.dumps falls back to its pure-Python encoder, which takes about
+    twice as long on the golden documents.  Keys must be strings."""
     return _json_text(document, "\n") + "\n"
 
 

@@ -16,6 +16,10 @@ those integers from the start; any other input is scaled once.
     bound B = m/l is B*j/2^k, so the factor and its chain are scaled
     once to l^n c(m y / l) and bisected on the integers (j, k).  Ends
     become Fractions only when they are returned.
+  * Descartes cells (RootCells): the zero-free intervals of an integer
+    polynomial, by Descartes bisection inside a power-of-two bound on
+    its real roots, with no gcd taken; the plane line test reads them
+    as its slope cells.
 
 Every counter and the isolation read one root analysis per polynomial
 (_factor_chains, kept in its _roots slot) and go through one counter

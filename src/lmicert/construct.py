@@ -11,12 +11,14 @@ x2 axis: with p(0, c_i) = 0 and s_i the implicit slope dx2/dx1 at
 That pins everything except the off-diagonal of L1, which is found by
 matching det coefficients numerically (degree 3 and up) or by a one
 unknown closed form (degree 2).  That numeric solve is the package's
-only use of numpy, imported on its first call.  The returned pencil is
-verified once, by exact rational determinant expansion, before it is
-returned, so floating point can only cause failures, never wrong
-answers: an exact identity det = c * p with c > 0 plus a positive
-definite L0 certifies the whole region, and only an approximate match
-falls back on sampled membership points.
+only use of numpy, imported on its first call.  An intercept is made
+exact when its one rounding is a root (_snap_root), and the matched L1
+when one of its roundings has the target determinant (_try_promote).
+The returned pencil is verified once, by exact rational determinant
+expansion, before it is returned, so floating point can only cause
+failures, never wrong answers: an exact identity det = c * p with c > 0
+plus a positive definite L0 certifies the whole region, and only an
+approximate match falls back on sampled membership points.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
                      DimensionMismatch)
-from .pencil import (LinearPencil, Membership, SymmetricMatrix, direct_sum,
-                     determinant_polynomial, is_psd, membership)
+from .pencil import (LinearPencil, Membership, SymmetricMatrix, _bareiss_det,
+                     _mirror, determinant_polynomial, direct_sum, is_psd,
+                     membership)
 from .poly import Polynomial, UnivariatePolynomial, _exact_sqrt
 from .realroots import count_real_roots, isolate_real_roots
 from .rzcheck import RaySampler, rz_check
@@ -95,14 +98,15 @@ def _axis_poly(p: Polynomial) -> UnivariatePolynomial:
 
 def _snap_root(g: UnivariatePolynomial, low: Fraction, high: Fraction,
                mid: Fraction) -> Fraction:
-    """Prefer an exact rational root inside the isolating interval;
-    keep the midpoint approximation otherwise."""
+    """The root in the isolating interval if it is a fraction a/b with
+    b <= 10^6, else the midpoint.  Such a root lies within 2^-64 of mid
+    and every other such fraction 1/(b 10^6) >= 10^-12 from it, so it is
+    the one candidate, the closest such fraction to mid."""
     if low == high:
         return low
-    for dmax in (1, 2, 3, 4, 6, 8, 12, 16, 24, 60, 1000, 10 ** 6):
-        cand = Fraction(mid).limit_denominator(dmax)
-        if low < cand < high and g.evaluate(cand) == 0:
-            return cand
+    cand = mid.limit_denominator(10 ** 6)
+    if low < cand < high and g.evaluate(cand) == 0:
+        return cand
     return mid
 
 
@@ -177,10 +181,7 @@ def intercept_normalize(p: Polynomial, seed: int = 0
     qualifies.  Inputs that fail the line test tend to exhaust the
     retry budget, since no direction meets the curve fully.
     """
-    if p.num_vars != 2:
-        raise DimensionMismatch("intercept normalization is two-variable only")
-    if p.evaluate((Fraction(0), Fraction(0))) <= 0:
-        raise BasePointError("p(0,0) must be positive")
+    _check_base_point(p)
     data = _intercepts(p)
     if data is not None:
         return p, data, None
@@ -284,11 +285,12 @@ def match_offdiagonal(p: Polynomial,
     matches p / p(0,0).
 
     Damped Newton least squares on a value grid, multi-start (all-zero
-    plus 16 seeded random starts); the winner is re-checked by exact
-    rational determinant expansion, and entries near simple fractions
-    are promoted to exact values when the exact determinant then
-    agrees identically.  The result carries no outcome: represent
-    verifies the pencil it finally returns.
+    plus 16 seeded random starts); each start that reaches the
+    tolerance is re-checked by exact rational determinant expansion;
+    an exact rounding of the winner replaces it if one has the target
+    determinant (_try_promote, at most one more expansion).  The result
+    carries no outcome: represent verifies the pencil it finally
+    returns.
     """
     l2, diag1 = fixed
     d = l2.size
@@ -375,16 +377,26 @@ def match_offdiagonal(p: Polynomial,
 
 def _try_promote(pencil: LinearPencil, target: Polynomial
                  ) -> Optional[LinearPencil]:
-    """Continued-fraction round the L1 entries and keep the result if
-    the exact determinant then matches the target identically."""
+    """The first rounding of L1 to denominators at most dmax, for dmax
+    from 1 to 1000, whose determinant is the target.  The last rounding
+    finds a rational solution whenever each winner entry lies within
+    1/(2 b 1000) of its entry a/b, b <= 1000, since the Farey neighbours
+    of a/b of order 1000 lie 1/(b 1000) away; the coarser ones also
+    reach a rational solution near a winner that is another, nearby
+    solution.  A rounding is expanded only if its determinant takes the
+    target's value at (1, 1), which costs one integer determinant."""
     l1 = pencil.matrices[1]
     d = l1.size
+    value = target.evaluate((Fraction(1), Fraction(1)))
     for dmax in (1, 2, 3, 4, 6, 8, 12, 16, 60, 1000):
         rows = [[l1[i, j].limit_denominator(dmax) for j in range(d)]
                 for i in range(d)]
         cand = LinearPencil([pencil.matrices[0], SymmetricMatrix(rows),
                              pencil.matrices[2]])
-        if determinant_polynomial(cand) == target:
+        scale, upper = cand._scaled((1, 1))
+        ints = [list(row) for row in _mirror(d, upper)]
+        if (Fraction(_bareiss_det(ints), scale ** d) == value
+                and determinant_polynomial(cand) == target):
             return cand
     return None
 
@@ -465,9 +477,12 @@ def represent(p: Polynomial, tol: float = 1e-9,
         if product != p:
             raise ConstructionError("supplied factors do not multiply to p")
         # every factor of p passes the line test on the rays p passed,
-        # so the parts need no scan of their own
-        pencil = direct_sum([_unverified_pencil(f, tol, seed)[0]
-                             for f in factors])
+        # so the parts need no scan of their own; as p(0,0) > 0, the
+        # factors negative there come in pairs, and each is negated
+        origin = (Fraction(0), Fraction(0))
+        pencil = direct_sum([
+            _unverified_pencil(-f if f.evaluate(origin) < 0 else f,
+                               tol, seed)[0] for f in factors])
         method, change = DIRECT_SUM, None
         failure = "direct sum failed verification"
     outcome = verify_representation(p, pencil, tol)
@@ -486,15 +501,10 @@ def _check_base_point(p: Polynomial) -> None:
 
 def _unverified_pencil(p: Polynomial, tol: float, seed: int
                        ) -> Tuple[LinearPencil, str, Optional[Matrix2]]:
-    """The pencil, method and coordinate change for one polynomial with
-    p(0,0) > 0, not yet verified."""
-    _check_base_point(p)
+    """The pencil, method and coordinate change for one two-variable
+    polynomial with p(0,0) > 0, not yet verified."""
     d = int(p.degree())
-    if d == 0:
-        one = SymmetricMatrix.identity(1)
-        zero = SymmetricMatrix.zero(1)
-        return LinearPencil([one, zero, zero]), CLOSED_FORM, None
-    if d == 1:
+    if d <= 1:
         return _degree_one(p), CLOSED_FORM, None
     if d > _MATCH_DEGREE_CAP:
         raise ConstructionError(

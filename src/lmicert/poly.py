@@ -372,9 +372,9 @@ class UnivariatePolynomial:
 
     Root analysis reads primitive(): f = (a/b) c with c primitive
     integers and a, b > 0, so c has f's signs.  A polynomial built from
-    Fractions works it out on first use; a restriction, a reversal or a
-    square-free factor is built from those integers (_from_primitive)
-    and works out its Fraction coeffs only when they are read.
+    Fractions works it out on first use; a restriction or a square-free
+    factor is built from those integers (_from_primitive) and works out
+    its Fraction coeffs only when they are read.
     """
 
     __slots__ = ("_coeffs", "_primitive", "_roots")

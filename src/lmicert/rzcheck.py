@@ -12,7 +12,9 @@ Every scan goes through one core: _scan checks the base point and the
 sampler, restricts p to each direction, counts the roots and stops at
 the first failing ray.  rz_check, rigid_convexity_check,
 hyperbolicity_check and topology.oval_profile are thin shells over it;
-boundary_samples shares its base check (_checked_base).  Restrictions
+boundary_samples shares its base check (_checked_base).
+hyperbolicity_check counts the affine restriction too and reads the
+count of its reversal (the at-infinity chart) off it.  Restrictions
 are read off p's homogeneous forms at the base point, which
 Polynomial.restrict builds once per base point, and each restriction
 keeps its one root analysis for every later count or isolation.
@@ -281,12 +283,14 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     with keep the restriction of p (negated if p(x0) < 0) to every
     scanned ray.
 
-    Roots are counted on the restriction f, or with reverse on its
-    degree-padded reversal, which allows p(x0) < 0.  A ray passes when
-    all roots of the counted polynomial are real with multiplicity; the
-    first failing ray stops the scan and is the witness.  f(0) = q(x0)
-    is nonzero, so neither polynomial is zero and the reversal has
-    degree deg p: nothing of it is left at infinity.
+    Roots are counted on the restriction f; reverse, which allows
+    p(x0) < 0, reports the count of f's reversal padded to degree
+    d = deg p instead.  f(0) = q(x0) is nonzero, so that reversal has
+    degree d, f's roots inverted and a root at 0 of multiplicity
+    d - deg f: f's count plus one distinct root when deg f < d.  A ray
+    passes when all roots of the counted polynomial are real with
+    multiplicity; the first failing ray stops the scan and is the
+    witness.
 
     Without keep, a plane scan of degree >= 2 builds the slope cells
     (_slope_cells) once _CELLS_AFTER rays have passed.  From then on, a
@@ -308,7 +312,11 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
         counts = None if cell is None else counted.get(cell)
         if counts is None:
             f = q.restrict(x, v)
-            counts = count_real_roots(_reversal(f, d) if reverse else f)
+            counts = count_real_roots(f)
+            drop = d - counts.total_degree
+            if reverse and drop:
+                counts = RootCount(counts.distinct_real + 1,
+                                   counts.real_with_multiplicity + drop, d)
             if keep:
                 restrictions.append(f)
             if cell is not None:
@@ -481,15 +489,6 @@ def hyperbolicity_check(p: Polynomial, x0: Sequence,
     (the homogenization is negated); it must be nonzero.
     """
     return _scan(p, x0, sampler or RaySampler(p.num_vars), reverse=True)[0]
-
-
-def _reversal(f: UnivariatePolynomial, total_degree: int) -> UnivariatePolynomial:
-    """Coefficients reversed after padding to total_degree: the root
-    polynomial in the at-infinity chart.  f(0) must be nonzero; the
-    reversal keeps f's primitive integers and scale."""
-    ints, a, b = f.primitive()
-    return UnivariatePolynomial._from_primitive(
-        (0,) * (total_degree + 1 - len(ints)) + ints[::-1], a, b)
 
 
 # -- boundary extraction ------------------------------------------------------

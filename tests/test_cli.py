@@ -147,6 +147,24 @@ def test_represent_with_factors_direct_sum(tmp_path):
     assert determinant_polynomial(pencil) == parse_polynomial(product)
 
 
+# factors negative at the origin, in pairs: -(1 - x1^2 - x2^2) and -1
+# for the disc, x1 - 1 and -1 - x1 for the strip 1 - x1^2
+@pytest.mark.parametrize("product, factors", [
+    (DISC_POLY, "vars 2\n-1 0 0\n1 2 0\n1 0 2\n\nvars 2\n-1 0 0\n"),
+    (STRIP_POLY, "vars 2\n-1 0 0\n1 1 0\n\nvars 2\n-1 0 0\n-1 1 0\n"),
+], ids=["disc", "strip"])
+def test_represent_negates_factors_negative_at_the_origin(tmp_path, product,
+                                                          factors):
+    path = write(tmp_path, "product.poly", product)
+    fpath = write(tmp_path, "factors.txt", factors)
+    code, out, _ = run_cli(["represent", path, "--factors", fpath] + FAST)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["method"], doc["kind"]) == ("DirectSum", "ExactMatch")
+    pencil = parse_pencil(doc["pencil"])
+    assert determinant_polynomial(pencil) == parse_polynomial(product)
+
+
 def test_represent_not_rz_exits_2(tmp_path):
     path = write(tmp_path, "fermat.poly", FERMAT_POLY)
     code, out, _ = run_cli(["represent", path] + FAST)

@@ -16,7 +16,8 @@ from lmicert.errors import (BasePointError, CertifiedNotRZError,
                             ConstructionError, DimensionMismatch)
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
                             determinant_polynomial, membership, parse_pencil)
-from lmicert.poly import Polynomial, parse_polynomial
+from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
+from lmicert.realroots import isolate_real_roots
 from lmicert.rzcheck import RaySampler
 
 F = Fraction
@@ -166,20 +167,42 @@ def test_seeded_cubic_determinants_round_trip():
         done += 1
 
 
-def test_matching_expands_each_pencil_once(monkeypatch):
-    # one expansion per start that reached the tolerance, one per
-    # promotion candidate, and none for the winner again
-    rng = random.Random(7)
-    mats = [SymmetricMatrix.identity(3)]
+def _half_integer_pencil(seed, d):
+    rng = random.Random(seed)
+    mats = [SymmetricMatrix.identity(d)]
     for _ in range(2):
-        rows = [[F(0)] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
+        rows = [[F(0)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
                 rows[i][j] = rows[j][i] = F(rng.randint(-2, 2), 2)
         mats.append(SymmetricMatrix(rows))
-    q, data, _ = intercept_normalize(
-        determinant_polynomial(LinearPencil(mats)))
-    assert q.degree() == 3
+    return LinearPencil(mats)
+
+
+def _rational_pencil(seed, d):
+    """I + x1 L1 + x2 L2 with small-denominator entries and a diagonal
+    L2 of distinct entries, so the intercepts and [L1]_ii are exact."""
+    rng = random.Random(seed)
+    while True:
+        diag = [F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 3))
+                for _ in range(d)]
+        if len(set(diag)) == d:
+            break
+    rows = [[F(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = F(rng.randint(-4, 4),
+                                        rng.choice([1, 2, 3, 4, 5, 6, 8, 12]))
+    return LinearPencil([SymmetricMatrix.identity(d), SymmetricMatrix(rows),
+                         SymmetricMatrix.diagonal(diag)])
+
+
+def _matching_expansions(monkeypatch, pencil):
+    """match_offdiagonal on det(pencil), with its expansions split into
+    those of the promotion and the others, and the count of starts
+    that reached the tolerance."""
+    q, data, change = intercept_normalize(determinant_polynomial(pencil))
+    assert change is None
     expansions, reached, promoting = [], [], [False]
     expand, minimize = construct.determinant_polynomial, construct._lm_minimize
     promote = construct._try_promote
@@ -205,11 +228,139 @@ def test_matching_expands_each_pencil_once(monkeypatch):
     monkeypatch.setattr(construct, "_try_promote", counted_promote)
     result = match_offdiagonal(q, fixed_part(data))
     assert result.residual <= 1e-9
-    candidates = expansions.count(True)
-    assert 1 <= candidates <= 10
-    if result.residual:
-        assert candidates == 10
-    assert expansions.count(False) == sum(reached) >= 1
+    return (result, expansions.count(True), expansions.count(False),
+            sum(reached))
+
+
+def test_matching_expands_each_pencil_once(monkeypatch):
+    # one expansion per start that reached the tolerance, none for the
+    # winner again, and none for a promotion whose candidates all
+    # differ from the target at (1, 1)
+    result, promoting, others, reached = _matching_expansions(
+        monkeypatch, _half_integer_pencil(7, 3))
+    assert result.residual > 0
+    assert promoting == 0
+    assert others == reached >= 1
+
+
+# seed 5009 promotes with every bound from 8 up; seed 5012 only with the
+# bounds 6 to 60, since its solve ends at another real solution about
+# 1e-3 from the rational one
+@pytest.mark.parametrize("seed", [5009, 5012])
+def test_promotion_expands_one_candidate(monkeypatch, seed):
+    result, promoting, others, reached = _matching_expansions(
+        monkeypatch, _rational_pencil(seed, 3))
+    assert result.residual == 0
+    assert promoting == 1
+    assert others == reached >= 1
+
+
+def _ladder_promote(pencil, target):
+    """Reference for _try_promote: every rounding of L1, dmax = 1 up to
+    1000, is expanded until one has the target determinant."""
+    l1 = pencil.matrices[1]
+    d = l1.size
+    for dmax in (1, 2, 3, 4, 6, 8, 12, 16, 60, 1000):
+        rows = [[l1[i, j].limit_denominator(dmax) for j in range(d)]
+                for i in range(d)]
+        cand = LinearPencil([pencil.matrices[0], SymmetricMatrix(rows),
+                             pencil.matrices[2]])
+        if determinant_polynomial(cand) == target:
+            return cand
+    return None
+
+
+def _promotion_inputs():
+    for k in range(13):
+        yield determinant_polynomial(_rational_pencil(5000 + k, 3 + k % 3))
+    rng = random.Random(77)
+    for d in (3, 3, 4, 4, 5):
+        while True:
+            pencil = _half_integer_pencil(rng.randrange(10 ** 6), d)
+            p = determinant_polynomial(pencil)
+            if p.degree() == d:
+                break
+        yield p
+
+
+def test_promotion_matches_the_expanding_ladder(monkeypatch):
+    # the winners of the solve, rounded by _try_promote and by the
+    # reference, on rational-entry pencils with diagonal L2 and on
+    # generic determinantal inputs
+    winners = []
+    promote = construct._try_promote
+
+    def kept(pencil, target):
+        winners.append((pencil, target))
+        return promote(pencil, target)
+
+    monkeypatch.setattr(construct, "_try_promote", kept)
+    for p in _promotion_inputs():
+        q, data, _ = intercept_normalize(p)
+        match_offdiagonal(q, fixed_part(data))
+    assert len(winners) == 18
+    promoted = 0
+    for pencil, target in winners:
+        got = promote(pencil, target)
+        assert got == _ladder_promote(pencil, target)
+        promoted += got is not None
+    assert promoted >= 3
+
+
+def _ladder_snap(g, low, high, mid):
+    """Reference for _snap_root: candidates for denominator bounds 1 up
+    to 10^6, in turn."""
+    if low == high:
+        return low
+    for dmax in (1, 2, 3, 4, 6, 8, 12, 16, 24, 60, 1000, 10 ** 6):
+        cand = mid.limit_denominator(dmax)
+        if low < cand < high and g.evaluate(cand) == 0:
+            return cand
+    return mid
+
+
+def _snap_polynomials():
+    """Seeded polynomials with rational roots a/b, b from 1 to 10^6 and
+    one just above, each times an irreducible quadratic (irrational
+    roots); yields (g, rational roots)."""
+    rng = random.Random(11)
+    for k in range(8):
+        dens = [1, 10 ** 6, 10 ** 6 + 1] if k == 0 else [
+            rng.randint(1, 10 ** rng.randint(1, 6)) for _ in range(3)]
+        roots = {F(rng.randint(-3 * b, 3 * b), b) for b in dens}
+        g = UnivariatePolynomial([-rng.choice([2, 3, 5, 7]), 0, 1])
+        for r in roots:
+            g = g * UnivariatePolynomial([-r, 1])
+        yield g, roots
+
+
+def test_snap_root_matches_the_ladder_with_one_evaluation(monkeypatch):
+    evaluated = []
+    evaluate = UnivariatePolynomial.evaluate
+
+    def counted(f, x):
+        evaluated.append(x)
+        return evaluate(f, x)
+
+    resolution = construct._INTERCEPT_RESOLUTION
+    snapped = 0
+    for g, roots in _snap_polynomials():
+        for iv in isolate_real_roots(g, resolution):
+            mid = iv.midpoint()
+            expected = _ladder_snap(g, iv.low, iv.high, mid)
+            monkeypatch.setattr(UnivariatePolynomial, "evaluate", counted)
+            evaluated.clear()
+            got = construct._snap_root(g, iv.low, iv.high, mid)
+            monkeypatch.undo()
+            assert got == expected
+            assert len(evaluated) <= 1
+            exact = [r for r in roots if iv.low <= r <= iv.high]
+            if exact and exact[0].denominator <= 10 ** 6:
+                assert got == exact[0]
+                snapped += 1
+            else:
+                assert got == mid
+    assert snapped >= 15
 
 
 def test_coordinate_change_is_undone():

@@ -13,7 +13,7 @@ from lmicert import rzcheck
 from lmicert.errors import (BasePointError, DimensionMismatch,
                             ZeroPolynomialError)
 from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
-from lmicert.realroots import count_real_roots
+from lmicert.realroots import RootCount, count_real_roots
 from lmicert.rzcheck import (CERTIFIED_NOT_RZ, PROBABLY_RZ, RaySampler,
                              _grid_index, _reduce_direction,
                              _square_direction,
@@ -374,6 +374,28 @@ def test_hyperbolicity_counts_infinity_as_root_at_zero():
     assert vertical.degree == 3
     assert vertical.with_multiplicity == 3
     assert vertical.at_infinity == 0
+
+
+# the vertical ray has deg f < deg p on both: 4 - mu^2 on the odd cubic,
+# which passes, and 1 + mu^2 on 1 + x2^2 - x1^3, whose reversal
+# mu + mu^3 has only the real root 0 and is the witness
+@pytest.mark.parametrize("p, kind", [
+    (ODD_CUBIC, PROBABLY_RZ), (one + x2 ** 2 - x1 ** 3, CERTIFIED_NOT_RZ)])
+def test_hyperbolicity_degree_drops_match_fraction_reversal(p, kind):
+    sampler = RaySampler(2, extra_directions=((0, 1),))
+    verdict = hyperbolicity_check(p, (0, 0), sampler)
+    assert verdict.kind == kind
+    vertical = verdict.per_ray[0]
+    assert vertical.direction == (0, 1)
+    assert int(p.restrict((0, 0), (0, 1)).degree()) == 2
+    assert (vertical.degree, vertical.at_infinity) == (3, 0)
+    expected = _direct_verdict(p, (0, 0), sampler, reverse=True)
+    assert (verdict.kind, verdict.witness, verdict.per_ray) == expected
+    if kind == CERTIFIED_NOT_RZ:
+        f = p.restrict((0, 0), (0, 1))
+        reversal = UnivariatePolynomial((f.coeffs + (F(0),))[::-1])
+        assert verdict.witness == ((0, 1), count_real_roots(reversal))
+        assert verdict.witness[1] == RootCount(1, 1, 3)
 
 
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=5)

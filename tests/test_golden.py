@@ -93,6 +93,11 @@ DEFAULT_SAMPLER_CASES = {
     "odd_cubic.check.default": ["odd_cubic", "check"],
     "tangent.hyperbolic.default": ["tangent", "hyperbolic", "--point=-4,0"],
     "concentric.check.default": ["concentric", "check"],
+    # topology past the point where the scan builds its slope cells
+    "concentric.topology.json.default": ["concentric", "topology"],
+    "tangent.topology.json.default": ["tangent", "topology", "--point=-4,0"],
+    "odd_cubic.topology.csv.default": ["odd_cubic", "topology", "--format",
+                                       "csv"],
 }
 
 

@@ -65,9 +65,10 @@ class InterceptData:
     """Axis intercepts (0, c_i) of the curve and the implicit slopes
     there.  Roots are exact rationals when the curve passes through
     one, otherwise rational approximations accurate to the working
-    resolution."""
+    resolution; exact records whether every root is exact."""
     roots: Tuple[Fraction, ...]
     slopes: Tuple[Fraction, ...]
+    exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,9 @@ def _snap_root(g: UnivariatePolynomial, low: Fraction, high: Fraction,
 
 def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     """Intercept data if p(0, mu) has deg p distinct real roots, else
-    None (a coordinate change is needed)."""
+    None (a coordinate change is needed).  A root that did not snap is
+    the midpoint of its interval; it is still exact when the midpoint
+    is the root, which is then tested once."""
     d = int(p.degree())
     g = _axis_poly(p)
     if g.degree() != d:
@@ -120,8 +123,14 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     counts = count_real_roots(g)
     if not (counts.distinct_real == d and counts.real_with_multiplicity == d):
         return None
-    roots = [_snap_root(g, iv.low, iv.high, iv.midpoint())
-             for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION)]
+    roots = []
+    exact = True
+    for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION):
+        mid = iv.midpoint()
+        root = _snap_root(g, iv.low, iv.high, mid)
+        exact = exact and (root != mid or iv.low == iv.high
+                           or g.evaluate(mid) == 0)
+        roots.append(root)
     # inner intercepts first, positive before negative on ties; this
     # fixes the representation among the diag-permutation equivalents
     order = sorted(range(d), key=lambda i: (abs(roots[i]), roots[i] < 0))
@@ -138,7 +147,7 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
             # derivative stays away from zero, but guard anyway
             return None
         slopes.append(-p1.evaluate(at) / denom)
-    return InterceptData(tuple(roots), tuple(slopes))
+    return InterceptData(tuple(roots), tuple(slopes), exact)
 
 
 def _random_change(rng: random.Random) -> Matrix2:
@@ -279,7 +288,7 @@ def _lm_minimize(residual_fn, jacobian_fn, u0: np.ndarray) -> np.ndarray:
 
 def match_offdiagonal(p: Polynomial,
                       fixed: Tuple[SymmetricMatrix, Tuple[Fraction, ...]],
-                      tol: float = 1e-9, seed: int = 0
+                      tol: float = 1e-9, seed: int = 0, promote: bool = True
                       ) -> RepresentationResult:
     """Solve for the off-diagonal of L1 so the pencil determinant
     matches p / p(0,0).
@@ -288,9 +297,10 @@ def match_offdiagonal(p: Polynomial,
     plus 16 seeded random starts); each start that reaches the
     tolerance is re-checked by exact rational determinant expansion;
     an exact rounding of the winner replaces it if one has the target
-    determinant (_try_promote, at most one more expansion).  The result
-    carries no outcome: represent verifies the pencil it finally
-    returns.
+    determinant (_try_promote, at most one more expansion).  promote is
+    False when some intercept is not exact (InterceptData.exact); then
+    no rounding can succeed, and none is tried.  The result carries no
+    outcome: represent verifies the pencil it finally returns.
     """
     l2, diag1 = fixed
     d = l2.size
@@ -367,7 +377,7 @@ def match_offdiagonal(p: Polynomial,
             "no start of the off-diagonal solve reached the tolerance; "
             "retry with a different coordinate change or seed",
             residual=None if best_pencil is None else best_residual)
-    promoted = _try_promote(best_pencil, target)
+    promoted = _try_promote(best_pencil, target) if promote else None
     if promoted is not None:
         # det(promoted) == target exactly
         best_pencil, best_residual = promoted, 0.0
@@ -384,7 +394,12 @@ def _try_promote(pencil: LinearPencil, target: Polynomial
     of a/b of order 1000 lie 1/(b 1000) away; the coarser ones also
     reach a rational solution near a winner that is another, nearby
     solution.  A rounding is expanded only if its determinant takes the
-    target's value at (1, 1), which costs one integer determinant."""
+    target's value at (1, 1), which costs one integer determinant.
+
+    Every rounding keeps L2 = diag(-1/c_i), and at x1 = 0 the target is
+    p(0, x2)/p(0, 0) while det(I + x2 L2) = prod(1 - x2/c_i): the two
+    agree only when every c_i is a root of p(0, x2).  So the call is
+    worth making only when every intercept is exact."""
     l1 = pencil.matrices[1]
     d = l1.size
     value = target.evaluate((Fraction(1), Fraction(1)))
@@ -516,7 +531,8 @@ def _unverified_pencil(p: Polynomial, tol: float, seed: int
         pencil = _degree_two(q, data)
         method = CLOSED_FORM
     else:
-        matched = match_offdiagonal(q, fixed_part(data), tol=tol, seed=seed)
+        matched = match_offdiagonal(q, fixed_part(data), tol=tol, seed=seed,
+                                    promote=data.exact)
         pencil, method = matched.pencil, matched.method
     if change is not None:
         pencil = _undo_change(pencil, change)

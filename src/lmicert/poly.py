@@ -337,14 +337,43 @@ class Polynomial:
     def _build_forms(self, x0: Tuple[Fraction, ...]):
         """Cache and return (x0, E, forms): forms[k] lists (e, C_e) with
         integers C_e such that the degree-k form of p(x0 + y) is
-        sum C_e y^e / E.  p must not be zero."""
-        q = self.shift(x0) if any(x0) else self
-        den = _lcm_denominators(q._terms.values())
-        forms = [[] for _ in range(self.degree() + 1)]
-        for exps, c in q._terms.items():
-            forms[sum(exps)].append(
-                (exps, c.numerator * (den // c.denominator)))
-        self._forms = (x0, den, forms)
+        sum C_e y^e / E, E > 0 as small as that allows.  p must not be
+        zero.
+
+        With p = sum_e c_e x^e / E0 for integers c_e and x0 = X / D,
+        E0 D^n p(x0 + y) = sum_e c_e D^(n - |e|) prod_i (D y_i + X_i)^e_i
+        for n = deg p: integers, expanded one variable at a time.  They
+        and E0 D^n are then divided by their gcd, which gives shift's
+        coefficients over the lcm of their denominators."""
+        den = _lcm_denominators(self._terms.values())
+        n = self.degree()
+        forms = [[] for _ in range(n + 1)]
+        if not any(x0):
+            for exps, c in self._terms.items():
+                forms[sum(exps)].append(
+                    (exps, c.numerator * (den // c.denominator)))
+            self._forms = (x0, den, forms)
+            return self._forms
+        dx = _lcm_denominators(x0)
+        xs = [c.numerator * (dx // c.denominator) for c in x0]
+        dpow = [dx ** k for k in range(n + 1)]
+        total: Dict[Exponents, int] = {}
+        for exps, c in self._terms.items():
+            partial = {(): c.numerator * (den // c.denominator)
+                       * dpow[n - sum(exps)]}
+            for xi, e in zip(xs, exps):
+                row = [(k, comb(e, k) * dpow[k] * xi ** (e - k))
+                       for k in range(e + 1) if xi or k == e]
+                partial = {pexps + (k,): pc * coef
+                           for pexps, pc in partial.items()
+                           for k, coef in row}
+            for key, v in partial.items():
+                total[key] = total.get(key, 0) + v
+        g = gcd(den * dpow[n], *total.values())
+        for exps, v in total.items():
+            if v:
+                forms[sum(exps)].append((exps, v // g))
+        self._forms = (x0, den * dpow[n] // g, forms)
         return self._forms
 
 

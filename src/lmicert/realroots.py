@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, ldexp
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ZeroPolynomialError
@@ -310,9 +310,12 @@ class _Grid:
     B = m/l is its Cauchy bound: every real root lies strictly inside
     (-B, B).  g and its Sturm chain are scaled once to l^n c(m y / l),
     a positive multiple of c at x = B*y, so signs at the grid point
-    B*j/2^k are signs of the scaled polynomials at j/2^k."""
+    B*j/2^k are signs of the scaled polynomials at j/2^k.  floats holds
+    the scaled g over 2^b, b the bit length of its largest coefficient,
+    highest degree first: every coefficient is at most 1 in size, so at
+    |y| <= 1 no float overflows."""
 
-    __slots__ = ("m", "l", "g", "chain")
+    __slots__ = ("m", "l", "g", "chain", "floats")
 
     def __init__(self, g: IntPoly, chain: List[IntPoly]):
         lead = abs(g[-1])
@@ -321,6 +324,8 @@ class _Grid:
         self.m, self.l = bound.numerator, bound.denominator
         self.g = self._scaled(g)
         self.chain = [self._scaled(c) for c in chain]
+        top = 1 << max(abs(c).bit_length() for c in self.g)
+        self.floats = [c / top for c in reversed(self.g)]
 
     def _scaled(self, c: IntPoly) -> IntPoly:
         n = len(c) - 1
@@ -333,11 +338,6 @@ class _Grid:
 
     def point(self, j: int, k: int) -> Fraction:
         return Fraction(self.m * j, self.l << k)
-
-    def wider(self, ja: int, jb: int, k: int, resolution: Fraction) -> bool:
-        """Whether B*(jb - ja)/2^k > resolution."""
-        return (self.m * (jb - ja) * resolution.denominator
-                > (self.l * resolution.numerator) << k)
 
     def sign(self, j: int, k: int) -> int:
         return _int_sign_at(self.g, j, 1 << k)
@@ -427,18 +427,66 @@ def _isolate_factor(grid: _Grid, resolution: Fraction
     return out
 
 
+# the deepest level to which _refine bisects in floats: grid points
+# j/2^k in (-1, 1) are doubles up to k = 53, and near a simple root the
+# float sign of g is reliable only a few levels less deep
+_FLOAT_LEVELS = 45
+
+
 def _refine(grid: _Grid, ja: int, jb: int, k: int,
             resolution: Fraction) -> Tuple[int, int, int]:
-    """Shrink an interval known to contain exactly one simple root; the
-    endpoints are non-roots, so the sign change tracks the root."""
+    """Shrink (ja, jb) on level k, known to hold exactly one simple root
+    and no root at its ends, by bisection: down to the first level K on
+    which B*(jb - ja)/2^K <= resolution, or to a midpoint that is the
+    root.  The width in grid steps stays jb - ja, so K is read off bit
+    lengths once.
+
+    The bisection runs in floats first (_float_bisect), to level
+    min(K, _FLOAT_LEVELS).  Its interval is taken only when g has the
+    exact sign sign_a at its left end and -sign_a at its right end.
+    Then the one root lies strictly inside it, so on no midpoint of
+    the levels before it, and exact bisection, which keeps the half
+    that holds the root, would reach the same interval.  Otherwise
+    the exact bisection starts again from (ja, jb).  Floats only choose
+    which path runs, never which interval is returned; the levels
+    after the float ones are bisected exactly."""
     sign_a = grid.sign(ja, k)
-    while grid.wider(ja, jb, k, resolution):
+    top = grid.m * (jb - ja) * resolution.denominator
+    unit = grid.l * resolution.numerator
+    end = max(k, top.bit_length() - unit.bit_length())
+    if unit << end < top:
+        end += 1
+    deep = min(end, _FLOAT_LEVELS)
+    if deep > k:
+        fa, fb, fk = _float_bisect(grid.floats, ja, jb, k, deep, sign_a)
+        if grid.sign(fa, fk) == sign_a and grid.sign(fb, fk) == -sign_a:
+            ja, jb, k = fa, fb, fk
+    while k < end:
         jm = ja + jb
         ja, jb, k = 2 * ja, 2 * jb, k + 1
         s = grid.sign(jm, k)
         if s == 0:
             return jm, jm, k
         if s == sign_a:
+            ja = jm
+        else:
+            jb = jm
+    return ja, jb, k
+
+
+def _float_bisect(floats: List[float], ja: int, jb: int, k: int, end: int,
+                  sign_a: int) -> Tuple[int, int, int]:
+    """_refine's bisection of (ja, jb) from level k to level end, with
+    the sign of g at each midpoint j/2^k taken in floats (Horner on
+    floats, highest degree first); a float zero counts as -sign_a."""
+    while k < end:
+        jm = ja + jb
+        ja, jb, k = 2 * ja, 2 * jb, k + 1
+        y = ldexp(jm, -k)
+        value = 0.0
+        for c in floats:
+            value = value * y + c
+        if (value > 0) - (value < 0) == sign_a:
             ja = jm
         else:
             jb = jm

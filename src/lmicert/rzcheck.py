@@ -37,9 +37,10 @@ slope lies strictly inside a cell where a ray was already counted
 takes that ray's root count, with no restriction.  Vertical rays,
 slopes that may be zeros of P, and every ray when D = 0 (p not
 square-free) are counted directly.  The verdict and every record are
-those of counting every ray.  rz_check, rigid_convexity_check and
-hyperbolicity_check use the cells; oval_profile, which needs every
-restriction, and boundary_samples do not.
+those of counting every ray.  Every scan uses the cells; for
+oval_profile a ray takes its counts only from a ray of its cell with
+the same sign of v1, whose side counts it shares (_slope_key).
+boundary_samples, which isolates the roots on every ray, does not.
 """
 
 from __future__ import annotations
@@ -278,10 +279,13 @@ def _checked_base(p: Polynomial, x0: Sequence, signed: bool = False
 
 def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
           reverse: bool = False, keep: bool = False
-          ) -> Tuple[RZVerdict, List[UnivariatePolynomial]]:
+          ) -> Tuple[RZVerdict, List[Tuple[Optional[UnivariatePolynomial],
+                                           int]]]:
     """The line test along the sampler's directions: the verdict, and
-    with keep the restriction of p (negated if p(x0) < 0) to every
-    scanned ray.
+    with keep one pair (f, i) per scanned ray: f is the restriction of p
+    to the ray and i the ray's own index, or f is None when the ray took
+    its counts from ray i, the first one scanned in its slope cell with
+    the same sign of v1.
 
     Roots are counted on the restriction f; reverse, which allows
     p(x0) < 0, reports the count of f's reversal padded to degree
@@ -292,25 +296,26 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     multiplicity; the first failing ray stops the scan and is the
     witness.
 
-    Without keep, a plane scan of degree >= 2 builds the slope cells
-    (_slope_cells) once _CELLS_AFTER rays have passed.  From then on, a
-    ray whose slope lies in a cell where an earlier ray was counted
-    takes that ray's RootCount, with no restriction; the verdict is the
-    one of counting every ray.
+    A plane scan of degree >= 2 builds the slope cells (_slope_cells)
+    once _CELLS_AFTER rays have passed.  From then on, a ray whose slope
+    lies in a cell where an earlier ray was counted takes that ray's
+    RootCount, with no restriction; the verdict is the one of counting
+    every ray.  With keep, the earlier ray must also have the same sign
+    of v1, so that it has the same side counts (topology.oval_profile).
     """
     q, x = _checked_base(p, x0, signed=reverse)
     if sampler.num_vars != p.num_vars:
         raise DimensionMismatch("sampler dimension differs from polynomial")
     d = int(q.degree())
     per_ray: List[RayRecord] = []
-    restrictions: List[UnivariatePolynomial] = []
-    build = not keep and d >= 2 and p.num_vars == 2
+    kept: List[Tuple[Optional[UnivariatePolynomial], int]] = []
+    build = d >= 2 and p.num_vars == 2
     cells = None
-    counted = {}                # cell -> RootCount of a ray in it
+    counted = {}                # key -> (RootCount, index of a ray with it)
     for v in sampler.directions():
-        cell = None if cells is None else _slope_cell(cells, v)
-        counts = None if cell is None else counted.get(cell)
-        if counts is None:
+        key = None if cells is None else _slope_key(cells, v, keep)
+        hit = None if key is None else counted.get(key)
+        if hit is None:
             f = q.restrict(x, v)
             counts = count_real_roots(f)
             drop = d - counts.total_degree
@@ -318,27 +323,31 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
                 counts = RootCount(counts.distinct_real + 1,
                                    counts.real_with_multiplicity + drop, d)
             if keep:
-                restrictions.append(f)
-            if cell is not None:
-                counted[cell] = counts
+                kept.append((f, len(per_ray)))
+            if key is not None:
+                counted[key] = (counts, len(per_ray))
+        else:
+            counts = hit[0]
+            if keep:
+                kept.append((None, hit[1]))
         deg = counts.total_degree
         real = counts.real_with_multiplicity
         per_ray.append(RayRecord(v, deg, counts.distinct_real, real,
                                  d - deg, real == deg))
         if real != deg:
             return (RZVerdict(CERTIFIED_NOT_RZ, (v, counts), len(per_ray),
-                              sampler.seed, tuple(per_ray)), restrictions)
+                              sampler.seed, tuple(per_ray)), kept)
         if build and len(per_ray) == _CELLS_AFTER:
             build = False
             cells = _slope_cells(q, x)
-            # the rays counted so far are the first of their cells
-            for r in per_ray if cells is not None else ():
-                cell = _slope_cell(cells, r.direction)
-                if cell is not None and cell not in counted:
-                    counted[cell] = RootCount(r.distinct, r.with_multiplicity,
-                                              r.degree)
+            # the rays counted so far are the first of their keys
+            for i, r in enumerate(per_ray if cells is not None else ()):
+                key = _slope_key(cells, r.direction, keep)
+                if key is not None and key not in counted:
+                    counted[key] = (RootCount(r.distinct, r.with_multiplicity,
+                                              r.degree), i)
     return (RZVerdict(PROBABLY_RZ, None, len(per_ray), sampler.seed,
-                      tuple(per_ray)), restrictions)
+                      tuple(per_ray)), kept)
 
 
 # -- slope cells --------------------------------------------------------------
@@ -433,14 +442,22 @@ def _slope_cells(q: Polynomial, x: Tuple[Fraction, ...]
     return RootCells(product, _CELL_WIDTH_EXP)
 
 
-def _slope_cell(cells: RootCells, v: Direction) -> Optional[int]:
-    """The cell of v's slope v2/v1; None for a vertical ray or a slope
-    that may be a zero of P."""
+def _slope_key(cells: RootCells, v: Direction, sides: bool
+               ) -> Optional[Tuple[int, bool]]:
+    """(cell of v's slope v2/v1, sides and v1 > 0); None for a vertical
+    ray or a slope that may be a zero of P.
+
+    Rays with one key have one RootCount.  With sides, they also have
+    the same number of roots mu < 0 and mu > 0: the roots s of g_t on
+    the cell are simple and nonzero, so the number of each sign cannot
+    change across the cell, and mu = 1/(v1 s) has the sign of s for
+    v1 > 0 and the other for v1 < 0."""
     a, b = v
     if not a:
         return None
     num, den = b.numerator * a.denominator, b.denominator * a.numerator
-    return cells.cell(num, den) if den > 0 else cells.cell(-num, -den)
+    cell = cells.cell(num, den) if den > 0 else cells.cell(-num, -den)
+    return None if cell is None else (cell, sides and a > 0)
 
 
 def rz_check(p: Polynomial, x0: Sequence,

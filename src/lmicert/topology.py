@@ -8,9 +8,15 @@ k nested ovals, and odd degree contributes one extra crossing (a curve
 branch that behaves like a line), possibly at infinity.  Nesting is
 read off 1-D root orderings only; no curve tracing is involved.
 
-The side counts and votes come from Sturm counts; a ray's roots are
-isolated only when its parameters are first read.  The line test's
-count, the side counts and the isolation read one root analysis per ray.
+The side counts and votes come from Sturm counts on the rays the line
+test restricts.  Once the scan has built its slope cells
+(rzcheck._scan), a later ray takes the side counts of the first ray in
+its cell with the same sign of v1: on the cell every line meets the
+curve in d simple points away from the base point, so the number on
+each side cannot change, and it swaps exactly when v1 changes sign.
+Such a ray is restricted, and its roots isolated, only when its
+parameters are first read.  The line test's count, the side counts and
+the isolation read one root analysis per ray.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CertifiedNotRZError, DimensionMismatch
-from .poly import Polynomial, UnivariatePolynomial
+from .poly import Polynomial, UnivariatePolynomial, as_point
 # count_real_roots is not called here (rzcheck._scan runs the line
 # test); perfbench's tracer self-test expects this module to bind it
 from .realroots import (count_real_roots,  # noqa: F401
@@ -42,9 +48,22 @@ class RayProfile:
     # no nested-oval picture
     vote: Optional[Tuple[int, bool]]
     has_multiple_root: bool
-    # what `parameters` isolates on first read
-    restriction: UnivariatePolynomial = field(compare=False, repr=False)
+    # what `parameters` isolates on first read: the scan's restriction,
+    # or None to restrict the polynomial at the base point of `line`
+    scanned: Optional[UnivariatePolynomial] = field(compare=False,
+                                                    repr=False)
+    line: Tuple[Polynomial, Tuple[Fraction, ...]] = field(compare=False,
+                                                          repr=False)
     resolution: Fraction = field(compare=False, repr=False)
+
+    @cached_property
+    def restriction(self) -> UnivariatePolynomial:
+        """p(x0 + mu v) for this ray's direction v, built on first read
+        when the scan took the ray's counts from its slope cell."""
+        if self.scanned is not None:
+            return self.scanned
+        p, x = self.line
+        return p.restrict(x, self.direction)
 
     @cached_property
     def parameters(self) -> Tuple[Tuple[Fraction, int], ...]:
@@ -95,9 +114,9 @@ def oval_profile(p: Polynomial, x0: Sequence,
         raise DimensionMismatch("oval profiles are two-variable only")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    # the side counts need every restriction, so the scan keeps them
-    # and counts every ray
-    verdict, restrictions = _scan(
+    # a ray that took its counts from its slope cell takes the side
+    # counts of the first ray with its key (rzcheck._slope_key)
+    verdict, kept = _scan(
         p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))),
         keep=True)
     if verdict.certified_not_rz():
@@ -107,9 +126,13 @@ def oval_profile(p: Polynomial, x0: Sequence,
             f"{tuple(str(c) for c in v)} meets the curve in only "
             f"{counts.real_with_multiplicity} of {counts.total_degree} "
             f"affine points", verdict=verdict)
+    x = as_point(x0, 2)
     rays: List[RayProfile] = []
-    for record, f in zip(verdict.per_ray, restrictions):
-        neg, pos = side_counts(f) if record.degree > 0 else (0, 0)
+    for record, (f, first) in zip(verdict.per_ray, kept):
+        if f is None:
+            neg, pos = rays[first].negative_count, rays[first].positive_count
+        else:
+            neg, pos = side_counts(f) if record.degree > 0 else (0, 0)
         rays.append(RayProfile(
             direction=record.direction,
             negative_count=neg,
@@ -118,7 +141,8 @@ def oval_profile(p: Polynomial, x0: Sequence,
             vote=_ray_vote(neg, pos, record.at_infinity),
             # some real root has multiplicity > 1
             has_multiple_root=record.with_multiplicity > record.distinct,
-            restriction=f,
+            scanned=f,
+            line=(p, x),
             resolution=resolution,
         ))
     votes = {r.vote for r in rays}

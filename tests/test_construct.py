@@ -255,6 +255,28 @@ def test_promotion_expands_one_candidate(monkeypatch, seed):
     assert others == reached >= 1
 
 
+def test_inexact_intercepts_make_no_promotion_screen(monkeypatch):
+    # an intercept that is not a root keeps det(I + x2 L2) away from
+    # p(0, x2) / p(0, 0) for every rounding of L1, so represent screens
+    # none; with exact intercepts the promotion still runs
+    screens = []
+    screen = construct._bareiss_det
+    monkeypatch.setattr(construct, "_bareiss_det",
+                        lambda rows: screens.append(rows) or screen(rows))
+    generic = determinant_polynomial(_half_integer_pencil(7, 3))
+    _, data, change = intercept_normalize(generic)
+    assert change is None and not data.exact
+    result = represent(generic, sampler=SMALL)
+    assert result.method == COEFFICIENT_MATCHING
+    assert result.outcome.kind == APPROX_MATCH
+    assert screens == []
+    rational = determinant_polynomial(_rational_pencil(5009, 3))
+    assert intercept_normalize(rational)[1].exact
+    result = represent(rational, sampler=SMALL)
+    assert result.outcome.kind == EXACT_MATCH
+    assert len(screens) >= 1
+
+
 def _ladder_promote(pencil, target):
     """Reference for _try_promote: every rounding of L1, dmax = 1 up to
     1000, is expanded until one has the target determinant."""

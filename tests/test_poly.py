@@ -257,6 +257,53 @@ def test_evaluate_agrees_with_term_by_term_sum(p, pt, line):
     assert p.evaluate(pt) == _term_by_term(p, pt)
 
 
+@st.composite
+def three_var_poly_st(draw):
+    p = Polynomial.zero(3)
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        exps = draw(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3))
+        c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        p = p + Polynomial(3, {exps: c})
+    return p
+
+
+def _plane_and_space_cases():
+    plane = st.tuples(st.one_of(poly_st(), wide_poly_st()),
+                      st.one_of(point_st, wide_point_st))
+    point3 = st.tuples(*[st.fractions(min_value=-4, max_value=4,
+                                      max_denominator=8)] * 3)
+    space = st.tuples(three_var_poly_st(), point3)
+    return st.one_of(plane, space).filter(lambda c: not c[0].is_zero())
+
+
+@given(_plane_and_space_cases())
+@settings(max_examples=150, deadline=None)
+def test_forms_off_the_origin_are_the_shift_over_one_denominator(case):
+    # _build_forms shifts integer numerators; Polynomial.shift, in
+    # Fraction arithmetic, is the reference: the same terms, over the
+    # lcm of their denominators
+    p, x0 = case
+    x0 = tuple(Fraction(c) for c in x0)
+    _, den, forms = p._build_forms(x0)
+    shifted = p.shift(x0)
+    terms = shifted.terms
+    assert den == _lcm([c.denominator for c in terms.values()])
+    assert len(forms) == int(p.degree()) + 1
+    got = {}
+    for k, form in enumerate(forms):
+        for exps, c in form:
+            assert sum(exps) == k and c != 0 and exps not in got
+            got[exps] = Fraction(c, den)
+    assert got == terms
+
+
+def _lcm(values):
+    out = 1
+    for v in values:
+        out = out * v // gcd(out, v)
+    return out
+
+
 @pytest.mark.parametrize("p", [Polynomial.zero(2),
                                Polynomial.constant(frac(-7, 2 ** 60), 2)])
 def test_evaluate_zero_and_constants_at_any_base_point(p):

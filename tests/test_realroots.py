@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmicert import realroots
 from lmicert.errors import ZeroPolynomialError
 from lmicert.poly import UnivariatePolynomial
 from lmicert.realroots import (RootCells, count_real_roots,
@@ -384,3 +385,110 @@ def test_undecided_pieces_keep_the_bisection_finite():
     assert any(hi < 0 and hi * hi < 2 < lo * lo for lo, hi in undecided)
     assert [cells.cell(a, b) for a, b in ((-3, 2), (-7, 5), (7, 5), (3, 2))] \
         == [0, 1, 1, 2]
+
+
+# === float-guided refinement ===
+
+def _bisection_refine(grid, ja, jb, k, resolution):
+    """Reference for realroots._refine: exact bisection with an exact
+    sign at every midpoint and the width tested on every level."""
+    sign_a = grid.sign(ja, k)
+    while (grid.m * (jb - ja) * resolution.denominator
+           > (grid.l * resolution.numerator) << k):
+        jm = ja + jb
+        ja, jb, k = 2 * ja, 2 * jb, k + 1
+        s = grid.sign(jm, k)
+        if s == 0:
+            return jm, jm, k
+        if s == sign_a:
+            ja = jm
+        else:
+            jb = jm
+    return ja, jb, k
+
+
+def _refine_inputs():
+    huge = 2 ** 1101 + 3
+    # coefficients above 2^1100, with roots 1/huge (next to 0), 1 and -2
+    yield poly(-1, huge) * poly(-1, 1) * poly(2, 1)
+    yield poly(-(2 ** 1100 + 1), 2 ** 1102 - 5) * poly(-2, 0, 1)
+    # every root on a grid point: B = 4 and B = 8
+    yield poly(-3, 2, 1)
+    yield poly(6, -7, 0, 1)
+    # roots 2^-30, 2^-40 and 2^-50 apart
+    for e in (30, 40, 50):
+        yield poly(-1, 1) * poly(-(2 ** e) - 1, 2 ** e) * poly(-2, 0, 1)
+    rng = random.Random(5)
+    for _ in range(12):
+        yield UnivariatePolynomial([rng.randint(-9, 9)
+                                    for _ in range(rng.randint(3, 8))]
+                                   + [rng.choice([-3, -1, 1, 2])])
+
+
+RESOLUTIONS = [Fraction(1), Fraction(1, 2 ** 20), Fraction(1, 2 ** 64)]
+
+
+def _refine_cases():
+    """(grid, ja, jb, k) for every isolating interval of every factor
+    of the inputs, before any refinement."""
+    coarse = Fraction(2 ** 4000)
+    for f in _refine_inputs():
+        for g, chain, _ in realroots._factor_chains(f, "isolate"):
+            grid = realroots._Grid(g, chain)
+            for ja, jb, k in realroots._isolate_factor(grid, coarse):
+                if ja != jb:
+                    yield grid, ja, jb, k
+
+
+def test_float_guided_refine_matches_exact_bisection(monkeypatch):
+    floated = []
+    float_bisect = realroots._float_bisect
+
+    def counted(*args):
+        floated.append(float_bisect(*args))
+        return floated[-1]
+
+    monkeypatch.setattr(realroots, "_float_bisect", counted)
+    cases = list(_refine_cases())
+    assert len(cases) >= 40
+    exact_points = taken = 0
+    for grid, ja, jb, k in cases:
+        for resolution in RESOLUTIONS:
+            floated.clear()
+            got = realroots._refine(grid, ja, jb, k, resolution)
+            assert got == _bisection_refine(grid, ja, jb, k, resolution)
+            exact_points += got[0] == got[1]
+            if floated and got[2] == floated[0][2]:
+                taken += got == floated[0]
+    # roots on grid points stop the bisection, and most float
+    # bisections are taken as they are
+    assert exact_points >= 3
+    assert taken >= 20
+
+
+@pytest.mark.parametrize("wrong", ["flipped", "neighbour"])
+def test_refine_falls_back_when_the_floats_are_wrong(monkeypatch, wrong):
+    float_bisect = realroots._float_bisect
+
+    def misled(floats, ja, jb, k, end, sign_a):
+        if wrong == "flipped":
+            # every float sign reversed: a path that leaves the root
+            return float_bisect([-c for c in floats], ja, jb, k, end,
+                                sign_a)
+        fa, fb, fk = float_bisect(floats, ja, jb, k, end, sign_a)
+        return fb, 2 * fb - fa, fk
+
+    monkeypatch.setattr(realroots, "_float_bisect", misled)
+    for grid, ja, jb, k in _refine_cases():
+        for resolution in RESOLUTIONS:
+            assert realroots._refine(grid, ja, jb, k, resolution) == \
+                _bisection_refine(grid, ja, jb, k, resolution)
+
+
+def test_isolation_with_float_guidance_matches_exact_bisection(monkeypatch):
+    for resolution in RESOLUTIONS[1:]:
+        got = [isolate_real_roots(f, resolution) for f in _refine_inputs()]
+        monkeypatch.setattr(realroots, "_refine", _bisection_refine)
+        assert got == [isolate_real_roots(f, resolution)
+                       for f in _refine_inputs()]
+        monkeypatch.undo()

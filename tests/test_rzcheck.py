@@ -465,11 +465,13 @@ def test_off_center_base_point_same_circle():
 
 def test_off_origin_scans_shift_once_per_base_point(monkeypatch):
     # restrictions are read off the forms of p at the base point, which
-    # are built by one shift and kept while the base point stays
+    # are shifted once (_build_forms off the origin) and kept while the
+    # base point stays
     shifts = []
-    shift = Polynomial.shift
-    monkeypatch.setattr(Polynomial, "shift",
-                        lambda p, x0: shifts.append(x0) or shift(p, x0))
+    build = Polynomial._build_forms
+    monkeypatch.setattr(
+        Polynomial, "_build_forms",
+        lambda p, x0: (any(x0) and shifts.append(x0)) or build(p, x0))
     p = one - x1 ** 2 - x2 ** 2
     base = (F(1, 2), F(-1, 3))
     assert rz_check(p, base, SMALL).rays_checked > 1
@@ -656,9 +658,22 @@ def test_slope_cells_replace_most_restrictions(monkeypatch):
         # the rays before the build, and a few first rays of cells
         assert rzcheck._CELLS_AFTER <= len(calls) <= rzcheck._CELLS_AFTER + 8
         calls.clear()
-    # without keep, topology's scan restricts every ray
-    verdict, kept = rzcheck._scan(DISC, (0, 0), RaySampler(2), keep=True)
-    assert len(kept) == len(calls) == verdict.rays_checked == 243
+    # with keep, topology's scan also reads the cells, keyed by the
+    # sign of v1 as well: it restricts the rays before the build and
+    # the first ray of each key, and keeps the records of the scan
+    # without keep
+    for name, x0 in (("disc", (F(0), F(0))), ("tangent", (F(-4), F(0)))):
+        p = _golden(name)
+        verdict, kept = rzcheck._scan(p, x0, RaySampler(2), keep=True)
+        assert len(kept) == verdict.rays_checked == 243
+        assert len(calls) == sum(f is not None for f, _ in kept)
+        cells = rzcheck._slope_cells(p, x0)
+        keys = [rzcheck._slope_key(cells, v, True)
+                for v in RaySampler(2).directions()[rzcheck._CELLS_AFTER:]]
+        assert len(calls) <= (rzcheck._CELLS_AFTER + keys.count(None)
+                              + len(set(keys) - {None})) < 100
+        assert verdict == rzcheck._scan(p, x0, RaySampler(2))[0]
+        calls.clear()
 
 
 def test_scan_with_a_late_witness_builds_only_the_rays_it_reads(monkeypatch):

@@ -1,5 +1,6 @@
 """Oval counting from 1-D root orderings along scan lines."""
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from lmicert import realroots, topology
 from lmicert.cli import main
 from lmicert.errors import CertifiedNotRZError, DimensionMismatch
-from lmicert.poly import Polynomial, parse_polynomial
+from lmicert.pencil import (LinearPencil, SymmetricMatrix,
+                            determinant_polynomial)
+from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
 from lmicert.rzcheck import RaySampler
 from lmicert.topology import (OvalProfile, nesting_consistency_report,
                               oval_profile)
@@ -264,3 +267,43 @@ def test_multiple_root_flag_matches_parameters_on_line_products(factors):
     prof = oval_profile(p, (0, 0), RaySampler(2, 7, 2,
                                               extra_directions=((1, 0),)))
     _assert_multiple_root_flags(prof)
+
+
+# === side counts read from the slope cells ===
+
+def _determinantal(rng, d):
+    """det(I + x1 A1 + x2 A2) of degree d for random symmetric A1, A2
+    with entries in [-3, 3]: rigidly convex where |x1| + |x2| < 1/(3d)."""
+    while True:
+        mats = [SymmetricMatrix.identity(d)]
+        for _ in range(2):
+            rows = [[0] * d for _ in range(d)]
+            for i in range(d):
+                for j in range(i, d):
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+            mats.append(SymmetricMatrix(rows))
+        p = determinant_polynomial(LinearPencil(mats))
+        if p.degree() == d:
+            return p
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_side_counts_from_slope_cells_match_each_ray(d):
+    # the default sampler passes the point where the scan builds its
+    # cells; every ray's side counts, also those taken from the first
+    # ray of its cell, are those of its own restriction
+    p = _determinantal(random.Random(70 + d), d)
+    for x0 in ((F(0), F(0)), (F(1, 8 * d), F(-1, 10 * d))):
+        prof = oval_profile(p, x0)
+        assert len(prof.rays) == 244
+        reused = [ray for ray in prof.rays if ray.scanned is None]
+        assert len(reused) > 100
+        for ray in prof.rays:
+            f = UnivariatePolynomial(p.restrict(x0, ray.direction).coeffs)
+            expected = realroots.side_counts(f) if f.degree() > 0 else (0, 0)
+            assert (ray.negative_count, ray.positive_count) == expected
+        for ray in reused[:3]:
+            assert ray.restriction == p.restrict(x0, ray.direction)
+            assert ray.parameters == tuple(
+                (iv.midpoint(), iv.multiplicity)
+                for iv in realroots.isolate_real_roots(ray.restriction))

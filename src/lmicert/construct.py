@@ -113,9 +113,7 @@ def _snap_root(g: UnivariatePolynomial, low: Fraction, high: Fraction,
 
 def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     """Intercept data if p(0, mu) has deg p distinct real roots, else
-    None (a coordinate change is needed).  A root that did not snap is
-    the midpoint of its interval; it is still exact when the midpoint
-    is the root, which is then tested once."""
+    None (a coordinate change is needed)."""
     d = int(p.degree())
     g = _axis_poly(p)
     if g.degree() != d:
@@ -128,8 +126,10 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION):
         mid = iv.midpoint()
         root = _snap_root(g, iv.low, iv.high, mid)
-        exact = exact and (root != mid or iv.low == iv.high
-                           or g.evaluate(mid) == 0)
+        # the midpoint comes back when no candidate is a root; it is
+        # exact only if it is the root itself
+        if exact and root == mid and iv.low != iv.high:
+            exact = g.evaluate(mid) == 0
         roots.append(root)
     # inner intercepts first, positive before negative on ties; this
     # fixes the representation among the diag-permutation equivalents

@@ -448,10 +448,11 @@ def _slope_key(cells: RootCells, v: Direction, sides: bool
     ray or a slope that may be a zero of P.
 
     Rays with one key have one RootCount.  With sides, they also have
-    the same number of roots mu < 0 and mu > 0: the roots s of g_t on
-    the cell are simple and nonzero, so the number of each sign cannot
-    change across the cell, and mu = 1/(v1 s) has the sign of s for
-    v1 > 0 and the other for v1 < 0."""
+    the same numbers of roots mu < 0 and mu > 0: on the cell D(t) and
+    h_d(1, t) = g_t(0) are nonzero, so the real roots s of g_t are
+    simple and nonzero, and the number of each sign cannot change
+    across the cell; mu = 1/(v1 s) has the sign of s for v1 > 0 and
+    the other for v1 < 0."""
     a, b = v
     if not a:
         return None

@@ -65,10 +65,9 @@ class InterceptData:
     """Axis intercepts (0, c_i) of the curve and the implicit slopes
     there.  Roots are exact rationals when the curve passes through
     one, otherwise rational approximations accurate to the working
-    resolution; exact records whether every root is exact."""
+    resolution."""
     roots: Tuple[Fraction, ...]
     slopes: Tuple[Fraction, ...]
-    exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -121,16 +120,8 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     counts = count_real_roots(g)
     if not (counts.distinct_real == d and counts.real_with_multiplicity == d):
         return None
-    roots = []
-    exact = True
-    for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION):
-        mid = iv.midpoint()
-        root = _snap_root(g, iv.low, iv.high, mid)
-        # the midpoint comes back when no candidate is a root; it is
-        # exact only if it is the root itself
-        if exact and root == mid and iv.low != iv.high:
-            exact = g.evaluate(mid) == 0
-        roots.append(root)
+    roots = [_snap_root(g, iv.low, iv.high, iv.midpoint())
+             for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION)]
     # inner intercepts first, positive before negative on ties; this
     # fixes the representation among the diag-permutation equivalents
     order = sorted(range(d), key=lambda i: (abs(roots[i]), roots[i] < 0))
@@ -147,7 +138,7 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
             # derivative stays away from zero, but guard anyway
             return None
         slopes.append(-p1.evaluate(at) / denom)
-    return InterceptData(tuple(roots), tuple(slopes), exact)
+    return InterceptData(tuple(roots), tuple(slopes))
 
 
 def _random_change(rng: random.Random) -> Matrix2:
@@ -288,7 +279,7 @@ def _lm_minimize(residual_fn, jacobian_fn, u0: np.ndarray) -> np.ndarray:
 
 def match_offdiagonal(p: Polynomial,
                       fixed: Tuple[SymmetricMatrix, Tuple[Fraction, ...]],
-                      tol: float = 1e-9, seed: int = 0, promote: bool = True
+                      tol: float = 1e-9, seed: int = 0
                       ) -> RepresentationResult:
     """Solve for the off-diagonal of L1 so the pencil determinant
     matches p / p(0,0).
@@ -297,10 +288,9 @@ def match_offdiagonal(p: Polynomial,
     plus 16 seeded random starts); each start that reaches the
     tolerance is re-checked by exact rational determinant expansion;
     an exact rounding of the winner replaces it if one has the target
-    determinant (_try_promote, at most one more expansion).  promote is
-    False when some intercept is not exact (InterceptData.exact); then
-    no rounding can succeed, and none is tried.  The result carries no
-    outcome: represent verifies the pencil it finally returns.
+    determinant (_try_promote, at most one more expansion).  The result
+    carries no outcome: represent verifies the pencil it finally
+    returns.
     """
     l2, diag1 = fixed
     d = l2.size
@@ -377,7 +367,7 @@ def match_offdiagonal(p: Polynomial,
             "no start of the off-diagonal solve reached the tolerance; "
             "retry with a different coordinate change or seed",
             residual=None if best_pencil is None else best_residual)
-    promoted = _try_promote(best_pencil, target) if promote else None
+    promoted = _try_promote(best_pencil, target)
     if promoted is not None:
         # det(promoted) == target exactly
         best_pencil, best_residual = promoted, 0.0
@@ -398,10 +388,13 @@ def _try_promote(pencil: LinearPencil, target: Polynomial
 
     Every rounding keeps L2 = diag(-1/c_i), and at x1 = 0 the target is
     p(0, x2)/p(0, 0) while det(I + x2 L2) = prod(1 - x2/c_i): the two
-    agree only when every c_i is a root of p(0, x2).  So the call is
-    worth making only when every intercept is exact."""
-    l1 = pencil.matrices[1]
+    agree only when every c_i is a root of p(0, x2).  So no rounding
+    is tried when some intercept is not one, which d evaluations of
+    the target show."""
+    l1, l2 = pencil.matrices[1], pencil.matrices[2]
     d = l1.size
+    if any(target.evaluate((Fraction(0), -1 / l2[i, i])) for i in range(d)):
+        return None
     value = target.evaluate((Fraction(1), Fraction(1)))
     for dmax in (1, 2, 3, 4, 6, 8, 12, 16, 60, 1000):
         rows = [[l1[i, j].limit_denominator(dmax) for j in range(d)]
@@ -531,8 +524,7 @@ def _unverified_pencil(p: Polynomial, tol: float, seed: int
         pencil = _degree_two(q, data)
         method = CLOSED_FORM
     else:
-        matched = match_offdiagonal(q, fixed_part(data), tol=tol, seed=seed,
-                                    promote=data.exact)
+        matched = match_offdiagonal(q, fixed_part(data), tol=tol, seed=seed)
         pencil, method = matched.pencil, matched.method
     if change is not None:
         pencil = _undo_change(pencil, change)

@@ -330,20 +330,10 @@ def match_offdiagonal(p: Polynomial,
     def jacobian_fn(u: np.ndarray) -> np.ndarray:
         m = build(u)
         dets = np.linalg.det(m)
+        inv = np.linalg.inv(m)
         jac = np.empty((len(points), n_unknowns))
-        try:
-            inv = np.linalg.inv(m)
-            for k, (i, j) in enumerate(pairs):
-                jac[:, k] = 2.0 * avals * dets * inv[:, i, j]
-        except np.linalg.LinAlgError:
-            # a grid point landed on the determinantal curve; finite
-            # differences sidestep the singular inverse
-            base = residual_fn(u)
-            h = 1e-7
-            for k in range(n_unknowns):
-                step = u.copy()
-                step[k] += h
-                jac[:, k] = (residual_fn(step) - base) / h
+        for k, (i, j) in enumerate(pairs):
+            jac[:, k] = 2.0 * avals * dets * inv[:, i, j]
         return jac
 
     rng = np.random.default_rng(seed)
@@ -352,7 +342,12 @@ def match_offdiagonal(p: Polynomial,
     best_residual = float("inf")
     best_pencil: Optional[LinearPencil] = None
     for u0 in starts:
-        u = _lm_minimize(residual_fn, jacobian_fn, u0)
+        try:
+            u = _lm_minimize(residual_fn, jacobian_fn, u0)
+        except np.linalg.LinAlgError:
+            # a grid point landed on the determinantal curve, so the
+            # Jacobian's inverse is singular: the start is lost
+            continue
         if np.max(np.abs(residual_fn(u))) > max(tol, 1e-6):
             continue
         pencil = _pencil_from_entries(l2, diag1,

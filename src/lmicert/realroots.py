@@ -9,25 +9,27 @@ those integers from the start; any other input is scaled once.
     sequences and every quotient is an exact division in Z[x].
   * Sturm chains on the square-free factors, by pseudo-remainders with
     explicit sign correction, so coefficient growth stays bounded and no
-    rounding ever occurs.  Sign variations at +-infinity are read off
-    leading coefficients and parities; finite points p/q are evaluated
-    by an integer Horner scheme on numerator and denominator.
-  * Dyadic isolation: every bisection point of a factor with Cauchy
-    bound B = m/l is B*j/2^k, so the factor and its chain are scaled
-    once to l^n c(m y / l) and bisected on the integers (j, k).  Ends
-    become Fractions only when they are returned.
-  * Descartes cells (RootCells): the zero-free intervals of an integer
-    polynomial, by Descartes bisection inside a power-of-two bound on
-    its real roots, with no gcd taken; the plane line test reads them
-    as its slope cells.
+    rounding ever occurs.  They count: sign variations at +-infinity are
+    read off leading coefficients and parities; finite points p/q are
+    evaluated by an integer Horner scheme on numerator and denominator.
+  * One Descartes bisection (_descartes_pieces, Collins-Akritas 1976)
+    locates roots, inside one bound: every real root of an integer
+    polynomial lies strictly inside (-2^e, 2^e), e = power_of_two_bound.
+    The bisection points 2^e j/2^k are reached on the integers (j, k).
+    Isolation runs it on each square-free factor with no depth limit
+    and refines each one-root piece by sign bisection on the same grid,
+    so a dyadic root of denominator at most 1/resolution is returned
+    exactly.  RootCells runs it with a depth limit and no gcd: the plane
+    line test reads its zero-free intervals as the slope cells.
 
-Every counter and the isolation read one root analysis per polynomial
-(_factor_chains, kept in its _roots slot) and go through one counter
-(_count) whose interval ends may be infinite.  The analysis builds the
-Sturm chain of f first: its last element is gcd(f, f'), so a constant
-one proves f square-free and the chain is the whole answer, one
-remainder sequence in all.  Only otherwise does Yun's decomposition
-run, then one chain per factor.
+Counting and isolation are independent engines, so each can check the
+other.  Every counter and the isolation read one root analysis per
+polynomial (_factor_chains, kept in its _roots slot), and the counters
+go through one counter (_count) whose interval ends may be infinite.
+The analysis builds the Sturm chain of f first: its last element is
+gcd(f, f'), so a constant one proves f square-free and the chain is the
+whole answer, one remainder sequence in all.  Only otherwise does Yun's
+decomposition run, then one chain per factor.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, ldexp
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .errors import ZeroPolynomialError
 from .poly import UnivariatePolynomial
@@ -306,44 +308,28 @@ def side_counts(f: UnivariatePolynomial) -> Tuple[int, int]:
 
 
 class _Grid:
-    """The bisection points B*j/2^k of one square-free factor g, where
-    B = m/l is its Cauchy bound: every real root lies strictly inside
-    (-B, B).  g and its Sturm chain are scaled once to l^n c(m y / l),
-    a positive multiple of c at x = B*y, so signs at the grid point
-    B*j/2^k are signs of the scaled polynomials at j/2^k.  floats holds
-    the scaled g over 2^b, b the bit length of its largest coefficient,
+    """The bisection points 2^e j/2^k of one square-free factor g, where
+    e = power_of_two_bound(g): every real root lies strictly inside
+    (-2^e, 2^e), the interval (-1, 1) on level 0.  g is scaled once to
+    a positive multiple of g(2^e y), so signs at the grid point
+    2^e j/2^k are signs of the scaled g at j/2^k.  floats holds the
+    scaled g over 2^b, b the bit length of its largest coefficient,
     highest degree first: every coefficient is at most 1 in size, so at
     |y| <= 1 no float overflows."""
 
-    __slots__ = ("m", "l", "g", "chain", "floats")
+    __slots__ = ("e", "g", "floats")
 
-    def __init__(self, g: IntPoly, chain: List[IntPoly]):
-        lead = abs(g[-1])
-        bound = Fraction(lead + max((abs(v) for v in g[:-1]), default=0),
-                         lead)
-        self.m, self.l = bound.numerator, bound.denominator
-        self.g = self._scaled(g)
-        self.chain = [self._scaled(c) for c in chain]
+    def __init__(self, g: IntPoly, e: int):
+        self.e = e
+        self.g = _int_primitive([v << (e * k) for k, v in enumerate(g)])
         top = 1 << max(abs(c).bit_length() for c in self.g)
         self.floats = [c / top for c in reversed(self.g)]
 
-    def _scaled(self, c: IntPoly) -> IntPoly:
-        n = len(c) - 1
-        mk = 1
-        out = []
-        for k, ck in enumerate(c):
-            out.append(ck * mk * self.l ** (n - k))
-            mk *= self.m
-        return _int_primitive(out)
-
     def point(self, j: int, k: int) -> Fraction:
-        return Fraction(self.m * j, self.l << k)
+        return Fraction(j << self.e, 1 << k)
 
     def sign(self, j: int, k: int) -> int:
         return _int_sign_at(self.g, j, 1 << k)
-
-    def variations(self, j: int, k: int) -> int:
-        return _variations_at(self.chain, (j, 1 << k), 1)
 
 
 def isolate_real_roots(f: UnivariatePolynomial,
@@ -351,19 +337,40 @@ def isolate_real_roots(f: UnivariatePolynomial,
                        ) -> List[RootInterval]:
     """Disjoint intervals, each of width <= resolution, each containing
     exactly one distinct real root of f, sorted ascending, with the
-    root's multiplicity attached."""
+    root's multiplicity attached.
+
+    Each square-free factor is isolated by the Descartes bisection of
+    RootCells, with no depth limit (a square-free factor always
+    separates), and each one-zero piece is narrowed by _refine.  Every
+    end is a point 2^e j/2^k of the factor's grid, so an interval is an
+    aligned dyadic one, of power-of-two width: no grid point of a
+    coarser level lies inside it.  So 0, on every grid, is inside no
+    interval, and a root that is a dyadic rational with denominator at
+    most 1/resolution comes back exact, as [r, r]."""
     factors = _factor_chains(f, "isolate")
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    # [low, high, grid, ja, jb, k, multiplicity]: low = B*ja/2^k and
-    # high = B*jb/2^k on the factor's grid
+    # [low, high, grid, ja, jb, k, sign, multiplicity]: low = 2^e ja/2^k
+    # and high = 2^e jb/2^k on the factor's grid; sign is g's just right
+    # of low
     found = []
-    for gi, chain, mult in factors:
-        grid = _Grid(gi, chain)
-        for ja, jb, k in _isolate_factor(grid, resolution):
-            found.append([grid.point(ja, k), grid.point(jb, k), grid,
-                          ja, jb, k, mult])
+    for gi, _, mult in factors:
+        e = power_of_two_bound(gi)
+        grid = _Grid(gi, e)
+        leaves, zeros = _descartes_pieces(gi, e)
+        # the piece x in (i/2^k, (i+1)/2^k) of (0, 1) is y in
+        # ((2i - 2^k)/2^k, (2i + 2 - 2^k)/2^k)
+        for i, k in zeros:
+            j = 2 * i - (1 << k)
+            found.append([grid.point(j, k), grid.point(j, k), grid,
+                          j, j, k, 0, mult])
+        for i, k, bound, sign in leaves:
+            if bound == 1:
+                ja = 2 * i - (1 << k)
+                ja, jb, k = _refine(grid, ja, ja + 2, k, resolution, sign)
+                found.append([grid.point(ja, k), grid.point(jb, k), grid,
+                              ja, jb, k, sign, mult])
     # roots of coprime factors are distinct, but their isolating intervals
     # can still overlap; shrink until they are pairwise disjoint
     target = resolution
@@ -378,53 +385,12 @@ def isolate_real_roots(f: UnivariatePolynomial,
             break
         target = target / 4
         for i in (clash, clash + 1):
-            _, _, grid, ja, jb, k, mult = found[i]
+            _, _, grid, ja, jb, k, sign, mult = found[i]
             if ja != jb:
-                ja, jb, k = _refine(grid, ja, jb, k, target)
+                ja, jb, k = _refine(grid, ja, jb, k, target, sign)
                 found[i] = [grid.point(ja, k), grid.point(jb, k), grid,
-                            ja, jb, k, mult]
-    return [RootInterval(t[0], t[1], t[6]) for t in found]
-
-
-def _isolate_factor(grid: _Grid, resolution: Fraction
-                    ) -> List[Tuple[int, int, int]]:
-    """Isolating intervals (ja, jb, k) of the factor's roots, by Sturm
-    bisection of (-B, B).  A stack entry carries its interval, its root
-    count and the chain's sign variations at its left end."""
-    out: List[Tuple[int, int, int]] = []
-    var_lo = grid.variations(-1, 0)
-    stack = [(-1, 1, 0, var_lo - grid.variations(1, 0), var_lo)]
-    while stack:
-        ja, jb, k, n, var_a = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            out.append(_refine(grid, ja, jb, k, resolution))
-            continue
-        jm = ja + jb            # the midpoint, on level k + 1
-        if grid.sign(jm, k + 1) == 0:
-            # exact root at the cut point; carve out a buffer around it:
-            # mid -+ delta with delta = (b - a)/4, then halved, on level lv
-            lv, mid, delta = k + 2, 2 * jm, jb - ja
-            while True:
-                lo2, hi2 = mid - delta, mid + delta
-                if grid.sign(lo2, lv) != 0 and grid.sign(hi2, lv) != 0:
-                    var_lo2 = grid.variations(lo2, lv)
-                    var_hi2 = grid.variations(hi2, lv)
-                    if var_lo2 - var_hi2 == 1:
-                        break
-                lv += 1
-                mid *= 2
-            out.append((jm, jm, k + 1))
-            up = lv - k
-            stack.append((ja << up, lo2, lv, var_a - var_lo2, var_a))
-            stack.append((hi2, jb << up, lv, var_hi2 - (var_a - n), var_hi2))
-        else:
-            var_m = grid.variations(jm, k + 1)
-            left = var_a - var_m
-            stack.append((2 * ja, jm, k + 1, left, var_a))
-            stack.append((jm, 2 * jb, k + 1, n - left, var_m))
-    return out
+                            ja, jb, k, sign, mult]
+    return [RootInterval(t[0], t[1], t[7]) for t in found]
 
 
 # the deepest level to which _refine bisects in floats: grid points
@@ -433,33 +399,39 @@ def _isolate_factor(grid: _Grid, resolution: Fraction
 _FLOAT_LEVELS = 45
 
 
-def _refine(grid: _Grid, ja: int, jb: int, k: int,
-            resolution: Fraction) -> Tuple[int, int, int]:
+def _refine(grid: _Grid, ja: int, jb: int, k: int, resolution: Fraction,
+            sign_a: int) -> Tuple[int, int, int]:
     """Shrink (ja, jb) on level k, known to hold exactly one simple root
-    and no root at its ends, by bisection: down to the first level K on
-    which B*(jb - ja)/2^K <= resolution, or to a midpoint that is the
-    root.  The width in grid steps stays jb - ja, so K is read off bit
-    lengths once.
+    of g inside, by bisection: down to the first level K >= 1 on which
+    2^e (jb - ja)/2^K <= resolution, or to a midpoint that is the root.
+    Level 0's one piece (-1, 1) is split at 0 however wide the
+    resolution, so every interval returned is an aligned dyadic one.
+    sign_a is the sign of g just right of ja, the sign the bisection
+    read off the piece; so an end that is a root of g, a midpoint of an
+    earlier level, needs no buffer.  The width in grid steps stays
+    jb - ja, so K is read off bit lengths once.
 
     The bisection runs in floats first (_float_bisect), to level
-    min(K, _FLOAT_LEVELS).  Its interval is taken only when g has the
-    exact sign sign_a at its left end and -sign_a at its right end.
-    Then the one root lies strictly inside it, so on no midpoint of
-    the levels before it, and exact bisection, which keeps the half
-    that holds the root, would reach the same interval.  Otherwise
-    the exact bisection starts again from (ja, jb).  Floats only choose
-    which path runs, never which interval is returned; the levels
-    after the float ones are bisected exactly."""
-    sign_a = grid.sign(ja, k)
-    top = grid.m * (jb - ja) * resolution.denominator
-    unit = grid.l * resolution.numerator
-    end = max(k, top.bit_length() - unit.bit_length())
+    min(K, _FLOAT_LEVELS).  Its interval is taken only when each of its
+    ends is the end of (ja, jb) it started from or has the exact sign
+    of g on that side of the root: sign_a at the left end, -sign_a at
+    the right.  Then the one root lies strictly inside it, so on no
+    midpoint of the levels before it, and exact bisection, which keeps
+    the half that holds the root, would reach the same interval.
+    Otherwise the exact bisection starts again from (ja, jb).  Floats
+    only choose which path runs, never which interval is returned; the
+    levels after the float ones are bisected exactly."""
+    top = (jb - ja) * resolution.denominator << grid.e
+    unit = resolution.numerator
+    end = max(1, k, top.bit_length() - unit.bit_length())
     if unit << end < top:
         end += 1
     deep = min(end, _FLOAT_LEVELS)
     if deep > k:
         fa, fb, fk = _float_bisect(grid.floats, ja, jb, k, deep, sign_a)
-        if grid.sign(fa, fk) == sign_a and grid.sign(fb, fk) == -sign_a:
+        up = fk - k
+        if ((fa == ja << up or grid.sign(fa, fk) == sign_a)
+                and (fb == jb << up or grid.sign(fb, fk) == -sign_a)):
             ja, jb, k = fa, fb, fk
     while k < end:
         jm = ja + jb
@@ -557,23 +529,57 @@ def _descartes_bound(q: IntPoly) -> int:
     return variations
 
 
+def _descartes_pieces(c: IntPoly, e: int, deepest: Optional[int] = None
+                      ) -> Tuple[List[Tuple[int, int, int, int]],
+                                 Set[Tuple[int, int]]]:
+    """Descartes bisection (Collins-Akritas 1976) of (-2^e, 2^e) for the
+    real zeros of a nonzero integer polynomial c, all of which lie
+    inside it.
+
+    x in (0, 1) stands for t = 2^e (2x - 1), and the piece (i/2^k,
+    (i+1)/2^k) of (0, 1) is mapped onto (0, 1), where its polynomial q
+    is a positive multiple of c, so it has c's signs.  A piece with
+    Descartes bound 0 has no zero and one with bound 1 one simple zero;
+    one with a larger bound is split at its midpoint, unless it is on
+    level deepest.  Returns the leaves, left to right, as (i, k, bound,
+    sign), sign being that of c just right of the piece's left end: of
+    q's lowest nonzero coefficient, also where that end is a zero.  And
+    the midpoints (i, k), i odd, where c vanishes: with every zero on a
+    midpoint or inside a one-zero leaf, for want of a depth limit, these
+    are all of c's real zeros.  No gcd is taken, so a multiple zero, or
+    zeros closer than 2^-deepest, keep the bound at 2 or more at every
+    width; the depth limit stops that bisection."""
+    n = len(c) - 1
+    # q(x) = c(2^e (2x - 1)): (0, 1) is (-2^e, 2^e)
+    q = _taylor_shift([v << (e * k) for k, v in enumerate(c)], -1)
+    q = [v << k for k, v in enumerate(q)]
+    leaves = []
+    zeros = set()
+    stack = [(_int_primitive(q), 0, 0)]
+    while stack:
+        q, i, k = stack.pop()
+        bound = _descartes_bound(q)
+        if bound <= 1 or k == deepest:
+            leaves.append((i, k, bound, _sign(next(v for v in q if v))))
+            continue
+        left = [v << (n - j) for j, v in enumerate(q)]   # 2^n q(x/2)
+        right = _taylor_shift(left, 1)
+        if not right[0]:
+            zeros.add((2 * i + 1, k + 1))
+        stack.append((_int_primitive(right), 2 * i + 1, k + 1))
+        stack.append((_int_primitive(left), 2 * i, k + 1))
+    return leaves, zeros
+
+
 class RootCells:
     """The real line cut at the real zeros of a nonzero integer
-    polynomial c, as far as Descartes bisection decides them
-    (Collins-Akritas 1976).
+    polynomial c, as far as Descartes bisection decides them.
 
-    With B = 2^e, e = power_of_two_bound(c), every real zero lies in
-    (-B, B).  That interval is bisected on the dyadic grid; each piece
-    is mapped onto (0, 1), where its polynomial q is a positive multiple
-    of c, so it has c's signs.  A piece with Descartes bound 0 has no
-    zero.  Bound 1 means one simple zero; the sign of c just right of
-    the piece's left end is the sign of q's lowest nonzero coefficient,
-    also where that end is a zero.  A piece with a larger bound is split
-    at its midpoint until it is narrower than 2^-width_exp, and then kept
-    undecided: a multiple zero, or zeros closer than that, keeps the
-    bound at 2 or more at every width, so only the depth limit makes
-    the bisection stop, and it always stops.  A midpoint where c
-    vanishes is an exact zero.  No gcd is taken.
+    With e = power_of_two_bound(c), _descartes_pieces bisects
+    (-2^e, 2^e) until each piece has Descartes bound 0 or 1 or is
+    narrower than 2^-width_exp.  A piece still at bound 2 or more there
+    is kept undecided: it may hold a multiple zero, or zeros closer
+    than that.  A midpoint where c vanishes is an exact zero.
 
     cell(a, b) numbers the open cells between the zeros from left to
     right: two points with the same number lie in one zero-free
@@ -587,27 +593,7 @@ class RootCells:
     def __init__(self, c: IntPoly, width_exp: int):
         self.c = c
         e = self.exp = power_of_two_bound(c)
-        n = len(c) - 1
-        # q(x) = c(2^e (2x - 1)): (0, 1) is (-B, B)
-        q = _taylor_shift([v << (e * k) for k, v in enumerate(c)], -1)
-        q = [v << k for k, v in enumerate(q)]
-        deepest = e + 1 + width_exp
-        leaves = []             # (i, k, bound, sign right of i/2^k)
-        zeros = set()           # midpoints (i, k), i odd, where q vanishes
-        stack = [(_int_primitive(q), 0, 0)]
-        while stack:
-            q, i, k = stack.pop()
-            bound = _descartes_bound(q)
-            if bound <= 1 or k == deepest:
-                leaves.append((i, k, bound,
-                               _sign(next(v for v in q if v))))
-                continue
-            left = [v << (n - j) for j, v in enumerate(q)]   # 2^n q(x/2)
-            right = _taylor_shift(left, 1)
-            if not right[0]:
-                zeros.add((2 * i + 1, k + 1))
-            stack.append((_int_primitive(right), 2 * i + 1, k + 1))
-            stack.append((_int_primitive(left), 2 * i, k + 1))
+        leaves, zeros = _descartes_pieces(c, e, e + 1 + width_exp)
         # the leaves came off the stack left to right.  An end x = i/2^k
         # is kept as the integer (2i - 2^k) 2^(depth - k), which is
         # t 2^(depth - e) for t = 2^e (2x - 1).  A piece is a cell number

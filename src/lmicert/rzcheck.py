@@ -556,7 +556,11 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
         if f.degree() <= 0:
             unbounded.extend((angle, angle + 4))
             continue
-        neg, pos = _split_root_sides(f, resolution)
+        # f(0) != 0, and 0 is an end of every isolating interval that
+        # reaches it, so each interval lies on one side of the base point
+        intervals = isolate_real_roots(f, resolution)
+        pos = [iv for iv in intervals if iv.low >= 0]
+        neg = [iv for iv in intervals if iv.high <= 0]
         for side_angle, iv in ((angle, pos[0] if pos else None),
                                (angle + 4, neg[-1] if neg else None)):
             if iv is None:
@@ -567,16 +571,3 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
             samples.append(BoundarySample(side_angle, v, mu, pt))
     samples.sort(key=lambda s: s.angle)
     return BoundaryData(tuple(samples), tuple(sorted(unbounded)))
-
-
-def _split_root_sides(f: UnivariatePolynomial, resolution: Fraction):
-    """Root intervals split by sign of the root; refined until no
-    interval straddles 0 (f(0) != 0, so no root sits at 0)."""
-    res = Fraction(resolution)
-    while True:
-        intervals = isolate_real_roots(f, res)
-        if all(iv.low > 0 or iv.high < 0 for iv in intervals):
-            break
-        res = res / 16
-    return ([iv for iv in intervals if iv.high < 0],
-            [iv for iv in intervals if iv.low > 0])

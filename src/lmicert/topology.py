@@ -67,9 +67,10 @@ class RayProfile:
 
     @cached_property
     def parameters(self) -> Tuple[Tuple[Fraction, int], ...]:
-        """(parameter, multiplicity) pairs sorted by parameter;
-        parameters are exact when the root is exactly representable,
-        else interval midpoints at the working resolution."""
+        """(parameter, multiplicity) pairs sorted by parameter.  A
+        root that is a dyadic rational with denominator at most
+        1/resolution is exact; any other is the midpoint of an
+        isolating interval no wider than the resolution."""
         if self.restriction.degree() <= 0:
             return ()
         return tuple((iv.midpoint(), iv.multiplicity)

@@ -335,8 +335,8 @@ def test_boundary_resolution_flag(tmp_path):
 def test_boundary_crossing_on_one_side_only(tmp_path, resolution):
     # 1 + x2 - x1^2 > 0: the line x1 = 0 meets the curve only at x2 = -1,
     # so ray (0, 1), the third of four, has a crossing on its negative
-    # side alone; at resolution 8 the isolating interval (-2, 2) of 1 + mu
-    # straddles 0 and must be refined before the sides are split
+    # side alone; at resolution 8 the one Descartes piece (-2, 2) of
+    # 1 + mu holds 0 and must be split there before the sides are told
     path = write(tmp_path, "parabola.poly", "vars 2\n1 0 0\n1 0 1\n-1 2 0\n")
     argv = ["boundary", path, "--rays", "4"]
     if resolution is not None:

@@ -232,6 +232,26 @@ def _matching_expansions(monkeypatch, pencil):
             sum(reached))
 
 
+def test_singular_jacobian_ends_only_its_start(monkeypatch):
+    # a grid point on the determinantal curve makes the Jacobian's
+    # inverse singular; that start is lost and the next ones run
+    np = pytest.importorskip("numpy")
+    inv, calls = np.linalg.inv, []
+
+    def singular_first(m):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_first)
+    q, data, change = intercept_normalize(
+        determinant_polynomial(_half_integer_pencil(7, 3)))
+    assert change is None
+    assert match_offdiagonal(q, fixed_part(data)).residual <= 1e-9
+    assert len(calls) > 1
+
+
 def test_matching_expands_each_pencil_once(monkeypatch):
     # one expansion per start that reached the tolerance, none for the
     # winner again, and none for a promotion whose candidates all

@@ -6,9 +6,9 @@ square_free_decompose and isolate_real_roots at several resolutions.
 Every rational is stored as its lowest-terms string, so a change in the
 kernel's arithmetic that moves any output by any amount fails here.
 The isolation inputs include roots on bisection midpoints (root 0 with
-three more roots inside the Cauchy bound, and roots at dyadic fractions
-of the bound) and close roots split across factors of different
-multiplicity.  After an intended output change, regenerate with
+three more roots inside the power-of-two bound, and other dyadic roots,
+which come back exact) and close roots split across factors of
+different multiplicity.  After an intended output change, regenerate with
 
     PYTHONPATH=src python tests/test_kernel_pins.py
 
@@ -113,7 +113,7 @@ def isolate_inputs(rng):
         # root 0 on the first midpoint, three more inside the bound
         _from_roots([0, 1, -1, 2]),
         _from_roots([0, -2, 3, Fraction(1, 2)], mults=[2, 1, 1, 3]),
-        # x^4 - 2x^3 - x^2 + 2x has Cauchy bound 3: 3/2 and 3/4 are grid points
+        # dyadic roots off the first bisection points: 3/2, 3/4 and -3/4
         _from_roots([0, Fraction(3, 2), Fraction(3, 4), -Fraction(3, 4)]),
         _from_roots([Fraction(3, 2), 5, -1]),
         # close roots in factors of different multiplicity

@@ -389,12 +389,12 @@ def test_undecided_pieces_keep_the_bisection_finite():
 
 # === float-guided refinement ===
 
-def _bisection_refine(grid, ja, jb, k, resolution):
+def _bisection_refine(grid, ja, jb, k, resolution, sign_a):
     """Reference for realroots._refine: exact bisection with an exact
-    sign at every midpoint and the width tested on every level."""
-    sign_a = grid.sign(ja, k)
-    while (grid.m * (jb - ja) * resolution.denominator
-           > (grid.l * resolution.numerator) << k):
+    sign at every midpoint and the width tested on every level, from
+    level 1 on."""
+    while (k < 1 or (jb - ja) * resolution.denominator << grid.e
+           > resolution.numerator << k):
         jm = ja + jb
         ja, jb, k = 2 * ja, 2 * jb, k + 1
         s = grid.sign(jm, k)
@@ -429,15 +429,18 @@ RESOLUTIONS = [Fraction(1), Fraction(1, 2 ** 20), Fraction(1, 2 ** 64)]
 
 
 def _refine_cases():
-    """(grid, ja, jb, k) for every isolating interval of every factor
-    of the inputs, before any refinement."""
-    coarse = Fraction(2 ** 4000)
+    """(grid, ja, jb, k, sign_a) for every one-root piece of the
+    Descartes bisection of every factor of the inputs, before any
+    refinement."""
     for f in _refine_inputs():
-        for g, chain, _ in realroots._factor_chains(f, "isolate"):
-            grid = realroots._Grid(g, chain)
-            for ja, jb, k in realroots._isolate_factor(grid, coarse):
-                if ja != jb:
-                    yield grid, ja, jb, k
+        for g, _, _ in realroots._factor_chains(f, "isolate"):
+            e = power_of_two_bound(g)
+            grid = realroots._Grid(g, e)
+            leaves, _ = realroots._descartes_pieces(g, e)
+            for i, k, bound, sign in leaves:
+                if bound == 1:
+                    ja = 2 * i - (1 << k)
+                    yield grid, ja, ja + 2, k, sign
 
 
 def test_float_guided_refine_matches_exact_bisection(monkeypatch):
@@ -452,11 +455,12 @@ def test_float_guided_refine_matches_exact_bisection(monkeypatch):
     cases = list(_refine_cases())
     assert len(cases) >= 40
     exact_points = taken = 0
-    for grid, ja, jb, k in cases:
+    for grid, ja, jb, k, sign in cases:
         for resolution in RESOLUTIONS:
             floated.clear()
-            got = realroots._refine(grid, ja, jb, k, resolution)
-            assert got == _bisection_refine(grid, ja, jb, k, resolution)
+            got = realroots._refine(grid, ja, jb, k, resolution, sign)
+            assert got == _bisection_refine(grid, ja, jb, k, resolution,
+                                            sign)
             exact_points += got[0] == got[1]
             if floated and got[2] == floated[0][2]:
                 taken += got == floated[0]
@@ -479,10 +483,10 @@ def test_refine_falls_back_when_the_floats_are_wrong(monkeypatch, wrong):
         return fb, 2 * fb - fa, fk
 
     monkeypatch.setattr(realroots, "_float_bisect", misled)
-    for grid, ja, jb, k in _refine_cases():
+    for grid, ja, jb, k, sign in _refine_cases():
         for resolution in RESOLUTIONS:
-            assert realroots._refine(grid, ja, jb, k, resolution) == \
-                _bisection_refine(grid, ja, jb, k, resolution)
+            assert realroots._refine(grid, ja, jb, k, resolution, sign) == \
+                _bisection_refine(grid, ja, jb, k, resolution, sign)
 
 
 def test_isolation_with_float_guidance_matches_exact_bisection(monkeypatch):
@@ -492,3 +496,76 @@ def test_isolation_with_float_guidance_matches_exact_bisection(monkeypatch):
         assert got == [isolate_real_roots(f, resolution)
                        for f in _refine_inputs()]
         monkeypatch.undo()
+
+
+# === exact dyadic roots ===
+
+def _dyadic_root_inputs():
+    """Seeded polynomials with dyadic rational roots of denominator at
+    most 2^20 and multiplicity 1 or 2, a third of them times an
+    irreducible quadratic (two irrational roots or none)."""
+    rng = random.Random(2022)
+    quadratics = [poly(-2, 0, 1), poly(-1, 1, 3), poly(1, 1, 1),
+                  poly(-3, 0, 4)]
+    for _ in range(200):
+        roots = set()
+        for _ in range(rng.randint(1, 4)):
+            s = rng.randint(0, 20)
+            roots.add(Fraction(rng.randint(-8 << s, 8 << s), 1 << s))
+        roots = sorted(roots)
+        f = from_roots(roots, [rng.choice([1, 2]) for _ in roots])
+        if rng.random() < 1 / 3:
+            f = f * rng.choice(quadratics)
+        yield f, roots
+
+
+def _check_isolation(f, resolution):
+    intervals = isolate_real_roots(f, resolution)
+    assert len(intervals) == count_real_roots(f).distinct_real
+    for iv in intervals:
+        assert iv.high - iv.low <= resolution
+        if iv.low != iv.high:
+            assert count_roots_in_open_interval(f, iv.low, iv.high) == \
+                (1, iv.multiplicity)
+    for a, b in zip(intervals, intervals[1:]):
+        assert a.high < b.low
+    return intervals
+
+
+def test_dyadic_roots_come_back_exact():
+    # every interval end lies on a power-of-two grid and every interval
+    # is an aligned dyadic one narrower than the resolution, so no
+    # dyadic root of denominator <= 1/resolution can lie inside one
+    resolution = Fraction(1, 2 ** 20)
+    for f, roots in _dyadic_root_inputs():
+        intervals = _check_isolation(f, resolution)
+        points = {iv.low for iv in intervals if iv.low == iv.high}
+        assert set(roots) <= points, (f, roots)
+
+
+@pytest.mark.parametrize("mult", [1, 2])
+@pytest.mark.parametrize("close", [Fraction(1, 3 * 2 ** 40),
+                                   Fraction(-1, 3 * 2 ** 40),
+                                   Fraction(1, 2 ** 41)])
+def test_dyadic_root_on_a_midpoint_next_to_a_close_root(mult, close):
+    # 0 is the first bisection point of every grid, and a piece with an
+    # end there holds a second root within 2^-40 of it
+    f = from_roots([0, close, Fraction(1, 2), -3], [mult, 1, 1, 2])
+    intervals = _check_isolation(f, Fraction(1, 2 ** 20))
+    points = [iv.low for iv in intervals if iv.low == iv.high]
+    assert {-3, 0, Fraction(1, 2)} <= set(points)
+    near = [iv for iv in intervals if iv.low <= close <= iv.high]
+    assert len(near) == 1 and near[0].multiplicity == 1
+    assert [iv.multiplicity for iv in intervals if iv.low <= 0 <= iv.high] \
+        == [mult]
+
+
+@pytest.mark.parametrize("f, point", [
+    (poly(0, 1), True), (poly(-1, 3), False),
+    (poly(5, 0, 1) * poly(0, 1), True), (poly(2, -7), False)])
+def test_dyadic_isolation_splits_the_whole_bound_at_zero(f, point):
+    # one real root: the whole bound is one piece, which a resolution
+    # wider than it would keep; it is split at 0 all the same
+    (iv,) = isolate_real_roots(f, Fraction(2 ** 10))
+    assert (iv.low == iv.high) == point
+    assert iv.low >= 0 or iv.high <= 0

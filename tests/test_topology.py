@@ -214,29 +214,27 @@ def test_each_ray_is_analysed_once(monkeypatch):
 
 def test_concentric_parameters_need_no_clash_refinement(monkeypatch):
     # max-norm directions keep the crossings at geometric scale, far
-    # apart at the isolation resolution, so isolate_real_roots never
-    # refines outside the per-factor isolation to separate two factors
-    inside, outside = [0], []
-    refine, isolate_factor = realroots._refine, realroots._isolate_factor
+    # apart at the isolation resolution, so isolate_real_roots refines
+    # each one-root piece of the Descartes bisection once and never
+    # again to separate two factors
+    pieces, refined = [0], [0]
+    descartes_pieces, refine = realroots._descartes_pieces, realroots._refine
 
-    def counted_factor(*args):
-        inside[0] += 1
-        try:
-            return isolate_factor(*args)
-        finally:
-            inside[0] -= 1
+    def counted_pieces(*args):
+        leaves, zeros = descartes_pieces(*args)
+        pieces[0] += sum(1 for leaf in leaves if leaf[2] == 1)
+        return leaves, zeros
 
     def counted_refine(*args):
-        if not inside[0]:
-            outside.append(args)
+        refined[0] += 1
         return refine(*args)
 
-    monkeypatch.setattr(realroots, "_isolate_factor", counted_factor)
+    monkeypatch.setattr(realroots, "_descartes_pieces", counted_pieces)
     monkeypatch.setattr(realroots, "_refine", counted_refine)
     p = parse_polynomial((GOLDEN / "concentric.poly").read_text())
     prof = oval_profile(p, (0, 0), SAMPLER)
     assert all(len(ray.parameters) == 4 for ray in prof.rays)
-    assert outside == []
+    assert refined[0] == pieces[0] > 0
 
 
 def _assert_multiple_root_flags(prof):

@@ -428,10 +428,16 @@ def _sqrt_fraction(value: Fraction) -> Fraction:
 
 def _degree_two(p: Polynomial, data: InterceptData) -> LinearPencil:
     l2, diag1 = fixed_part(data)
-    target = _target_polynomial(p)
+    t = _target_polynomial(p).coefficient
     # det = (1 + a1 x1 + b1 x2)(1 + a2 x1 + b2 x2) - l^2 x1^2, so the
-    # x1^2 coefficient pins the single unknown
-    l_squared = diag1[0] * diag1[1] - target.coefficient((2, 0))
+    # x1^2 coefficient pins the single unknown.  a1 a2 is read from the
+    # coefficients, not from the rounded intercepts: a1 + a2 = t10 and
+    # a1 b2 + a2 b1 = t11 give (b2 - b1)^2 a1 a2 = t10 t01 t11 - t11^2
+    # - t10^2 t02 (Vieta: b1 + b2 = t01, b1 b2 = t02), so l^2 is exact
+    # and its sign is never a rounding artefact
+    t10, t01, t11, t02 = t((1, 0)), t((0, 1)), t((1, 1)), t((0, 2))
+    l_squared = ((t10 * t01 * t11 - t11 * t11 - t10 * t10 * t02)
+                 / (t01 * t01 - 4 * t02) - t((2, 0)))
     if l_squared < 0:
         raise ConstructionError(
             "off-diagonal closed form needs a nonnegative square; the "

@@ -307,6 +307,12 @@ def side_counts(f: UnivariatePolynomial) -> Tuple[int, int]:
     return _tally(factors, hi=zero)[1], _tally(factors, lo=zero)[1]
 
 
+def _unit_scaled(c: IntPoly, e: int) -> IntPoly:
+    """A positive multiple of c(2^e y): the real zeros of c inside
+    (-2^e, 2^e) become its zeros inside (-1, 1)."""
+    return _int_primitive([v << (e * k) for k, v in enumerate(c)])
+
+
 class _Grid:
     """The bisection points 2^e j/2^k of one square-free factor g, where
     e = power_of_two_bound(g): every real root lies strictly inside
@@ -321,7 +327,7 @@ class _Grid:
 
     def __init__(self, g: IntPoly, e: int):
         self.e = e
-        self.g = _int_primitive([v << (e * k) for k, v in enumerate(g)])
+        self.g = _unit_scaled(g, e)
         top = 1 << max(abs(c).bit_length() for c in self.g)
         self.floats = [c / top for c in reversed(self.g)]
 
@@ -358,7 +364,7 @@ def isolate_real_roots(f: UnivariatePolynomial,
     for gi, _, mult in factors:
         e = power_of_two_bound(gi)
         grid = _Grid(gi, e)
-        leaves, zeros = _descartes_pieces(gi, e)
+        leaves, zeros = _descartes_pieces(grid.g)
         # the piece x in (i/2^k, (i+1)/2^k) of (0, 1) is y in
         # ((2i - 2^k)/2^k, (2i + 2 - 2^k)/2^k)
         for i, k in zeros:
@@ -529,29 +535,29 @@ def _descartes_bound(q: IntPoly) -> int:
     return variations
 
 
-def _descartes_pieces(c: IntPoly, e: int, deepest: Optional[int] = None
+def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
                       ) -> Tuple[List[Tuple[int, int, int, int]],
                                  Set[Tuple[int, int]]]:
-    """Descartes bisection (Collins-Akritas 1976) of (-2^e, 2^e) for the
-    real zeros of a nonzero integer polynomial c, all of which lie
-    inside it.
+    """Descartes bisection (Collins-Akritas 1976) of (-1, 1) for the
+    real zeros of a nonzero integer polynomial s, all of which lie
+    inside it (s = _unit_scaled(c, power_of_two_bound(c))).
 
-    x in (0, 1) stands for t = 2^e (2x - 1), and the piece (i/2^k,
-    (i+1)/2^k) of (0, 1) is mapped onto (0, 1), where its polynomial q
-    is a positive multiple of c, so it has c's signs.  A piece with
+    x in (0, 1) stands for y = 2x - 1, and the piece (i/2^k, (i+1)/2^k)
+    of (0, 1) is mapped onto (0, 1), where its polynomial q is a
+    positive multiple of s, so it has s's signs.  A piece with
     Descartes bound 0 has no zero and one with bound 1 one simple zero;
     one with a larger bound is split at its midpoint, unless it is on
     level deepest.  Returns the leaves, left to right, as (i, k, bound,
-    sign), sign being that of c just right of the piece's left end: of
+    sign), sign being that of s just right of the piece's left end: of
     q's lowest nonzero coefficient, also where that end is a zero.  And
-    the midpoints (i, k), i odd, where c vanishes: with every zero on a
+    the midpoints (i, k), i odd, where s vanishes: with every zero on a
     midpoint or inside a one-zero leaf, for want of a depth limit, these
-    are all of c's real zeros.  No gcd is taken, so a multiple zero, or
+    are all of s's real zeros.  No gcd is taken, so a multiple zero, or
     zeros closer than 2^-deepest, keep the bound at 2 or more at every
     width; the depth limit stops that bisection."""
-    n = len(c) - 1
-    # q(x) = c(2^e (2x - 1)): (0, 1) is (-2^e, 2^e)
-    q = _taylor_shift([v << (e * k) for k, v in enumerate(c)], -1)
+    n = len(s) - 1
+    # q(x) = s(2x - 1): (0, 1) is (-1, 1)
+    q = _taylor_shift(s, -1)
     q = [v << k for k, v in enumerate(q)]
     leaves = []
     zeros = set()
@@ -593,7 +599,8 @@ class RootCells:
     def __init__(self, c: IntPoly, width_exp: int):
         self.c = c
         e = self.exp = power_of_two_bound(c)
-        leaves, zeros = _descartes_pieces(c, e, e + 1 + width_exp)
+        leaves, zeros = _descartes_pieces(_unit_scaled(c, e),
+                                          e + 1 + width_exp)
         # the leaves came off the stack left to right.  An end x = i/2^k
         # is kept as the integer (2i - 2^k) 2^(depth - k), which is
         # t 2^(depth - e) for t = 2^e (2x - 1).  A piece is a cell number

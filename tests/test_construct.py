@@ -117,6 +117,32 @@ def test_irrational_intercepts_give_approx_match():
     assert result.outcome.membership_points == 100
 
 
+# det(I + x1 A1 + x2 A2) for commuting A1, A2: two real lines with
+# irrational intercepts, so the off-diagonal entry is exactly 0
+COMMUTING_CONIC = "vars 2\n1 0 0\n-1/2 1 0\n-2 0 1\n-1/4 2 0\n3 1 1\n-4 0 2\n"
+
+
+def test_degree_two_reads_l_squared_exactly():
+    # read from the intercepts rounded at 2^-64, l^2 = 0 came out with
+    # the sign of the rounding error, and a negative one rejected this
+    # input as not rigidly convex
+    result = represent(parse_polynomial(COMMUTING_CONIC), sampler=SMALL)
+    assert result.method == CLOSED_FORM
+    assert result.outcome.kind == APPROX_MATCH
+    assert result.pencil.matrices[1][0, 1] == 0
+
+
+@pytest.mark.parametrize("text", [
+    COMMUTING_CONIC, "vars 2\n1 0 0\n-1 2 0\n-2 0 2\n1/3 1 1\n1/2 0 1\n"])
+def test_degree_two_off_diagonal_ignores_intercept_rounding(text):
+    p = parse_polynomial(text)
+    _, data, _ = intercept_normalize(p)
+    shifted = InterceptData(tuple(c + F(1, 2 ** 40) for c in data.roots),
+                            data.slopes)
+    assert construct._degree_two(p, shifted).matrices[1][0, 1] == \
+        construct._degree_two(p, data).matrices[1][0, 1]
+
+
 # === coefficient matching ===
 
 def test_product_of_lines_matches_exactly():

@@ -436,7 +436,7 @@ def _refine_cases():
         for g, _, _ in realroots._factor_chains(f, "isolate"):
             e = power_of_two_bound(g)
             grid = realroots._Grid(g, e)
-            leaves, _ = realroots._descartes_pieces(g, e)
+            leaves, _ = realroots._descartes_pieces(grid.g)
             for i, k, bound, sign in leaves:
                 if bound == 1:
                     ja = 2 * i - (1 << k)

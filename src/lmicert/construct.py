@@ -8,6 +8,10 @@ x2 axis: with p(0, c_i) = 0 and s_i the implicit slope dx2/dx1 at
 
     L2 = diag(-1/c_1, ..., -1/c_d),    [L1]_ii = s_i / c_i.
 
+When the x2 axis does not meet the curve in d distinct real points,
+the line of the first integer slope that the plane's slope cells decide
+becomes the x2 axis (intercept_normalize, rzcheck.SlopeCells).
+
 That pins everything except the off-diagonal of L1, which is found by
 matching det coefficients numerically (degree 3 and up) or by a one
 unknown closed form (degree 2).  That numeric solve is the package's
@@ -27,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,7 +42,7 @@ from .pencil import (LinearPencil, Membership, SymmetricMatrix, _bareiss_det,
                      membership)
 from .poly import Polynomial, UnivariatePolynomial, _exact_sqrt
 from .realroots import count_real_roots, isolate_real_roots
-from .rzcheck import RaySampler, rz_check
+from .rzcheck import RaySampler, RZVerdict, SlopeCells, rz_check
 
 __all__ = ["InterceptData", "RepresentationResult", "VerifyOutcome",
            "intercept_normalize", "fixed_part", "match_offdiagonal",
@@ -54,7 +59,6 @@ APPROX_MATCH = "ApproxMatch"
 MISMATCH = "Mismatch"
 
 _MATCH_DEGREE_CAP = 6
-_CHANGE_TRIES = 32
 _INTERCEPT_RESOLUTION = Fraction(1, 2 ** 64)
 
 Matrix2 = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
@@ -91,11 +95,6 @@ class RepresentationResult:
 # -- intercept normalization ---------------------------------------------------
 
 
-def _axis_poly(p: Polynomial) -> UnivariatePolynomial:
-    zero = (Fraction(0), Fraction(0))
-    return p.restrict(zero, (Fraction(0), Fraction(1)))
-
-
 def _snap_root(g: UnivariatePolynomial, low: Fraction, high: Fraction,
                mid: Fraction) -> Fraction:
     """The root in the isolating interval if it is a fraction a/b with
@@ -114,7 +113,7 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     """Intercept data if p(0, mu) has deg p distinct real roots, else
     None (a coordinate change is needed)."""
     d = int(p.degree())
-    g = _axis_poly(p)
+    g = p.restrict((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
     if g.degree() != d:
         return None
     counts = count_real_roots(g)
@@ -136,17 +135,10 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
             # cannot happen at a simple root of p(0, mu) when c is
             # exact; approximate roots sit close enough that the
             # derivative stays away from zero, but guard anyway
-            return None
+            raise ConstructionError(
+                f"the implicit slope at the axis intercept {c} is undefined")
         slopes.append(-p1.evaluate(at) / denom)
     return InterceptData(tuple(roots), tuple(slopes))
-
-
-def _random_change(rng: random.Random) -> Matrix2:
-    while True:
-        r = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-              for _ in range(2)] for _ in range(2)]
-        if r[0][0] * r[1][1] - r[0][1] * r[1][0] != 0:
-            return ((r[0][0], r[0][1]), (r[1][0], r[1][1]))
 
 
 def _apply_change(p: Polynomial, change: Matrix2) -> Polynomial:
@@ -165,37 +157,40 @@ def _apply_change(p: Polynomial, change: Matrix2) -> Polynomial:
     return out
 
 
-def _invert_change(change: Matrix2) -> Matrix2:
-    (a, b), (c, d) = change
-    det = a * d - b * c
-    return ((d / det, -b / det), (-c / det, a / det))
-
-
-def intercept_normalize(p: Polynomial, seed: int = 0
+def intercept_normalize(p: Polynomial
                         ) -> Tuple[Polynomial, InterceptData, Optional[Matrix2]]:
-    """Arrange d distinct real intercepts on the x2 axis.
+    """Arrange d = deg p distinct real intercepts on the x2 axis.
 
-    Returns p unchanged when its axis restriction already has full
-    degree and distinct real roots; otherwise retries seeded rational
-    linear coordinate changes x = R y until the transformed polynomial
-    qualifies.  Inputs that fail the line test tend to exhaust the
-    retry budget, since no direction meets the curve fully.
+    Returns (p, data, None) when p's restriction to the x2 axis has
+    degree d and d distinct real roots.  Otherwise it returns (q, data,
+    R) for x = R y, R = ((0, 1), (1, t)), t the first of 0, 1, -1, 2,
+    -2, ... that the slope cells of p at the origin decide: q(0, y2) =
+    p(y2, t y2) is p along (1, t).  A decided slope has D(t) h_d(1, t)
+    != 0, so that line meets the curve in d distinct points; every
+    |t| >= 2^e is decided.  Raises ConstructionError when D = 0 (p is
+    not square-free), and CertifiedNotRZError, with the line (1, t) as
+    the witness, when its roots are not all real.
     """
     _check_base_point(p)
     data = _intercepts(p)
     if data is not None:
         return p, data, None
-    rng = random.Random(seed)
-    for _ in range(_CHANGE_TRIES):
-        change = _random_change(rng)
-        q = _apply_change(p, change)
-        data = _intercepts(q)
-        if data is not None:
-            return q, data, change
-    raise ConstructionError(
-        f"no coordinate change out of {_CHANGE_TRIES} seeded tries gave "
-        f"{int(p.degree())} distinct real axis intercepts; the region is "
-        f"likely not rigidly convex or the curve is highly degenerate")
+    origin = (Fraction(0), Fraction(0))
+    cells = SlopeCells.at(p, origin)
+    if cells is None:
+        raise ConstructionError(
+            f"p is not square-free: its slope discriminant D vanishes, so "
+            f"no line through the origin meets the curve in "
+            f"{int(p.degree())} distinct points")
+    t = next(t for n in count() for t in (n, -n)
+             if cells.cell(t, 1) is not None)
+    change = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(t)))
+    q = _apply_change(p, change)
+    data = _intercepts(q)
+    if data is None:
+        # degree d and simple roots along (1, t): some are not real
+        raise _not_rz(rz_check(p, origin, RaySampler(2, 1, 0, ((1, t),))))
+    return q, data, change
 
 
 def fixed_part(data: InterceptData
@@ -360,7 +355,7 @@ def match_offdiagonal(p: Polynomial,
     if best_pencil is None or best_residual > tol:
         raise ConstructionError(
             "no start of the off-diagonal solve reached the tolerance; "
-            "retry with a different coordinate change or seed",
+            "retry with a different seed",
             residual=None if best_pencil is None else best_residual)
     promoted = _try_promote(best_pencil, target)
     if promoted is not None:
@@ -447,11 +442,11 @@ def _degree_two(p: Polynomial, data: InterceptData) -> LinearPencil:
 
 
 def _undo_change(pencil: LinearPencil, change: Matrix2) -> LinearPencil:
-    inv = _invert_change(change)
-    b1, b2 = pencil.matrices[1], pencil.matrices[2]
-    l1 = b1.scale(inv[0][0]) + b2.scale(inv[1][0])
-    l2 = b1.scale(inv[0][1]) + b2.scale(inv[1][1])
-    return LinearPencil([pencil.matrices[0], l1, l2])
+    """The pencil in x from the one in y, for x = R y with R = ((0, 1),
+    (1, t)): y = (x2 - t x1, x1), so y1 B1 + y2 B2 = x1 (B2 - t B1) +
+    x2 B1."""
+    unit, b1, b2 = pencil.matrices
+    return LinearPencil([unit, b2 + b1.scale(-change[1][1]), b1])
 
 
 def represent(p: Polynomial, tol: float = 1e-9,
@@ -469,12 +464,7 @@ def represent(p: Polynomial, tol: float = 1e-9,
     _check_base_point(p)
     verdict = rz_check(p, (Fraction(0), Fraction(0)), sampler)
     if verdict.certified_not_rz():
-        direction, counts = verdict.witness
-        raise CertifiedNotRZError(
-            f"not a real-zero polynomial: direction "
-            f"{tuple(str(c) for c in direction)} has only "
-            f"{counts.real_with_multiplicity} real of {counts.total_degree} "
-            f"roots", verdict=verdict)
+        raise _not_rz(verdict)
 
     if factors is None:
         pencil, method, change = _unverified_pencil(p, tol, seed)
@@ -501,6 +491,16 @@ def represent(p: Polynomial, tol: float = 1e-9,
     return RepresentationResult(pencil, residual, method, change, outcome)
 
 
+def _not_rz(verdict: RZVerdict) -> CertifiedNotRZError:
+    """The error for a failed line test, naming its witness."""
+    direction, counts = verdict.witness
+    return CertifiedNotRZError(
+        f"not a real-zero polynomial: direction "
+        f"{tuple(str(c) for c in direction)} has only "
+        f"{counts.real_with_multiplicity} real of {counts.total_degree} "
+        f"roots", verdict=verdict)
+
+
 def _check_base_point(p: Polynomial) -> None:
     if p.num_vars != 2:
         raise DimensionMismatch("construction is two-variable only")
@@ -520,7 +520,7 @@ def _unverified_pencil(p: Polynomial, tol: float, seed: int
             f"degree {d} exceeds the matching cap {_MATCH_DEGREE_CAP}; "
             f"supply a factorization")
 
-    q, data, change = intercept_normalize(p, seed=seed)
+    q, data, change = intercept_normalize(p)
     if d == 2:
         pencil = _degree_two(q, data)
         method = CLOSED_FORM

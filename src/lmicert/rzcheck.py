@@ -30,22 +30,25 @@ between the real zeros of P(t) = D(t) h_d(1, t), where t is the line's
 slope, D(t) is the discriminant of g_t(s) = s^d p(x0 + (1, t)/s) (up
 to a constant factor) and h_d is p's top form: a 1-D cylindrical
 decomposition.  So once a line test of degree >= 2 has passed
-_CELLS_AFTER rays, it builds these slope cells once (D by
-interpolation from Sylvester determinants, the zeros of P by
-Descartes bisection, realroots.RootCells), and each later ray whose
-slope lies strictly inside a cell where a ray was already counted
-takes that ray's root count, with no restriction.  Vertical rays,
-slopes that may be zeros of P, and every ray when D = 0 (p not
-square-free) are counted directly.  The verdict and every record are
-those of counting every ray.  Every scan uses the cells; for
-oval_profile a ray takes its counts only from a ray of its cell with
-the same sign of v1, whose side counts it shares (_slope_key).
-boundary_samples, which isolates the roots on every ray, does not.
+_CELLS_AFTER rays, it builds these slope cells once (SlopeCells.at: D
+by interpolation from Sylvester determinants, the zeros of P by
+Descartes bisection), and each later ray whose slope lies strictly
+inside a cell where a ray was already counted takes that ray's root
+count, with no restriction.  Vertical rays, slopes that may be zeros of
+P, and every ray when D = 0 (p not square-free) are counted directly.
+The verdict and every record are those of counting every ray.  Every
+scan uses the cells; for oval_profile a ray takes its counts only from
+a ray of its cell with the same sign of v1, whose side counts it shares
+(SlopeCells.key).  boundary_samples, which isolates the roots on every
+ray, does not.  construct.intercept_normalize reads the cells too: a
+slope t with a cell is a line through x0 that meets the curve in d
+distinct points or certifies that p is not real-zero.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -55,8 +58,9 @@ from typing import Iterator, List, Optional, Tuple
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
 from .pencil import _bareiss_det, _interpolate
 from .poly import Polynomial, UnivariatePolynomial, as_point
-from .realroots import (RootCells, RootCount, count_real_roots,
-                        isolate_real_roots)
+from .realroots import (RootCount, _descartes_pieces, _int_sign_at,
+                        _unit_scaled, count_real_roots, isolate_real_roots,
+                        power_of_two_bound)
 
 Direction = Tuple[Fraction, ...]
 
@@ -296,7 +300,7 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     multiplicity; the first failing ray stops the scan and is the
     witness.
 
-    A plane scan of degree >= 2 builds the slope cells (_slope_cells)
+    A plane scan of degree >= 2 builds the slope cells (SlopeCells.at)
     once _CELLS_AFTER rays have passed.  From then on, a ray whose slope
     lies in a cell where an earlier ray was counted takes that ray's
     RootCount, with no restriction; the verdict is the one of counting
@@ -313,7 +317,7 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     cells = None
     counted = {}                # key -> (RootCount, index of a ray with it)
     for v in sampler.directions():
-        key = None if cells is None else _slope_key(cells, v, keep)
+        key = None if cells is None else cells.key(v, keep)
         hit = None if key is None else counted.get(key)
         if hit is None:
             f = q.restrict(x, v)
@@ -339,10 +343,10 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
                               sampler.seed, tuple(per_ray)), kept)
         if build and len(per_ray) == _CELLS_AFTER:
             build = False
-            cells = _slope_cells(q, x)
+            cells = SlopeCells.at(q, x)
             # the rays counted so far are the first of their keys
             for i, r in enumerate(per_ray if cells is not None else ()):
-                key = _slope_key(cells, r.direction, keep)
+                key = cells.key(r.direction, keep)
                 if key is not None and key not in counted:
                     counted[key] = (RootCount(r.distinct, r.with_multiplicity,
                                               r.degree), i)
@@ -380,85 +384,153 @@ _CELLS_AFTER = 64
 _CELL_WIDTH_EXP = 12
 
 
-def _slope_heads(forms) -> List[List[int]]:
-    """H_k(t) = sum_(|e| = k) C_e t^e2 = E h_k(1, t) for k = 0..d, as
-    integers lowest degree first, from the integer form table (E, C_e)
-    of Polynomial._build_forms for a polynomial in two variables."""
-    heads = [[0] * (k + 1) for k in range(len(forms))]
-    for k, form in enumerate(forms):
-        for exps, c in form:
-            heads[k][exps[1]] = c
-    return heads
+class SlopeCells:
+    """The slope axis cut at the real zeros of an integer polynomial P,
+    as far as Descartes bisection decides them; at(q, x) builds them for
+    P(t) = D(t) H_d(t), the plane line test's cells.
 
+    With e = power_of_two_bound(P), realroots._descartes_pieces bisects
+    (-2^e, 2^e) until each piece has Descartes bound 0 or 1 or is
+    narrower than 2^-_CELL_WIDTH_EXP.  A piece still at bound 2 or more
+    there is kept undecided: it may hold a multiple zero, or zeros
+    closer than that.  A midpoint where P vanishes is an exact zero.
 
-def _slope_discriminant(heads: List[List[int]]) -> List[int]:
-    """The integer coefficients of D(t) = Res_s(G_t, G_t'), lowest
-    degree first ([] when D = 0), for G_t(s) = sum_k H_k(t) s^(d-k) =
-    E g_t(s); so D(t) = E^(2d-1) Res_s(g_t, g_t').
+    cell(a, b) numbers the open cells between the zeros from left to
+    right: two slopes with the same number lie in one zero-free
+    interval.  A slope that is a zero, or lies in an undecided piece,
+    gets None; an undecided piece may hide zeros, so the cells on its
+    two sides get different numbers.  Every slope t with |t| >= 2^e is
+    decided.  key(v, sides) is the cell of a ray's slope.
+    """
 
-    deg D <= d(d-1), so D is interpolated (pencil._interpolate) from its
-    values at t = 0..d(d-1): Bareiss determinants of the (2d-1)-square
-    Sylvester matrix of G_t and G_t'."""
-    d = len(heads) - 1
-    top = d * (d - 1)
-    table = {}
-    for t in range(top + 1):
-        # G_t, highest power of s first, and its derivative
-        g = []
-        for h in heads:
-            value = 0
-            for c in reversed(h):
-                value = value * t + c
-            g.append(value)
-        dg = [(d - k) * c for k, c in enumerate(g[:-1])]
-        rows = [[0] * r + g + [0] * (d - 2 - r) for r in range(d - 1)]
-        rows += [[0] * r + dg + [0] * (d - 1 - r) for r in range(d)]
-        table[(t,)] = _bareiss_det(rows)
-    coeffs = _interpolate(table, top, 1)
-    out = [coeffs.get((k,), 0) for k in range(top + 1)]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    __slots__ = ("c", "exp", "depth", "ends", "end_cells", "pieces")
 
+    def __init__(self, c: Sequence[int]):
+        self.c = c
+        e = self.exp = power_of_two_bound(c)
+        leaves, zeros = _descartes_pieces(_unit_scaled(c, e),
+                                          e + 1 + _CELL_WIDTH_EXP)
+        # the leaves came off the stack left to right.  An end x = i/2^k
+        # is kept as the integer (2i - 2^k) 2^(depth - k), which is
+        # t 2^(depth - e) for t = 2^e (2x - 1).  A piece is a cell number
+        # (no zero), (cell left of the zero, sign right of the piece's
+        # left end) for one simple zero, or None (undecided).
+        depth = self.depth = max(k for _, k, _, _ in leaves)
+        self.ends = [-1 << depth]
+        self.end_cells = [0]
+        self.pieces = []
+        cell = 0
+        for i, k, bound, sign in leaves:
+            if bound == 0:
+                self.pieces.append(cell)
+            else:
+                self.pieces.append((cell, sign) if bound == 1 else None)
+                cell += 1
+            i += 1
+            self.ends.append((2 * i - (1 << k)) << (depth - k))
+            while k and not i & 1:
+                i >>= 1
+                k -= 1
+            if (i, k) in zeros:
+                self.end_cells.append(None)
+                cell += 1
+            else:
+                self.end_cells.append(cell)
 
-def _slope_cells(q: Polynomial, x: Tuple[Fraction, ...]
-                 ) -> Optional[RootCells]:
-    """The cells of the real zeros of P(t) = D(t) H_d(t) for q at x, or
-    None when D = 0 (q is not square-free)."""
-    table = q._forms
-    if table is None or table[0] != x:
-        table = q._build_forms(x)
-    heads = _slope_heads(table[2])
-    disc = _slope_discriminant(heads)
-    if not disc:
-        return None
-    top = heads[-1]
-    while not top[-1]:
-        top.pop()
-    product = [0] * (len(disc) + len(top) - 1)
-    for i, a in enumerate(disc):
-        for j, b in enumerate(top):
-            product[i + j] += a * b
-    return RootCells(product, _CELL_WIDTH_EXP)
+    @classmethod
+    def at(cls, q: Polynomial, x: Tuple[Fraction, ...]
+           ) -> Optional[SlopeCells]:
+        """The cells of P(t) = D(t) H_d(t) for q in two variables at x,
+        or None when D = 0 (q is not square-free).  H_k(t) = sum_(|e| =
+        k) C_e t^e2 = E h_k(1, t), from the integer form table (E, C_e)
+        of Polynomial._build_forms."""
+        table = q._forms
+        if table is None or table[0] != x:
+            table = q._build_forms(x)
+        heads = [[0] * (k + 1) for k in range(len(table[2]))]
+        for k, form in enumerate(table[2]):
+            for exps, c in form:
+                heads[k][exps[1]] = c
+        disc = cls._discriminant(heads)
+        if not disc:
+            return None
+        top = heads[-1]
+        while not top[-1]:
+            top.pop()
+        product = [0] * (len(disc) + len(top) - 1)
+        for i, a in enumerate(disc):
+            for j, b in enumerate(top):
+                product[i + j] += a * b
+        return cls(product)
 
+    @staticmethod
+    def _discriminant(heads: List[List[int]]) -> List[int]:
+        """The integer coefficients of D(t) = Res_s(G_t, G_t'), lowest
+        degree first ([] when D = 0), for G_t(s) = sum_k H_k(t) s^(d-k)
+        = E g_t(s), heads[k] = H_k = E h_k(1, t) lowest degree first;
+        so D(t) = E^(2d-1) Res_s(g_t, g_t').
 
-def _slope_key(cells: RootCells, v: Direction, sides: bool
-               ) -> Optional[Tuple[int, bool]]:
-    """(cell of v's slope v2/v1, sides and v1 > 0); None for a vertical
-    ray or a slope that may be a zero of P.
+        deg D <= d(d-1), so D is interpolated (pencil._interpolate) from
+        its values at t = 0..d(d-1): Bareiss determinants of the
+        (2d-1)-square Sylvester matrix of G_t and G_t'."""
+        d = len(heads) - 1
+        top = d * (d - 1)
+        table = {}
+        for t in range(top + 1):
+            # G_t, highest power of s first, and its derivative
+            g = []
+            for h in heads:
+                value = 0
+                for c in reversed(h):
+                    value = value * t + c
+                g.append(value)
+            dg = [(d - k) * c for k, c in enumerate(g[:-1])]
+            rows = [[0] * r + g + [0] * (d - 2 - r) for r in range(d - 1)]
+            rows += [[0] * r + dg + [0] * (d - 1 - r) for r in range(d)]
+            table[(t,)] = _bareiss_det(rows)
+        coeffs = _interpolate(table, top, 1)
+        out = [coeffs.get((k,), 0) for k in range(top + 1)]
+        while out and not out[-1]:
+            out.pop()
+        return out
 
-    Rays with one key have one RootCount.  With sides, they also have
-    the same numbers of roots mu < 0 and mu > 0: on the cell D(t) and
-    h_d(1, t) = g_t(0) are nonzero, so the real roots s of g_t are
-    simple and nonzero, and the number of each sign cannot change
-    across the cell; mu = 1/(v1 s) has the sign of s for v1 > 0 and
-    the other for v1 < 0."""
-    a, b = v
-    if not a:
-        return None
-    num, den = b.numerator * a.denominator, b.denominator * a.numerator
-    cell = cells.cell(num, den) if den > 0 else cells.cell(-num, -den)
-    return None if cell is None else (cell, sides and a > 0)
+    def cell(self, a: int, b: int) -> Optional[int]:
+        """The number of the zero-free cell that holds t = a/b (b > 0),
+        or None."""
+        u, rest = divmod(a << self.depth, b << self.exp)
+        ends = self.ends
+        if u < ends[0]:
+            return 0
+        if u >= ends[-1]:
+            return self.end_cells[-1]
+        j = bisect_right(ends, u) - 1       # ends[j] <= u < ends[j + 1]
+        if not rest and ends[j] == u:
+            return self.end_cells[j]
+        piece = self.pieces[j]
+        if piece is None or type(piece) is int:
+            return piece
+        left, sign = piece
+        s = _int_sign_at(self.c, a, b)
+        if not s:
+            return None
+        return left if s == sign else left + 1
+
+    def key(self, v: Direction, sides: bool) -> Optional[Tuple[int, bool]]:
+        """(cell of v's slope v2/v1, sides and v1 > 0); None for a
+        vertical ray or a slope that may be a zero of P.
+
+        Rays with one key have one RootCount.  With sides, they also
+        have the same numbers of roots mu < 0 and mu > 0: on the cell
+        D(t) and h_d(1, t) = g_t(0) are nonzero, so the real roots s of
+        g_t are simple and nonzero, and the number of each sign cannot
+        change across the cell; mu = 1/(v1 s) has the sign of s for
+        v1 > 0 and the other for v1 < 0."""
+        a, b = v
+        if not a:
+            return None
+        num, den = b.numerator * a.denominator, b.denominator * a.numerator
+        cell = self.cell(num, den) if den > 0 else self.cell(-num, -den)
+        return None if cell is None else (cell, sides and a > 0)
 
 
 def rz_check(p: Polynomial, x0: Sequence,

@@ -116,7 +116,7 @@ def oval_profile(p: Polynomial, x0: Sequence,
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     # a ray that took its counts from its slope cell takes the side
-    # counts of the first ray with its key (rzcheck._slope_key)
+    # counts of the first ray with its key (rzcheck.SlopeCells.key)
     verdict, kept = _scan(
         p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))),
         keep=True)

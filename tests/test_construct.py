@@ -18,7 +18,7 @@ from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
                             determinant_polynomial, membership, parse_pencil)
 from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
 from lmicert.realroots import isolate_real_roots
-from lmicert.rzcheck import RaySampler
+from lmicert.rzcheck import RaySampler, SlopeCells
 
 F = Fraction
 x1 = Polynomial.variable(1, 2)
@@ -50,17 +50,139 @@ def test_intercept_sort_prefers_small_then_positive():
 
 
 def test_degenerate_axis_triggers_coordinate_change():
-    # restriction to the x2 axis is constant; a rotation is required
+    # restriction to the x2 axis is constant; the x1 axis, slope 0,
+    # meets the strip at -1 and 1, so the axes swap
     p = one - x1 ** 2
     q, data, change = intercept_normalize(p)
-    assert change is not None
-    assert len(data.roots) == 2
-    assert q != p
+    assert change == ((0, 1), (1, 0))
+    assert q == one - x2 ** 2
+    assert set(data.roots) == {F(1), F(-1)}
 
 
 def test_intercept_normalize_needs_positive_origin():
     with pytest.raises(BasePointError):
         intercept_normalize(DISC.shift((2, 0)))
+
+
+ORIGIN = (F(0), F(0))
+
+
+def _slope_order(t):
+    """The integer slopes 0, 1, -1, 2, -2, ... before t."""
+    order = [0] + [s for n in range(1, abs(t) + 1) for s in (n, -n)]
+    return order[:order.index(t)]
+
+
+def test_three_lines_take_the_first_slope_the_cells_decide():
+    # (1 - x1)(1 + x1)(1 + x2): along slope 0 the degree drops, and the
+    # lines of slope 1 and -1 pass through the nodes (-1, -1) and (1, -1)
+    p = (one - x1) * (one + x1) * (one + x2)
+    cells = SlopeCells.at(p, ORIGIN)
+    assert [cells.cell(t, 1) for t in (0, 1, -1)] == [None] * 3
+    assert cells.cell(2, 1) is not None
+    q, data, change = intercept_normalize(p)
+    assert change == ((0, 1), (1, 2))
+    assert sorted(data.roots) == [F(-1), F(-1, 2), F(1)]
+
+
+def _axis_degenerate_input(k):
+    """det(I + x1 L1 + x2 L2) of size d = 2 + k % 3 whose x2 axis fails:
+    L2 diagonal with one zero entry (odd k) or two equal entries (even
+    k), and L1 with entries n/q, |n| <= 3, q <= 4."""
+    rng = random.Random(9000 + k)
+    d = 2 + k % 3
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 4))
+
+    diag = [entry() for _ in range(d)]
+    i, j = rng.sample(range(d), 2)
+    if k % 2:
+        diag[i] = F(0)
+    else:
+        diag[j] = diag[i]
+    rows = [[F(0)] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            rows[a][b] = rows[b][a] = entry()
+    return determinant_polynomial(LinearPencil([
+        SymmetricMatrix.identity(d), SymmetricMatrix(rows),
+        SymmetricMatrix.diagonal(diag)]))
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_axis_degenerate_determinants_get_a_decided_integer_slope(k):
+    p = _axis_degenerate_input(k)
+    cells = SlopeCells.at(p, ORIGIN)
+    if cells is None:
+        # k = 0 draws L1 = 0, so p = (1 + c x2)^2
+        with pytest.raises(ConstructionError, match="not square-free"):
+            intercept_normalize(p)
+        return
+    q, data, change = intercept_normalize(p)
+    t = change[1][1]
+    assert change == ((0, 1), (1, t)) and t.denominator == 1
+    t = int(t)
+    assert cells.cell(t, 1) is not None
+    assert all(cells.cell(s, 1) is None for s in _slope_order(t))
+    # q on its x2 axis is p along (1, t), with deg p distinct real roots
+    assert len(set(data.roots)) == int(p.degree())
+    for s in (F(1, 3), F(-2), F(5, 7)):
+        assert q.evaluate((F(0), s)) == p.evaluate((s, t * s))
+    try:
+        result = represent(p, sampler=SMALL)
+    except ConstructionError:
+        return
+    assert result.coordinate_change == change
+    assert result.outcome.kind in (EXACT_MATCH, APPROX_MATCH)
+    if result.outcome.kind == EXACT_MATCH:
+        assert determinant_polynomial(result.pencil) == \
+            p * result.outcome.constant
+
+
+def _sturm_distinct_real_roots(coeffs):
+    """Distinct real roots of a polynomial with Fraction coefficients,
+    lowest degree first, from its Sturm chain in Fraction arithmetic."""
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for i in range(len(b)):
+                a[len(a) - len(b) + i] -= q * b[i]
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    chain = [list(coeffs), [k * c for k, c in enumerate(coeffs)][1:]]
+    while True:
+        r = rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+
+    def variations(signs):
+        signs = [s for s in signs if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_minus = [(1 if c[-1] > 0 else -1) * (-1) ** (len(c) - 1)
+                for c in chain]
+    at_plus = [1 if c[-1] > 0 else -1 for c in chain]
+    return variations(at_minus) - variations(at_plus)
+
+
+def test_fermat_quartic_fails_on_the_decided_line():
+    fermat = one - x1 ** 4 - x2 ** 4
+    with pytest.raises(CertifiedNotRZError) as err:
+        intercept_normalize(fermat)
+    verdict = err.value.verdict
+    assert verdict.certified_not_rz()
+    v, counts = verdict.witness
+    assert v == (F(1), F(0))
+    coeffs = fermat.restrict(ORIGIN, v).coeffs
+    assert len(coeffs) == 5
+    assert _sturm_distinct_real_roots(coeffs) == \
+        counts.real_with_multiplicity == 2
 
 
 def test_fixed_part_from_disc():
@@ -77,6 +199,18 @@ def test_fixed_part_rejects_origin_intercept():
 
 
 # === closed forms ===
+
+@pytest.mark.parametrize("p", [2 * one + 4 * x1 - 6 * x2, 3 * one - x1])
+def test_match_offdiagonal_closes_degree_one(p):
+    # no off-diagonal entry to solve for; 3 - x1 is constant on the x2
+    # axis, so its normal form is 3 - y2
+    q, data, _ = intercept_normalize(p)
+    result = match_offdiagonal(q, fixed_part(data))
+    assert result.method == CLOSED_FORM
+    assert result.residual == 0
+    assert determinant_polynomial(result.pencil) == \
+        q * (1 / q.evaluate(ORIGIN))
+
 
 def test_degree_zero():
     result = represent(5 * one, sampler=SMALL)
@@ -429,11 +563,14 @@ def test_snap_root_matches_the_ladder_with_one_evaluation(monkeypatch):
 
 
 def test_coordinate_change_is_undone():
+    # the seed draws the random rays and the solve's starts, not the
+    # change
     p = (one - x1) * (one + x1) * (one + x2)
-    result = represent(p, sampler=SMALL)
-    assert result.coordinate_change is not None
-    assert result.outcome.kind in (EXACT_MATCH, APPROX_MATCH)
-    if result.outcome.kind == EXACT_MATCH:
+    for seed in (0, 5):
+        result = represent(p, seed=seed,
+                           sampler=RaySampler(2, 31, 8, seed=seed))
+        assert result.coordinate_change == ((0, 1), (1, 2))
+        assert result.outcome.kind == EXACT_MATCH
         c = result.outcome.constant
         assert determinant_polynomial(result.pencil) == p * c
 

@@ -555,6 +555,16 @@ def _assert_cells_agree(p, x0, sampler=None):
         assert verdict.per_ray == per_ray
 
 
+def _heads(forms):
+    """H_k(t) = sum_(|e| = k) C_e t^e2 for k = 0..d, lowest degree
+    first, from the integer form table of Polynomial._build_forms."""
+    heads = [[0] * (k + 1) for k in range(len(forms))]
+    for k, form in enumerate(forms):
+        for exps, c in form:
+            heads[k][exps[1]] = c
+    return heads
+
+
 def _golden(name):
     return parse_polynomial((GOLDEN / f"{name}.poly").read_text())
 
@@ -609,10 +619,26 @@ def test_slope_cells_are_skipped_when_p_is_not_square_free():
     # (1 - x1^2 - x2^2)^2: every g_t has double roots, so D = 0
     square = DISC * DISC
     q, x = square, (F(0), F(0))
-    heads = rzcheck._slope_heads(q._build_forms(x)[2])
-    assert rzcheck._slope_discriminant(heads) == []
-    assert rzcheck._slope_cells(q, x) is None
+    heads = _heads(q._build_forms(x)[2])
+    assert rzcheck.SlopeCells._discriminant(heads) == []
+    assert rzcheck.SlopeCells.at(q, x) is None
     _assert_cells_agree(square, (0, 0))
+
+
+def test_slope_cells_rebuild_the_forms_at_their_base_point():
+    # restrict caches p's forms at its own base point; the cells at the
+    # origin must build them again, not read those
+    p = _determinantal(random.Random(44), 4)
+    x0 = (F(0), F(0))
+    p.restrict((F(1, 3), F(-1, 5)), (F(1), F(1, 2)))
+    assert p._forms[0] != x0
+    cells = rzcheck.SlopeCells.at(p, x0)
+    fresh = rzcheck.SlopeCells.at(Polynomial(2, p.terms), x0)
+    assert cells.c == fresh.c
+    slopes = [F(n, 8) for n in range(-200, 201)]
+    assert [cells.cell(t.numerator, t.denominator) for t in slopes] == \
+        [fresh.cell(t.numerator, t.denominator) for t in slopes]
+    assert p._forms[0] == x0
 
 
 def test_slope_cells_handle_degree_drops_on_grid_slopes():
@@ -667,8 +693,8 @@ def test_slope_cells_replace_most_restrictions(monkeypatch):
         verdict, kept = rzcheck._scan(p, x0, RaySampler(2), keep=True)
         assert len(kept) == verdict.rays_checked == 243
         assert len(calls) == sum(f is not None for f, _ in kept)
-        cells = rzcheck._slope_cells(p, x0)
-        keys = [rzcheck._slope_key(cells, v, True)
+        cells = rzcheck.SlopeCells.at(p, x0)
+        keys = [cells.key(v, True)
                 for v in RaySampler(2).directions()[rzcheck._CELLS_AFTER:]]
         assert len(calls) <= (rzcheck._CELLS_AFTER + keys.count(None)
                               + len(set(keys) - {None})) < 100
@@ -704,7 +730,7 @@ def test_slope_discriminant_is_a_fraction_sylvester_determinant(data):
     if p.evaluate(x0) == 0:
         return
     _, den, forms = p._build_forms(x0)
-    disc = rzcheck._slope_discriminant(rzcheck._slope_heads(forms))
+    disc = rzcheck.SlopeCells._discriminant(_heads(forms))
     d = int(p.degree())
     shifted = p.shift(x0)
     t = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))

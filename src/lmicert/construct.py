@@ -141,19 +141,14 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     return InterceptData(tuple(roots), tuple(slopes))
 
 
-def _apply_change(p: Polynomial, change: Matrix2) -> Polynomial:
-    """p(R y) expanded in the new coordinates y."""
-    y1 = Polynomial.variable(1, 2)
+def _apply_change(p: Polynomial, t: int) -> Polynomial:
+    """p(y2, y1 + t y2), p in the coordinates y of x = R y, R = ((0, 1),
+    (1, t))."""
     y2 = Polynomial.variable(2, 2)
-    images = [y1 * change[0][0] + y2 * change[0][1],
-              y1 * change[1][0] + y2 * change[1][1]]
+    x2 = Polynomial.variable(1, 2) + y2 * t
     out = Polynomial.zero(2)
-    for expo, coeff in p.sorted_terms():
-        term = Polynomial.constant(coeff, 2)
-        for var_index, e in enumerate(expo):
-            for _ in range(e):
-                term = term * images[var_index]
-        out = out + term
+    for (e1, e2), coeff in p.sorted_terms():
+        out = out + y2 ** e1 * x2 ** e2 * coeff
     return out
 
 
@@ -185,11 +180,11 @@ def intercept_normalize(p: Polynomial
     t = next(t for n in count() for t in (n, -n)
              if cells.cell(t, 1) is not None)
     change = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(t)))
-    q = _apply_change(p, change)
+    q = _apply_change(p, t)
     data = _intercepts(q)
     if data is None:
         # degree d and simple roots along (1, t): some are not real
-        raise _not_rz(rz_check(p, origin, RaySampler(2, 1, 0, ((1, t),))))
+        raise _not_rz_along(p, (1, t))
     return q, data, change
 
 
@@ -479,9 +474,13 @@ def represent(p: Polynomial, tol: float = 1e-9,
         # so the parts need no scan of their own; as p(0,0) > 0, the
         # factors negative there come in pairs, and each is negated
         origin = (Fraction(0), Fraction(0))
-        pencil = direct_sum([
-            _unverified_pencil(-f if f.evaluate(origin) < 0 else f,
-                               tol, seed)[0] for f in factors])
+        try:
+            pencil = direct_sum([
+                _unverified_pencil(-f if f.evaluate(origin) < 0 else f,
+                                   tol, seed)[0] for f in factors])
+        except CertifiedNotRZError as err:
+            # the factor's restriction to its witness line divides p's
+            raise _not_rz_along(p, err.verdict.witness[0]) from None
         method, change = DIRECT_SUM, None
         failure = "direct sum failed verification"
     outcome = verify_representation(p, pencil, tol)
@@ -499,6 +498,13 @@ def _not_rz(verdict: RZVerdict) -> CertifiedNotRZError:
         f"{tuple(str(c) for c in direction)} has only "
         f"{counts.real_with_multiplicity} real of {counts.total_degree} "
         f"roots", verdict=verdict)
+
+
+def _not_rz_along(p: Polynomial, v: Sequence) -> CertifiedNotRZError:
+    """The error for a line through the origin, along v, on which p has
+    nonreal roots: the line test of p on that line alone."""
+    return _not_rz(rz_check(p, (Fraction(0), Fraction(0)),
+                            RaySampler(2, 1, 0, extra_directions=(v,))))
 
 
 def _check_base_point(p: Polynomial) -> None:

@@ -19,8 +19,9 @@ those integers from the start; any other input is scaled once.
     Isolation runs it on each square-free factor with no depth limit
     and refines each one-root piece by sign bisection on the same grid,
     so a dyadic root of denominator at most 1/resolution is returned
-    exactly.  rzcheck.SlopeCells runs it with a depth limit and no gcd:
-    the plane line test reads its zero-free intervals as the slope cells.
+    exactly.  ZeroCells runs it with a depth limit and no gcd, and
+    numbers the zero-free intervals; rzcheck.SlopeCells builds them for
+    the plane line test's slope polynomial.
 
 Counting and isolation are independent engines, so each can check the
 other.  Every counter and the isolation read one root analysis per
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from bisect import bisect_right
 from math import gcd, ldexp
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -574,3 +576,81 @@ def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
         stack.append((_int_primitive(right), 2 * i + 1, k + 1))
         stack.append((_int_primitive(left), 2 * i, k + 1))
     return leaves, zeros
+
+
+# undecided pieces of the bisection are narrower than 2^-_CELL_WIDTH_EXP
+_CELL_WIDTH_EXP = 12
+
+
+class ZeroCells:
+    """The real line cut at the real zeros of an integer polynomial c, as
+    far as Descartes bisection decides them.
+
+    With e = power_of_two_bound(c), _descartes_pieces bisects (-2^e, 2^e)
+    until each piece has Descartes bound 0 or 1 or is narrower than
+    2^-_CELL_WIDTH_EXP.  A piece still at bound 2 or more there is kept
+    undecided: it may hold a multiple zero, or zeros closer than that.
+    A midpoint where c vanishes is an exact zero.
+
+    cell(a, b) numbers the open cells between the zeros from left to
+    right: two points with the same number lie in one zero-free
+    interval.  A point that is a zero, or lies in an undecided piece,
+    gets None; an undecided piece may hide zeros, so the cells on its
+    two sides get different numbers.  Every t with |t| >= 2^e is
+    decided.
+    """
+
+    __slots__ = ("c", "exp", "depth", "ends", "end_cells", "pieces")
+
+    def __init__(self, c: IntPoly):
+        self.c = c
+        e = self.exp = power_of_two_bound(c)
+        leaves, zeros = _descartes_pieces(_unit_scaled(c, e),
+                                          e + 1 + _CELL_WIDTH_EXP)
+        # the leaves came off the stack left to right.  An end x = i/2^k
+        # is kept as the integer (2i - 2^k) 2^(depth - k), which is
+        # t 2^(depth - e) for t = 2^e (2x - 1).  A piece is a cell number
+        # (no zero), (cell left of the zero, sign right of the piece's
+        # left end) for one simple zero, or None (undecided).
+        depth = self.depth = max(k for _, k, _, _ in leaves)
+        self.ends = [-1 << depth]
+        self.end_cells = [0]
+        self.pieces = []
+        cell = 0
+        for i, k, bound, sign in leaves:
+            if bound == 0:
+                self.pieces.append(cell)
+            else:
+                self.pieces.append((cell, sign) if bound == 1 else None)
+                cell += 1
+            i += 1
+            self.ends.append((2 * i - (1 << k)) << (depth - k))
+            while k and not i & 1:
+                i >>= 1
+                k -= 1
+            if (i, k) in zeros:
+                self.end_cells.append(None)
+                cell += 1
+            else:
+                self.end_cells.append(cell)
+
+    def cell(self, a: int, b: int) -> Optional[int]:
+        """The number of the zero-free cell that holds t = a/b (b > 0),
+        or None."""
+        u, rest = divmod(a << self.depth, b << self.exp)
+        ends = self.ends
+        if u < ends[0]:
+            return 0
+        if u >= ends[-1]:
+            return self.end_cells[-1]
+        j = bisect_right(ends, u) - 1       # ends[j] <= u < ends[j + 1]
+        if not rest and ends[j] == u:
+            return self.end_cells[j]
+        piece = self.pieces[j]
+        if piece is None or type(piece) is int:
+            return piece
+        left, sign = piece
+        s = _int_sign_at(self.c, a, b)
+        if not s:
+            return None
+        return left if s == sign else left + 1

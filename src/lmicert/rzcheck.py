@@ -48,7 +48,6 @@ distinct points or certifies that p is not real-zero.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -58,9 +57,8 @@ from typing import Iterator, List, Optional, Tuple
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
 from .pencil import _bareiss_det, _interpolate
 from .poly import Polynomial, UnivariatePolynomial, as_point
-from .realroots import (RootCount, _descartes_pieces, _int_sign_at,
-                        _unit_scaled, count_real_roots, isolate_real_roots,
-                        power_of_two_bound)
+from .realroots import (RootCount, ZeroCells, count_real_roots,
+                        isolate_real_roots)
 
 Direction = Tuple[Fraction, ...]
 
@@ -380,77 +378,22 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
 # twice what the best choice in hindsight would.
 _CELLS_AFTER = 64
 
-# undecided pieces of the bisection are narrower than 2^-_CELL_WIDTH_EXP
-_CELL_WIDTH_EXP = 12
+class SlopeCells(ZeroCells):
+    """The plane line test's cells: the slope axis cut at the real zeros
+    of P(t) = D(t) H_d(t) (realroots.ZeroCells), which at(q, x) builds.
+    key(v, sides) is the cell of a ray's slope."""
 
-
-class SlopeCells:
-    """The slope axis cut at the real zeros of an integer polynomial P,
-    as far as Descartes bisection decides them; at(q, x) builds them for
-    P(t) = D(t) H_d(t), the plane line test's cells.
-
-    With e = power_of_two_bound(P), realroots._descartes_pieces bisects
-    (-2^e, 2^e) until each piece has Descartes bound 0 or 1 or is
-    narrower than 2^-_CELL_WIDTH_EXP.  A piece still at bound 2 or more
-    there is kept undecided: it may hold a multiple zero, or zeros
-    closer than that.  A midpoint where P vanishes is an exact zero.
-
-    cell(a, b) numbers the open cells between the zeros from left to
-    right: two slopes with the same number lie in one zero-free
-    interval.  A slope that is a zero, or lies in an undecided piece,
-    gets None; an undecided piece may hide zeros, so the cells on its
-    two sides get different numbers.  Every slope t with |t| >= 2^e is
-    decided.  key(v, sides) is the cell of a ray's slope.
-    """
-
-    __slots__ = ("c", "exp", "depth", "ends", "end_cells", "pieces")
-
-    def __init__(self, c: Sequence[int]):
-        self.c = c
-        e = self.exp = power_of_two_bound(c)
-        leaves, zeros = _descartes_pieces(_unit_scaled(c, e),
-                                          e + 1 + _CELL_WIDTH_EXP)
-        # the leaves came off the stack left to right.  An end x = i/2^k
-        # is kept as the integer (2i - 2^k) 2^(depth - k), which is
-        # t 2^(depth - e) for t = 2^e (2x - 1).  A piece is a cell number
-        # (no zero), (cell left of the zero, sign right of the piece's
-        # left end) for one simple zero, or None (undecided).
-        depth = self.depth = max(k for _, k, _, _ in leaves)
-        self.ends = [-1 << depth]
-        self.end_cells = [0]
-        self.pieces = []
-        cell = 0
-        for i, k, bound, sign in leaves:
-            if bound == 0:
-                self.pieces.append(cell)
-            else:
-                self.pieces.append((cell, sign) if bound == 1 else None)
-                cell += 1
-            i += 1
-            self.ends.append((2 * i - (1 << k)) << (depth - k))
-            while k and not i & 1:
-                i >>= 1
-                k -= 1
-            if (i, k) in zeros:
-                self.end_cells.append(None)
-                cell += 1
-            else:
-                self.end_cells.append(cell)
+    __slots__ = ()
 
     @classmethod
     def at(cls, q: Polynomial, x: Tuple[Fraction, ...]
            ) -> Optional[SlopeCells]:
         """The cells of P(t) = D(t) H_d(t) for q in two variables at x,
-        or None when D = 0 (q is not square-free).  H_k(t) = sum_(|e| =
-        k) C_e t^e2 = E h_k(1, t), from the integer form table (E, C_e)
-        of Polynomial._build_forms."""
+        or None when D = 0 (q is not square-free)."""
         table = q._forms
         if table is None or table[0] != x:
             table = q._build_forms(x)
-        heads = [[0] * (k + 1) for k in range(len(table[2]))]
-        for k, form in enumerate(table[2]):
-            for exps, c in form:
-                heads[k][exps[1]] = c
+        heads = cls._heads(table[2])
         disc = cls._discriminant(heads)
         if not disc:
             return None
@@ -462,6 +405,17 @@ class SlopeCells:
             for j, b in enumerate(top):
                 product[i + j] += a * b
         return cls(product)
+
+    @staticmethod
+    def _heads(forms) -> List[List[int]]:
+        """H_k(t) = sum_(|e| = k) C_e t^e2 = E h_k(1, t) for k = 0..d,
+        lowest degree first, from the integer form table (E, C_e) of
+        Polynomial._build_forms."""
+        heads = [[0] * (k + 1) for k in range(len(forms))]
+        for k, form in enumerate(forms):
+            for exps, c in form:
+                heads[k][exps[1]] = c
+        return heads
 
     @staticmethod
     def _discriminant(heads: List[List[int]]) -> List[int]:
@@ -493,27 +447,6 @@ class SlopeCells:
         while out and not out[-1]:
             out.pop()
         return out
-
-    def cell(self, a: int, b: int) -> Optional[int]:
-        """The number of the zero-free cell that holds t = a/b (b > 0),
-        or None."""
-        u, rest = divmod(a << self.depth, b << self.exp)
-        ends = self.ends
-        if u < ends[0]:
-            return 0
-        if u >= ends[-1]:
-            return self.end_cells[-1]
-        j = bisect_right(ends, u) - 1       # ends[j] <= u < ends[j + 1]
-        if not rest and ends[j] == u:
-            return self.end_cells[j]
-        piece = self.pieces[j]
-        if piece is None or type(piece) is int:
-            return piece
-        left, sign = piece
-        s = _int_sign_at(self.c, a, b)
-        if not s:
-            return None
-        return left if s == sign else left + 1
 
     def key(self, v: Direction, sides: bool) -> Optional[Tuple[int, bool]]:
         """(cell of v's slope v2/v1, sides and v1 > 0); None for a

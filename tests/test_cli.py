@@ -174,6 +174,16 @@ def test_represent_not_rz_exits_2(tmp_path):
     assert doc["witness_direction"] == ["1", "0"]
 
 
+def test_represent_exits_2_on_a_failing_normalization_line(tmp_path):
+    # 1 - x1^2 x2^2 passes its one scanned ray (1, 0); the line of the
+    # first slope the cells decide, (1, 1), is the witness
+    path = write(tmp_path, "cross.poly", "vars 2\n1 0 0\n-1 2 2\n")
+    code, out, _ = run_cli(["represent", path, "--rays", "1",
+                            "--random", "0"])
+    assert code == 2
+    assert json.loads(out)["witness_direction"] == ["1", "1"]
+
+
 def test_represent_rejects_a_base_point_off_the_origin(tmp_path):
     path = write(tmp_path, "disc.poly", DISC_POLY)
     code, out, err = run_cli(["represent", path, "--point", "1/2,0"] + FAST)

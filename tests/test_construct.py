@@ -171,18 +171,37 @@ def _sturm_distinct_real_roots(coeffs):
     return variations(at_minus) - variations(at_plus)
 
 
-def test_fermat_quartic_fails_on_the_decided_line():
-    fermat = one - x1 ** 4 - x2 ** 4
+@pytest.mark.parametrize("p, witness", [
+    # the x2 axis gives 1 - mu^4, and slope 0 is decided
+    (one - x1 ** 4 - x2 ** 4, (F(1), F(0))),
+    # the x2 axis has degree 0, slope 0 is a zero of P, and slope 1 is
+    # decided, along which p is 1 - mu^4
+    (one - x1 ** 2 * x2 ** 2, (F(1), F(1))),
+])
+def test_a_decided_line_with_nonreal_roots_is_the_witness(p, witness):
     with pytest.raises(CertifiedNotRZError) as err:
-        intercept_normalize(fermat)
+        intercept_normalize(p)
     verdict = err.value.verdict
     assert verdict.certified_not_rz()
     v, counts = verdict.witness
-    assert v == (F(1), F(0))
-    coeffs = fermat.restrict(ORIGIN, v).coeffs
+    assert v == witness
+    coeffs = p.restrict(ORIGIN, v).coeffs
     assert len(coeffs) == 5
     assert _sturm_distinct_real_roots(coeffs) == \
         counts.real_with_multiplicity == 2
+
+
+def test_a_factor_failing_its_line_reports_the_counts_of_p():
+    # the one ray (1, 0) passes p = (1 - x1^2 x2^2)(1 + x1); its first
+    # factor fails on the line (1, 1), where p has 3 real of 5 roots
+    f = one - x1 ** 2 * x2 ** 2
+    p = f * (one + x1)
+    with pytest.raises(CertifiedNotRZError) as err:
+        represent(p, factors=[f, one + x1], sampler=RaySampler(2, 1, 0))
+    v, counts = err.value.verdict.witness
+    assert v == (F(1), F(1))
+    assert (counts.real_with_multiplicity, counts.total_degree) == (3, 5)
+    assert "3 real of 5 roots" in str(err.value)
 
 
 def test_fixed_part_from_disc():

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from lmicert import realroots
 from lmicert.errors import ZeroPolynomialError
 from lmicert.poly import UnivariatePolynomial
-from lmicert.realroots import (count_real_roots,
+from lmicert.realroots import (_CELL_WIDTH_EXP, ZeroCells, count_real_roots,
                                count_roots_in_open_interval,
                                isolate_real_roots, power_of_two_bound,
                                side_counts, square_free_decompose)
-from lmicert.rzcheck import _CELL_WIDTH_EXP, SlopeCells
 
 
 def poly(*coeffs):
@@ -261,7 +260,7 @@ def _int_coeffs(f):
 
 
 def _cells_parts(cells):
-    """(ends, end cells, pieces) of a SlopeCells, with the ends as
+    """(ends, end cells, pieces) of a ZeroCells, with the ends as
     Fractions t."""
     scale = Fraction(1 << cells.exp, 1 << cells.depth)
     return ([e * scale for e in cells.ends], cells.end_cells, cells.pieces)
@@ -292,7 +291,7 @@ def test_root_cells_isolate_every_real_root(roots, rootless, lead):
     c = _int_coeffs(f)
     bound = 1 << power_of_two_bound(c)
     assert all(-bound < r < bound for r in mults)
-    cells = SlopeCells(c)
+    cells = ZeroCells(c)
     ends, end_cells, pieces = _cells_parts(cells)
     assert ends == sorted(ends) and ends[0] == -bound == -ends[-1]
     for r in mults:
@@ -336,7 +335,7 @@ def test_root_cells_isolate_every_real_root(roots, rootless, lead):
                              max_denominator=7), min_size=2, max_size=12))
 @settings(max_examples=100, deadline=None)
 def test_root_cells_number_the_gaps_between_simple_roots(roots, points):
-    cells = SlopeCells(_int_coeffs(from_roots(roots)))
+    cells = ZeroCells(_int_coeffs(from_roots(roots)))
     for a in points:
         for b in points:
             ca = cells.cell(a.numerator, a.denominator)
@@ -360,7 +359,7 @@ def test_root_cells_split_at_a_sixfold_zero_on_a_midpoint():
     # t^6 (t - 1/3)(t + 5): the zero at 0 is the first bisection point;
     # the sign just right of it comes from the piece's polynomial
     f = from_roots([0, Fraction(1, 3), -5], [6, 1, 1])
-    cells = SlopeCells(_int_coeffs(f))
+    cells = ZeroCells(_int_coeffs(f))
     at = [cells.cell(Fraction(t).numerator, Fraction(t).denominator)
           for t in (-6, -1, 0, Fraction(1, 10), Fraction(1, 3), 1)]
     assert at[2] is None and at[4] is None
@@ -368,14 +367,14 @@ def test_root_cells_split_at_a_sixfold_zero_on_a_midpoint():
 
 
 def test_root_cells_of_a_constant_are_one_cell():
-    cells = SlopeCells([7])
+    cells = ZeroCells([7])
     assert {cells.cell(t, 1) for t in (-100, 0, 3, 10 ** 6)} == {0}
 
 
 def test_undecided_pieces_keep_the_bisection_finite():
     # (t^2 - 2)^2: two double irrational zeros, never on a midpoint
     c = _int_coeffs(poly(-2, 0, 1) * poly(-2, 0, 1))
-    cells = SlopeCells(c)
+    cells = ZeroCells(c)
     ends, _, pieces = _cells_parts(cells)
     undecided = [(ends[j], ends[j + 1]) for j, piece in enumerate(pieces)
                  if piece is None]

@@ -555,16 +555,6 @@ def _assert_cells_agree(p, x0, sampler=None):
         assert verdict.per_ray == per_ray
 
 
-def _heads(forms):
-    """H_k(t) = sum_(|e| = k) C_e t^e2 for k = 0..d, lowest degree
-    first, from the integer form table of Polynomial._build_forms."""
-    heads = [[0] * (k + 1) for k in range(len(forms))]
-    for k, form in enumerate(forms):
-        for exps, c in form:
-            heads[k][exps[1]] = c
-    return heads
-
-
 def _golden(name):
     return parse_polynomial((GOLDEN / f"{name}.poly").read_text())
 
@@ -619,7 +609,7 @@ def test_slope_cells_are_skipped_when_p_is_not_square_free():
     # (1 - x1^2 - x2^2)^2: every g_t has double roots, so D = 0
     square = DISC * DISC
     q, x = square, (F(0), F(0))
-    heads = _heads(q._build_forms(x)[2])
+    heads = rzcheck.SlopeCells._heads(q._build_forms(x)[2])
     assert rzcheck.SlopeCells._discriminant(heads) == []
     assert rzcheck.SlopeCells.at(q, x) is None
     _assert_cells_agree(square, (0, 0))
@@ -730,7 +720,8 @@ def test_slope_discriminant_is_a_fraction_sylvester_determinant(data):
     if p.evaluate(x0) == 0:
         return
     _, den, forms = p._build_forms(x0)
-    disc = rzcheck.SlopeCells._discriminant(_heads(forms))
+    disc = rzcheck.SlopeCells._discriminant(
+        rzcheck.SlopeCells._heads(forms))
     d = int(p.degree())
     shifted = p.shift(x0)
     t = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=9))

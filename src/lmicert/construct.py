@@ -145,10 +145,14 @@ def _apply_change(p: Polynomial, t: int) -> Polynomial:
     """p(y2, y1 + t y2), p in the coordinates y of x = R y, R = ((0, 1),
     (1, t))."""
     y2 = Polynomial.variable(2, 2)
-    x2 = Polynomial.variable(1, 2) + y2 * t
+    images = (y2, Polynomial.variable(1, 2) + y2 * t)
     out = Polynomial.zero(2)
-    for (e1, e2), coeff in p.sorted_terms():
-        out = out + y2 ** e1 * x2 ** e2 * coeff
+    for expo, coeff in p.sorted_terms():
+        term = Polynomial.constant(coeff, 2)
+        for image, e in zip(images, expo):
+            for _ in range(e):
+                term = term * image
+        out = out + term
     return out
 
 

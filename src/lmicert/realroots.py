@@ -21,7 +21,10 @@ those integers from the start; any other input is scaled once.
     so a dyadic root of denominator at most 1/resolution is returned
     exactly.  ZeroCells runs it with a depth limit and no gcd, and
     numbers the zero-free intervals; rzcheck.SlopeCells builds them for
-    the plane line test's slope polynomial.
+    the plane line test's slope polynomial.  With the depth limit, a
+    half of the bound that is to be split goes on from its inner piece
+    inside a tighter bound on the same points (_clear_levels), so the
+    empty outer shells cost one test a level, not a split and two.
 
 Counting and isolation are independent engines, so each can check the
 other.  Every counter and the isolation read one root analysis per
@@ -536,6 +539,26 @@ def _descartes_bound(q: IntPoly) -> int:
     return variations
 
 
+def _clear_levels(t: IntPoly, most: int) -> int:
+    """The largest m <= most, or 0, such that t(2^-m (x + 1)) has no
+    sign variation and t(2^-m) != 0.  Then t has no zero in [2^-m, oo),
+    and Descartes' bound is 0 on every piece (a, b) with 2^-m <= a,
+    since t(2^-m + x) has coefficients of one sign and so has
+    (x + 1)^n t((a + b x)/(x + 1)).  The test holds for every m up to
+    some m*, since the sign variations of t(a + x) do not rise with a
+    (Budan-Fourier), so m rises one level at a time until it fails:
+    one Taylor shift a level, where peeling a shell costs a split and
+    two Descartes tests."""
+    n = len(t) - 1
+    m = 0
+    while m < most:
+        scaled = [v << ((m + 1) * (n - k)) for k, v in enumerate(t)]
+        if not sum(scaled) or _descartes_bound(scaled[::-1]):
+            return m
+        m += 1
+    return m
+
+
 def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
                       ) -> Tuple[List[Tuple[int, int, int, int]],
                                  Set[Tuple[int, int]]]:
@@ -555,13 +578,27 @@ def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
     midpoint or inside a one-zero leaf, for want of a depth limit, these
     are all of s's real zeros.  No gcd is taken, so a multiple zero, or
     zeros closer than 2^-deepest, keep the bound at 2 or more at every
-    width; the depth limit stops that bisection."""
+    width; the depth limit stops that bisection.
+
+    With a depth limit, a half (0, 1) or (-1, 0) that is to be split
+    is not peeled one empty outer shell at a time.  It goes on from its
+    inner piece (0, 2^-m) or (-2^-m, 0), on level m + 1 <= deepest, m
+    from _clear_levels, and the shells (2^-l, 2^(1-l)), l <= m, or
+    their mirrors are zero-free leaves.  Descartes' bound of a piece is
+    at most that of any piece around it, so where the plain bisection
+    stops above level m + 1 these leaves only cut its leaf further, and
+    below it both bisect alike: the zeros and the undecided pieces are
+    the same.  Isolation bisects plainly: its factors are of low degree
+    in practice, where a shell costs about what the test that skips it
+    costs, and a one-zero leaf deeper than its refinement would narrow
+    it to would change the interval returned."""
     n = len(s) - 1
     # q(x) = s(2x - 1): (0, 1) is (-1, 1)
     q = _taylor_shift(s, -1)
     q = [v << k for k, v in enumerate(q)]
     leaves = []
     zeros = set()
+    shells = []
     stack = [(_int_primitive(q), 0, 0)]
     while stack:
         q, i, k = stack.pop()
@@ -569,13 +606,34 @@ def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
         if bound <= 1 or k == deepest:
             leaves.append((i, k, bound, _sign(next(v for v in q if v))))
             continue
+        if k == 1 and deepest is not None:
+            # beyond 2^-m, t(y) = s(+-y) has the sign of its lead.  Shell
+            # l is piece 2^l + 1 on level l + 1, its mirror 2^l - 2; the
+            # left half comes off the stack first, the right one last
+            t = s if i else [-v if j & 1 else v for j, v in enumerate(s)]
+            m = _clear_levels(t, deepest - 1)
+            if m:
+                q = [v << (m * (n - j)) for j, v in enumerate(s)]
+                sign = _sign(t[-1])
+                if i:
+                    # (0, 2^-m) is piece 2^m on level m + 1: s(2^-m x)
+                    stack.append((_int_primitive(q), 1 << m, m + 1))
+                    shells = [((1 << l) + 1, l + 1, 0, sign)
+                              for l in range(m, 0, -1)]
+                else:
+                    # (-2^-m, 0) is piece 2^m - 1: s(2^-m (x - 1))
+                    leaves += [((1 << l) - 2, l + 1, 0, sign)
+                               for l in range(1, m + 1)]
+                    stack.append((_int_primitive(_taylor_shift(q, -1)),
+                                  (1 << m) - 1, m + 1))
+                continue
         left = [v << (n - j) for j, v in enumerate(q)]   # 2^n q(x/2)
         right = _taylor_shift(left, 1)
         if not right[0]:
             zeros.add((2 * i + 1, k + 1))
         stack.append((_int_primitive(right), 2 * i + 1, k + 1))
         stack.append((_int_primitive(left), 2 * i, k + 1))
-    return leaves, zeros
+    return leaves + shells, zeros
 
 
 # undecided pieces of the bisection are narrower than 2^-_CELL_WIDTH_EXP

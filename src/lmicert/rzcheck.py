@@ -29,12 +29,12 @@ In the plane the root count along a line through x0 is constant
 between the real zeros of P(t) = D(t) h_d(1, t), where t is the line's
 slope, D(t) is the discriminant of g_t(s) = s^d p(x0 + (1, t)/s) (up
 to a constant factor) and h_d is p's top form: a 1-D cylindrical
-decomposition.  So once a line test of degree >= 2 has passed
-_CELLS_AFTER rays, it builds these slope cells once (SlopeCells.at: D
-by interpolation from Sylvester determinants, the zeros of P by
-Descartes bisection), and each later ray whose slope lies strictly
-inside a cell where a ray was already counted takes that ray's root
-count, with no restriction.  Vertical rays, slopes that may be zeros of
+decomposition.  So once a line test of degree >= 2 has passed a
+prefix of _CELLS_AFTER = 8 rays, it builds these slope cells once
+(SlopeCells.at: D by interpolation from Bezout determinants, the zeros
+of P by Descartes bisection), and each later ray whose slope lies
+strictly inside a cell where a ray was already counted takes that
+ray's root count, with no restriction: one direct count per cell.  Vertical rays, slopes that may be zeros of
 P, and every ray when D = 0 (p not square-free) are counted directly.
 The verdict and every record are those of counting every ray.  Every
 scan uses the cells; for oval_profile a ray takes its counts only from
@@ -299,7 +299,7 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     witness.
 
     A plane scan of degree >= 2 builds the slope cells (SlopeCells.at)
-    once _CELLS_AFTER rays have passed.  From then on, a ray whose slope
+    once _CELLS_AFTER = 8 rays have passed.  From then on, a ray whose slope
     lies in a cell where an earlier ray was counted takes that ray's
     RootCount, with no restriction; the verdict is the one of counting
     every ray.  With keep, the earlier ray must also have the same sign
@@ -367,16 +367,34 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
 # is constant on each open interval between the real zeros of P.  That
 # is the one-dimensional cylindrical decomposition (Collins 1975).
 
-# Rays a scan counts directly before it builds the cells, by the
-# ski-rental rule: count (rent) until the counts made cost what one
-# build (buying) costs.  On four seeded determinantal inputs per degree
-# at the origin, a build cost as much as 5-9 direct counts (restriction
-# plus Sturm count) at d = 2, 23-31 at d = 4 and 45-87 at d = 6, and a
-# later lookup under 0.15 of a count.  So a scan that stops before this
-# ray pays nothing more, as the rejecting scans of the lobe curve do
-# (witnesses at rays 34-48), and one that goes on pays at most about
-# twice what the best choice in hindsight would.
-_CELLS_AFTER = 64
+# Rays a scan counts directly before it builds the cells.  A passing
+# plane scan reads every ray (245 by default), so it pays for the build
+# whatever the prefix, and a ray counted before the build costs a count
+# that its cell may have spared.  A short prefix spares the build only
+# to scans that fail within it, as the Fermat and product inputs of
+# perfbench's reject workload do.  The build is dear at high degree
+# alone.  On gen.determinantal(random.Random(100 d + s), d, generic=True),
+# s = 0..3, at the origin (best of 3-7 runs, 2-core x86-64, Python
+# 3.11), the whole build, before (Sylvester determinants, the Descartes
+# bisection from (-2^e, 2^e)) and now, against one direct count
+# (restriction plus Sturm count):
+#
+#     d   build before   build now    one count
+#     2   0.15-0.22 ms   0.12-0.18    18-29 us
+#     3   0.45-0.75      0.32-0.71    27-45
+#     4   1.4-1.7        0.7-1.3      55-68
+#     5   4.1-5.4        2.7-4.0      79-97
+#     6   7.0-10.4       3.1-5.4      82-135
+#     7   16-22          9.5-14       117-197
+#     8   34-53          19-24        176-282
+#
+# Worst case: a non-real-zero input of high degree whose witness lies
+# between rays 9 and 64 now pays the build, where before it paid at
+# most 64 direct counts (about 13-18 ms at d = 8).  On the lobe cubic
+# times a determinantal quartic, sheared so that the witness is ray 10,
+# that went from 2.3 to 116 ms: D has square factors, so the bisection
+# keeps ten undecided pieces down to its depth limit.
+_CELLS_AFTER = 8
 
 class SlopeCells(ZeroCells):
     """The plane line test's cells: the slope axis cut at the real zeros
@@ -425,23 +443,35 @@ class SlopeCells(ZeroCells):
         so D(t) = E^(2d-1) Res_s(g_t, g_t').
 
         deg D <= d(d-1), so D is interpolated (pencil._interpolate) from
-        its values at t = 0..d(d-1): Bareiss determinants of the
-        (2d-1)-square Sylvester matrix of G_t and G_t'."""
+        its values at t = 0..d(d-1).  Each value is a Bareiss
+        determinant of the d-square Bezout matrix B of f = G_t and
+        g = G_t', not of their (2d-1)-square Sylvester matrix S:
+        det B = (-1)^(d(d-1)/2) lc(f) det S, and lc(f) = H_0 is the
+        constant E p(x0) != 0, which divides out exactly.  B is read
+        off (f(x) g(y) - f(y) g(x))/(x - y) = sum B_ij x^i y^j, whose
+        coefficients give B_ij = B_(i-1)(j+1) + f_(j+1) g_i - f_i g_(j+1)
+        (f_j, g_j the coefficients of s^j; B_ij = 0 off 0..d-1)."""
         d = len(heads) - 1
         top = d * (d - 1)
+        lead = heads[0][0] if d * (d - 1) % 4 == 0 else -heads[0][0]
         table = {}
         for t in range(top + 1):
-            # G_t, highest power of s first, and its derivative
-            g = []
-            for h in heads:
+            # G_t, lowest power of s first, and its derivative
+            f = []
+            for h in reversed(heads):
                 value = 0
                 for c in reversed(h):
                     value = value * t + c
-                g.append(value)
-            dg = [(d - k) * c for k, c in enumerate(g[:-1])]
-            rows = [[0] * r + g + [0] * (d - 2 - r) for r in range(d - 1)]
-            rows += [[0] * r + dg + [0] * (d - 1 - r) for r in range(d)]
-            table[(t,)] = _bareiss_det(rows)
+                f.append(value)
+            g = [j * c for j, c in enumerate(f)][1:] + [0]
+            rows = []
+            above = [0] * (d + 1)
+            for i in range(d):
+                gi, fi = g[i], f[i]
+                above = [above[j + 1] + f[j + 1] * gi - fi * g[j + 1]
+                         for j in range(d)] + [0]
+                rows.append(above[:d])
+            table[(t,)] = _bareiss_det(rows) // lead
         coeffs = _interpolate(table, top, 1)
         out = [coeffs.get((k,), 0) for k in range(top + 1)]
         while out and not out[-1]:

@@ -387,6 +387,132 @@ def test_undecided_pieces_keep_the_bisection_finite():
         == [0, 1, 1, 2]
 
 
+
+# === the bisection's start inside a tighter bound ===
+
+def _full_bisection(s, deepest=None):
+    """Reference for realroots._descartes_pieces: the Descartes
+    bisection of (-1, 1) from its one piece on level 0, every empty
+    outer shell peeled one level at a time."""
+    n = len(s) - 1
+    q = realroots._taylor_shift(s, -1)
+    stack = [([v << k for k, v in enumerate(q)], 0, 0)]
+    leaves, zeros = [], set()
+    while stack:
+        q, i, k = stack.pop()
+        bound = realroots._descartes_bound(q)
+        if bound <= 1 or k == deepest:
+            low = next(v for v in q if v)
+            leaves.append((i, k, bound, 1 if low > 0 else -1))
+            continue
+        left = [v << (n - j) for j, v in enumerate(q)]
+        right = realroots._taylor_shift(left, 1)
+        if not right[0]:
+            zeros.add((2 * i + 1, k + 1))
+        stack += [(right, 2 * i + 1, k + 1), (left, 2 * i, k + 1)]
+    return leaves, zeros
+
+
+def _mirror(c):
+    return [-v if k % 2 else v for k, v in enumerate(c)]
+
+
+# integers and dyadic rationals (bisection midpoints), roots within
+# 2^-20 of 0, roots at and next to powers of two (where the skipped
+# shells end) and others
+_START_ROOTS = st.one_of(
+    st.builds(Fraction, st.integers(min_value=-64, max_value=64),
+              st.sampled_from([1, 2, 8, 1024])),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+              st.sampled_from([2 ** 20, 3 * 2 ** 20, 2 ** 24])),
+    st.builds(lambda sign, j, eps: sign * Fraction(2) ** j * (1 + eps),
+              st.sampled_from([-1, 1]), st.integers(min_value=-8, max_value=6),
+              st.sampled_from([0, Fraction(1, 2 ** 10), -Fraction(1, 3)])),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30))
+
+
+@given(st.lists(st.tuples(_START_ROOTS, st.integers(min_value=1, max_value=3)),
+                max_size=4),
+       st.lists(st.tuples(st.integers(min_value=-40, max_value=40),
+                          st.sampled_from([1, 7, 2 ** 20, 2 ** 26])),
+                max_size=2),
+       st.integers(min_value=1, max_value=9))
+@settings(max_examples=80, deadline=None)
+def test_root_cells_start_inside_a_tighter_bound(roots, pairs, lead):
+    # L t^2 - 2 L a t + L a^2 + 1 has the nonreal zeros a +- i/sqrt(L),
+    # which keep Descartes' bound up near t = a, at any distance from
+    # the real zeros.  Isolation, which shares the bisection without a
+    # depth limit, must not change either
+    f = poly(lead)
+    for a, big in pairs:
+        f = f * poly(big * a * a + 1, -2 * big * a, big)
+    mults = {}
+    for r, m in roots:
+        mults[r] = mults.get(r, 0) + m
+    f = f * from_roots(list(mults), list(mults.values()))
+    c = _int_coeffs(f)
+    e = power_of_two_bound(c)
+    # every real zero lies inside the tighter bound, and on neither end
+    if len(c) > 1:
+        s = realroots._unit_scaled(c, e)
+        most = e + _CELL_WIDTH_EXP
+        high = Fraction(2) ** (e - realroots._clear_levels(s, most))
+        low = -Fraction(2) ** (e - realroots._clear_levels(_mirror(s), most))
+        assert count_roots_in_open_interval(f, low, high)[0] == \
+            count_real_roots(f).distinct_real
+    points = [Fraction(n, 8) for n in range(-520, 521)]
+    points += [Fraction(n, 2 ** 22) for n in range(-40, 41)]
+    points += [r + d for r in mults for d in (0, Fraction(1, 2 ** 30),
+                                              -Fraction(1, 2 ** 30))]
+    got = []
+    for bisection in (realroots._descartes_pieces, _full_bisection):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(realroots, "_descartes_pieces", bisection)
+            cells = ZeroCells(c)
+            got.append(([cells.cell(t.numerator, t.denominator)
+                         for t in points],
+                        [isolate_real_roots(poly(*f.coeffs), resolution)
+                         for resolution in (Fraction(1), Fraction(1, 2 ** 20),
+                                            Fraction(3, 2 ** 40))]
+                        if len(c) > 1 else []))
+    assert got[0] == got[1]
+
+
+def test_root_cells_skip_the_empty_outer_shells(monkeypatch):
+    # (t - 1/3)(t - 1/5)(t + 1/7)(t + 1/9)(t + 1/11)(t^2 + 10^4), of odd
+    # degree: Fujiwara's bound is 2^5, and both halves go on from
+    # (-1/4, 0) and (0, 1/2), the tightest pieces of the grid around the
+    # real zeros; the shells outside are leaves
+    f = from_roots([Fraction(1, 3), Fraction(1, 5), -Fraction(1, 7),
+                    -Fraction(1, 9), -Fraction(1, 11)]) * poly(10 ** 4, 0, 1)
+    c = _int_coeffs(f)
+    e = power_of_two_bound(c)
+    s = realroots._unit_scaled(c, e)
+    assert e == 5
+    assert realroots._clear_levels(s, 20) == e + 1
+    assert realroots._clear_levels(_mirror(s), 20) == e + 2
+    # every zero-free leaf, shells included, has the sign of s inside
+    leaves, _ = realroots._descartes_pieces(s, 20)
+    assert sum(1 for _, k, _, _ in leaves if k <= e + 2) >= 2 * e
+    for i, k, bound, sign in leaves:
+        if bound == 0:
+            mid = Fraction(2 * i + 1 - (1 << k), 1 << k)
+            assert realroots._int_sign_at(s, mid.numerator,
+                                          mid.denominator) == sign
+    tests = []
+    bound = realroots._descartes_bound
+    monkeypatch.setattr(realroots, "_descartes_bound",
+                        lambda q: tests.append(q) or bound(q))
+    skipped = ZeroCells(c)
+    fewer = len(tests)
+    monkeypatch.setattr(realroots, "_descartes_pieces", _full_bisection)
+    tests.clear()
+    full = ZeroCells(c)
+    assert fewer < len(tests)
+    assert [skipped.cell(n, 16) for n in range(-2 ** 13, 2 ** 13, 7)] == \
+        [full.cell(n, 16) for n in range(-2 ** 13, 2 ** 13, 7)]
+
+
 # === float-guided refinement ===
 
 def _bisection_refine(grid, ja, jb, k, resolution, sign_a):

@@ -13,7 +13,7 @@ from lmicert import rzcheck
 from lmicert.errors import (BasePointError, DimensionMismatch,
                             ZeroPolynomialError)
 from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
-from lmicert.realroots import RootCount, count_real_roots
+from lmicert.realroots import RootCount, count_real_roots, side_counts
 from lmicert.rzcheck import (CERTIFIED_NOT_RZ, PROBABLY_RZ, RaySampler,
                              _grid_index, _reduce_direction,
                              _square_direction,
@@ -709,6 +709,56 @@ def test_scan_with_a_late_witness_builds_only_the_rays_it_reads(monkeypatch):
     assert verdict.certified_not_rz()
     assert verdict.rays_checked > rzcheck._CELLS_AFTER
     assert built == {"grid": verdict.rays_checked, "random": 0}
+
+
+def _assert_keep_scan_agrees(p, x0, sampler):
+    """topology's scan (keep): the verdict and records of counting every
+    ray, and a ray that took its counts from an earlier ray has that
+    ray's side counts."""
+    x0 = tuple(F(c) for c in x0)
+    verdict, kept = rzcheck._scan(p, x0, sampler, keep=True)
+    kind, witness, per_ray = _direct_verdict(p, x0, sampler)
+    assert (verdict.kind, verdict.witness) == (kind, witness)
+    assert verdict.per_ray == per_ray and len(kept) == len(per_ray)
+    for (f, first), record in zip(kept, per_ray):
+        if f is None:
+            assert kept[first][0] is not None and record.at_infinity == 0
+            assert side_counts(p.restrict(x0, record.direction)) == \
+                side_counts(kept[first][0])
+
+
+# samplers shorter and longer than the prefix rzcheck._CELLS_AFTER
+PREFIX_SAMPLERS = [RaySampler(2, 3, 2), RaySampler(2, 7, 0),
+                   RaySampler(2, 9, 3, seed=4), SMALL,
+                   RaySampler(2, extra_directions=((1, 0), (0, 1))),
+                   RaySampler(2)]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_slope_prefix_keeps_every_record(data):
+    # determinantal curves of degree 2..6 pass every ray; the lobe cubic
+    # at a point of its right lobe fails on a default ray after the
+    # prefix (rays 29-64), also times lines that miss the base point
+    # (d = 4..6)
+    sampler = data.draw(st.sampled_from(PREFIX_SAMPLERS))
+    if data.draw(st.booleans()):
+        d = data.draw(st.integers(min_value=2, max_value=6))
+        seed = data.draw(st.integers(min_value=0, max_value=10 ** 6))
+        p = _determinantal(random.Random(seed), d)
+        x0 = (F(0), F(0))
+    else:
+        x0 = (F(data.draw(st.integers(min_value=3, max_value=9)), 10),
+              F(data.draw(st.integers(min_value=-2, max_value=2)), 20))
+        p = LOBE_CUBIC
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            a, b = (data.draw(st.integers(min_value=-3, max_value=3))
+                    for _ in range(2))
+            p = p * (3 * one - a * x1 - b * x2)
+        if sampler == RaySampler(2):
+            assert rz_check(p, x0).rays_checked > rzcheck._CELLS_AFTER
+    _assert_cells_agree(p, x0, sampler)
+    _assert_keep_scan_agrees(p, x0, sampler)
 
 
 @given(st.data())

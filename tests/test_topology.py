@@ -206,8 +206,17 @@ def test_each_ray_is_analysed_once(monkeypatch):
     p = (one - x1) * (4 * one - x1 ** 2 - x2 ** 2)
     prof = oval_profile(p, (0, 0), SAMPLER)
     assert not any(ray.has_multiple_root for ray in prof.rays)
+    # the scan builds its slope cells after a few rays; a ray that took
+    # its counts from its cell is restricted and analysed only when its
+    # parameters are read
+    scanned = [ray for ray in prof.rays if ray.scanned is not None]
+    assert 0 < len(scanned) < len(prof.rays)
+    assert len(chains) == sum(1 for ray in scanned
+                              if ray.scanned.degree() > 0)
     positive = sum(1 for ray in prof.rays if ray.restriction.degree() > 0)
-    assert len(chains) == positive == len(prof.rays)
+    assert positive == len(prof.rays)
+    assert all(ray.parameters for ray in prof.rays)
+    assert len(chains) == positive
     assert all(ray.parameters for ray in prof.rays)
     assert len(chains) == positive
 

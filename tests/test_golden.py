@@ -108,6 +108,16 @@ LATE_CASES = {
     "disc_squared.represent": ["disc_squared", "represent"],
 }
 
+# line tests in three variables, where every ray is a seeded random
+# one, last for the same reason: case name -> curve file stem, command
+# and extra arguments
+THREE_VARIABLE_CASES = {
+    "ball.check": ["ball", "check"],
+    "ball.hyperbolic": ["ball", "hyperbolic"],
+    # fails on a random ray: exit 2 with the witness
+    "fermat3.check": ["fermat3", "check"],
+}
+
 
 def cases():
     for curve, point in CURVES.items():
@@ -128,6 +138,8 @@ def cases():
     for name, (curve, command, *extra) in DEFAULT_SAMPLER_CASES.items():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra]
     for name, (curve, command, *extra) in LATE_CASES.items():
+        yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
+    for name, (curve, command, *extra) in THREE_VARIABLE_CASES.items():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
 
 

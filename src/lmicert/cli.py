@@ -50,7 +50,9 @@ def _json(document) -> str:
     """json.dumps(document, indent=2, sort_keys=True) plus a newline,
     the same bytes, written by one recursive pass: with indent set,
     json.dumps falls back to its pure-Python encoder, which takes about
-    twice as long on the golden documents.  Keys must be strings."""
+    twice as long on the golden documents.  Keys must be strings.  The
+    line tests' verdicts do not come here: _verdict_json writes their
+    per-ray records to text in one pass, with no document built."""
     return _json_text(document, "\n") + "\n"
 
 
@@ -120,25 +122,31 @@ def _fmt_direction(direction) -> List[str]:
     return [format_rational(c) for c in direction]
 
 
-def _verdict_document(verdict: RZVerdict) -> dict:
-    return {
-        "kind": verdict.kind,
-        "witness_direction": (None if verdict.witness is None
-                              else _fmt_direction(verdict.witness[0])),
-        "ray_count": verdict.rays_checked,
-        "seed": verdict.seed,
-        "degenerate_flag": verdict.degenerate,
-        "per_ray": [
-            {
-                "direction": _fmt_direction(r.direction),
-                "degree": r.degree,
-                "distinct": r.distinct,
-                "with_multiplicity": r.with_multiplicity,
-                "at_infinity": r.at_infinity,
-            }
-            for r in verdict.per_ray
-        ],
-    }
+# one per-ray record at its depth in the verdict; a direction's entries
+# are format_rational strings, which JSON writes as they are, quoted
+_RAY_JSON = ('{\n      "at_infinity": %d,\n      "degree": %d,\n'
+             '      "direction": [\n        "%s"\n      ],\n'
+             '      "distinct": %d,\n      "with_multiplicity": %d\n    }')
+
+
+def _verdict_json(verdict: RZVerdict) -> str:
+    """The verdict's JSON text, in the layout of
+    json.dumps(document, indent=2, sort_keys=True) plus a newline, each
+    record written to text as it is read."""
+    rays = ",\n    ".join([
+        _RAY_JSON % (r.at_infinity, r.degree,
+                     '",\n        "'.join(map(format_rational, r.direction)),
+                     r.distinct, r.with_multiplicity)
+        for r in verdict.per_ray])
+    witness = ("null" if verdict.witness is None else '[\n    "%s"\n  ]'
+               % '",\n    "'.join(map(format_rational, verdict.witness[0])))
+    return ('{\n  "degenerate_flag": %s,\n  "kind": %s,\n'
+            '  "per_ray": %s,\n  "ray_count": %d,\n  "seed": %d,\n'
+            '  "witness_direction": %s\n}\n'
+            % (_json_scalar(verdict.degenerate),
+               encode_basestring_ascii(verdict.kind),
+               "[\n    " + rays + "\n  ]" if rays else "[]",
+               verdict.rays_checked, verdict.seed, witness))
 
 
 def cmd_scan(args) -> int:
@@ -148,7 +156,7 @@ def cmd_scan(args) -> int:
     check = (rigid_convexity_check if args.command == "check"
              else hyperbolicity_check)
     verdict = check(p, point, _sampler(args, p.num_vars))
-    _emit(_json(_verdict_document(verdict)), args.out)
+    _emit(_verdict_json(verdict), args.out)
     return EXIT_OK if verdict.kind == "ProbablyRZ" else EXIT_NOT_RZ
 
 

@@ -23,7 +23,9 @@ The scans and boundary_samples share one exact ray family in the plane
 (RaySampler); every direction has max-norm 1 and a positive last
 nonzero coordinate, so the rays are the same on every platform.  A
 scan builds each ray only when it reaches it, so a scan that stops at
-an early witness never builds the rays after it.
+an early witness never builds the rays after it.  The rays are drawn,
+tested for the grid and deduplicated on integer vectors, and a ray's
+Fraction direction is built once, when it is new.
 
 In the plane the root count along a line through x0 is constant
 between the real zeros of P(t) = D(t) h_d(1, t), where t is the line's
@@ -51,7 +53,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
@@ -61,6 +63,7 @@ from .realroots import (RootCount, ZeroCells, count_real_roots,
                         isolate_real_roots)
 
 Direction = Tuple[Fraction, ...]
+Vector = Tuple[int, ...]
 
 CERTIFIED_NOT_RZ = "CertifiedNotRZ"
 PROBABLY_RZ = "ProbablyRZ"
@@ -105,63 +108,72 @@ class RaySampler:
             extras.append(_reduce_direction(coords))
         return _Rays(self._distinct_rays(list(dict.fromkeys(extras))))
 
-    def _distinct_rays(self, extras: List[Direction]) -> Iterator[Direction]:
-        """Every ray in scan order, each at its first occurrence.
+    def _distinct_rays(self, extras: List[Direction]
+                       ) -> Iterator[Tuple[Vector, Direction]]:
+        """(w, v) for every ray v in scan order, each at its first
+        occurrence, with w a positive integer multiple of v.
 
         The grid rays are pairwise distinct, so a grid ray is a repeat
         only of an extra direction, found by its grid index; only the
-        extra and random rays are hashed."""
-        yield from extras
+        extra and random rays are hashed, by their primitive w.  A
+        random ray's direction is built only when it is new."""
+        vectors = [_integer_vector(v) for v in extras]
+        yield from zip(vectors, extras)
         count = self.deterministic_count
         plane = self.num_vars == 2
         if plane:
-            taken = {_grid_index(v, count) for v in extras}
+            taken = {_grid_index(w, count) for w in vectors}
             for j in range(count):
                 if j not in taken:
-                    yield _square_direction(j, count)
+                    yield _square_ray(j, count)
             randoms = self.random_count
         else:
             randoms = count + self.random_count
-        seen = set(extras)
+        seen = set(vectors)
         rng = random.Random(self.seed)
         for _ in range(randoms):
-            v = _random_direction(rng, self.num_vars)
-            if plane and _grid_index(v, count) is not None:
+            w = _random_vector(rng, self.num_vars)
+            if plane and _grid_index(w, count) is not None or w in seen:
                 continue
-            # one hash per ray: a tuple of Fractions does not cache it
-            size = len(seen)
-            seen.add(v)
-            if len(seen) != size:
-                yield v
+            seen.add(w)
+            top = max(map(abs, w))
+            yield w, tuple([Fraction(c, top) for c in w])
 
 
 class _Rays(Sequence):
     """The distinct rays of one RaySampler.directions() call, read-only.
 
     Iteration builds each ray the first time any reader reaches it;
-    len, indexing and count build all that is left.  Two families are
-    equal when they hold the same rays in the same order."""
+    len, indexing and count build all that is left.  pairs() iterates
+    (w, v), w the ray's integer vector (RaySampler._distinct_rays).  Two
+    families are equal when they hold the same rays in the same order."""
 
-    __slots__ = ("_built", "_pending")
+    __slots__ = ("_built", "_vectors", "_pending")
 
-    def __init__(self, rays: Iterator[Direction]):
+    def __init__(self, rays: Iterator[Tuple[Vector, Direction]]):
         self._built: List[Direction] = []
+        self._vectors: List[Vector] = []
         self._pending = rays
 
-    def __iter__(self) -> Iterator[Direction]:
-        built = self._built
+    def pairs(self) -> Iterator[Tuple[Vector, Direction]]:
+        built, vectors = self._built, self._vectors
         i = 0
         while True:
             if i == len(built):
-                v = next(self._pending, None)
-                if v is None:
+                pair = next(self._pending, None)
+                if pair is None:
                     return
-                built.append(v)
-            yield built[i]
+                vectors.append(pair[0])
+                built.append(pair[1])
+            yield vectors[i], built[i]
             i += 1
 
+    def __iter__(self) -> Iterator[Direction]:
+        return (v for _, v in self.pairs())
+
     def _all(self) -> List[Direction]:
-        self._built.extend(self._pending)
+        for _ in self.pairs():
+            pass
         return self._built
 
     def __len__(self) -> int:
@@ -178,29 +190,36 @@ class _Rays(Sequence):
     __hash__ = None
 
 
-def _grid_index(v: Direction, count: int) -> Optional[int]:
-    """j if the canonical plane direction v is ray j of count grid rays,
-    else None: v's pseudo-angle n/d must be 4j/count."""
-    a, b = v
-    if a == 1:
-        n, d = b.numerator, b.denominator
-    elif b == 1:
-        n, d = 2 * a.denominator - a.numerator, a.denominator
+def _grid_index(w: Vector, count: int) -> Optional[int]:
+    """j if the plane vector w, a positive multiple of a canonical
+    direction, lies on ray j of count grid rays, else None: w's
+    pseudo-angle n/d must be 4j/count."""
+    a, b = w
+    if a >= b:
+        n, d = b, a
+    elif b >= -a:
+        n, d = 2 * b - a, b
     else:
-        n, d = 4 * b.denominator - b.numerator, b.denominator
+        n, d = -4 * a - b, -a
     j, rest = divmod(n * count, 4 * d)
     return None if rest else j
 
 
-def _square_direction(j: int, count: int) -> Direction:
-    """Ray j of count: the point at pseudo-angle s = 4j/count on the
-    upper half of the max-norm unit square, already canonical."""
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
+def _square_ray(j: int, count: int) -> Tuple[Vector, Direction]:
+    """Ray j of count: (count v, v) for v the point at pseudo-angle
+    s = 4j/count on the upper half of the max-norm unit square, already
+    canonical."""
     four_j = 4 * j
     if four_j <= count:
-        return (Fraction(1), Fraction(four_j, count))
+        return (count, four_j), (_ONE, Fraction(four_j, count))
     if four_j <= 3 * count:
-        return (Fraction(2 * count - four_j, count), Fraction(1))
-    return (Fraction(-1), Fraction(4 * count - four_j, count))
+        w = (2 * count - four_j, count)
+        return w, (Fraction(w[0], count), _ONE)
+    w = (-count, 4 * count - four_j)
+    return w, (_MINUS_ONE, Fraction(w[1], count))
 
 
 def _reduce_direction(coords: Sequence) -> Direction:
@@ -217,22 +236,33 @@ def _reduce_direction(coords: Sequence) -> Direction:
     return tuple(c / top for c in v)
 
 
-def _random_direction(rng: random.Random, m: int) -> Direction:
+def _integer_vector(v: Direction) -> Vector:
+    """The primitive integer vector on the canonical direction v: v
+    times the lcm of its denominators, since some |v_i| is 1."""
+    scale = lcm(*[c.denominator for c in v])
+    return tuple([c.numerator * (scale // c.denominator) for c in v])
+
+
+def _random_vector(rng: random.Random, m: int) -> Vector:
     """m seeded draws n/q, n in [-64, 64] and q in [1, 16], redrawn
-    while all are zero, in canonical form.  The form is taken on
-    integers: w = n * lcm(q) / q lies on the same line, and w / max|w|
-    (signed) is _reduce_direction's result without Fraction division."""
+    while all are zero, as the primitive integer vector w on their line
+    whose last nonzero entry is positive: w / max|w| is the canonical
+    direction (_reduce_direction).  rng.randint(a, b) draws
+    a + rng.randrange(b - a + 1), so the draws are written that way."""
+    randrange = rng.randrange
     while True:
-        draws = [(rng.randint(-64, 64), rng.randint(1, 16))
-                 for _ in range(m)]
-        if any(n for n, _ in draws):
+        nums, dens = [], []
+        for _ in range(m):
+            nums.append(randrange(129) - 64)
+            dens.append(randrange(16) + 1)
+        if any(nums):
             break
-    scale = lcm(*[q for _, q in draws])
-    w = [n * (scale // q) for n, q in draws]
-    top = max(map(abs, w))
-    if next(c for c in reversed(w) if c) < 0:
-        top = -top
-    return tuple([Fraction(c, top) for c in w])
+    scale = lcm(*dens)
+    w = [n * (scale // q) for n, q in zip(nums, dens)]
+    g = gcd(*w)
+    if next(filter(None, reversed(w))) < 0:
+        g = -g
+    return tuple([c // g for c in w])
 
 
 @dataclass(frozen=True)
@@ -314,8 +344,9 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     build = d >= 2 and p.num_vars == 2
     cells = None
     counted = {}                # key -> (RootCount, index of a ray with it)
-    for v in sampler.directions():
-        key = None if cells is None else cells.key(v, keep)
+    rays = sampler.directions()
+    for w, v in rays.pairs():
+        key = None if cells is None else cells.key(w, keep)
         hit = None if key is None else counted.get(key)
         if hit is None:
             f = q.restrict(x, v)
@@ -343,8 +374,9 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
             build = False
             cells = SlopeCells.at(q, x)
             # the rays counted so far are the first of their keys
-            for i, r in enumerate(per_ray if cells is not None else ()):
-                key = cells.key(r.direction, keep)
+            for i, (w, r) in enumerate(zip(rays._vectors, per_ray)
+                                       if cells is not None else ()):
+                key = cells.key(w, keep)
                 if key is not None and key not in counted:
                     counted[key] = (RootCount(r.distinct, r.with_multiplicity,
                                               r.degree), i)
@@ -478,8 +510,9 @@ class SlopeCells(ZeroCells):
             out.pop()
         return out
 
-    def key(self, v: Direction, sides: bool) -> Optional[Tuple[int, bool]]:
-        """(cell of v's slope v2/v1, sides and v1 > 0); None for a
+    def key(self, w: Vector, sides: bool) -> Optional[Tuple[int, bool]]:
+        """(cell of the slope w2/w1, sides and w1 > 0) for a ray v whose
+        integer vector w is a positive multiple of v; None for a
         vertical ray or a slope that may be a zero of P.
 
         Rays with one key have one RootCount.  With sides, they also
@@ -488,11 +521,10 @@ class SlopeCells(ZeroCells):
         g_t are simple and nonzero, and the number of each sign cannot
         change across the cell; mu = 1/(v1 s) has the sign of s for
         v1 > 0 and the other for v1 < 0."""
-        a, b = v
+        a, b = w
         if not a:
             return None
-        num, den = b.numerator * a.denominator, b.denominator * a.numerator
-        cell = self.cell(num, den) if den > 0 else self.cell(-num, -den)
+        cell = self.cell(b, a) if a > 0 else self.cell(-b, -a)
         return None if cell is None else (cell, sides and a > 0)
 
 
@@ -582,27 +614,33 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     q, x = _checked_base(p, x0)
-    samples: List[BoundarySample] = []
-    unbounded: List[Fraction] = []
+    # per side, in increasing angle: every positive side (4j/K) comes
+    # before every negative one (4 + 4j/K)
+    samples: Tuple[List[BoundarySample], ...] = ([], [])
+    unbounded: Tuple[List[Fraction], ...] = ([], [])
     for j in range(rays):
-        v = _square_direction(j, rays)
+        _, v = _square_ray(j, rays)
         f = q.restrict(x, v)
         angle = Fraction(4 * j, rays)
         if f.degree() <= 0:
-            unbounded.extend((angle, angle + 4))
+            unbounded[0].append(angle)
+            unbounded[1].append(angle + 4)
             continue
         # f(0) != 0, and 0 is an end of every isolating interval that
-        # reaches it, so each interval lies on one side of the base point
-        intervals = isolate_real_roots(f, resolution)
-        pos = [iv for iv in intervals if iv.low >= 0]
-        neg = [iv for iv in intervals if iv.high <= 0]
-        for side_angle, iv in ((angle, pos[0] if pos else None),
-                               (angle + 4, neg[-1] if neg else None)):
+        # reaches it, so each interval lies on one side of the base point:
+        # the nearest negative one is the last before the first positive
+        neg = pos = None
+        for iv in isolate_real_roots(f, resolution):
+            if iv.low >= 0:
+                pos = iv
+                break
+            neg = iv
+        for side, side_angle, iv in ((0, angle, pos), (1, angle + 4, neg)):
             if iv is None:
-                unbounded.append(side_angle)
+                unbounded[side].append(side_angle)
                 continue
             mu = iv.midpoint()
             pt = (x[0] + mu * v[0], x[1] + mu * v[1])
-            samples.append(BoundarySample(side_angle, v, mu, pt))
-    samples.sort(key=lambda s: s.angle)
-    return BoundaryData(tuple(samples), tuple(sorted(unbounded)))
+            samples[side].append(BoundarySample(side_angle, v, mu, pt))
+    return BoundaryData(tuple(samples[0] + samples[1]),
+                        tuple(unbounded[0] + unbounded[1]))

@@ -17,7 +17,10 @@ import lmicert
 from lmicert import cli
 from lmicert.cli import _build_parser, main
 from lmicert.pencil import determinant_polynomial, parse_pencil
-from lmicert.poly import parse_polynomial
+from lmicert.poly import format_rational, parse_polynomial
+from lmicert.realroots import RootCount
+from lmicert.rzcheck import (RaySampler, RayRecord, RZVerdict,
+                             hyperbolicity_check, rigid_convexity_check)
 
 DISC_POLY = "vars 2\n1 0 0\n-1 2 0\n-1 0 2\n"
 CIRCLE2_POLY = "vars 2\n4 0 0\n-1 2 0\n-1 0 2\n"
@@ -680,3 +683,87 @@ def test_json_writer_refuses_what_json_dumps_refuses():
             _dumps(document)
         with pytest.raises(TypeError):
             cli._json(document)
+
+
+# === the line-test writer ===
+
+LOBE_POLY = "vars 2\n1 3 0\n-3 1 2\n-1 4 0\n-2 2 2\n-1 0 4\n"
+LOBE3_POLY = ("vars 3\n1 3 0 0\n-3 1 2 0\n-1 4 0 0\n-2 2 2 0\n"
+              "-1 0 4 0\n")
+FERMAT3_POLY = "vars 3\n1 0 0 0\n-1 4 0 0\n-1 0 4 0\n-1 0 0 4\n"
+DISC_SQUARED_POLY = ("vars 2\n1 0 0\n-2 2 0\n-2 0 2\n1 4 0\n2 2 2\n"
+                     "1 0 4\n")
+
+
+def _old_verdict_document(verdict):
+    """The document the line tests' JSON was once dumped from."""
+    def fmt(direction):
+        return [format_rational(c) for c in direction]
+    return {
+        "kind": verdict.kind,
+        "witness_direction": (None if verdict.witness is None
+                              else fmt(verdict.witness[0])),
+        "ray_count": verdict.rays_checked,
+        "seed": verdict.seed,
+        "degenerate_flag": verdict.degenerate,
+        "per_ray": [{"direction": fmt(r.direction), "degree": r.degree,
+                     "distinct": r.distinct,
+                     "with_multiplicity": r.with_multiplicity,
+                     "at_infinity": r.at_infinity}
+                    for r in verdict.per_ray],
+    }
+
+
+# command, polynomial, base point, --rays, --random, --seed, and the
+# number of rays the verdict reads (None: every ray, passing)
+_SCAN_CASES = [
+    ("check", DISC_POLY, None, 15, 4, 0, None),
+    ("hyperbolic", DISC_POLY, None, 15, 4, 0, None),
+    ("check", DISC_POLY, None, 181, 64, 0, None),
+    ("check", DISC_POLY, None, 1, 0, 0, None),
+    ("hyperbolic", DISC_POLY, "3/2,0", 31, 8, 2, 8),
+    ("check", DISC_SQUARED_POLY, None, 15, 4, 0, None),
+    ("check", FERMAT_POLY, None, 15, 4, 0, 1),
+    ("check", ODD_CUBIC_POLY, None, 31, 8, 0, None),
+    ("check", LOBE_POLY, "7/10,0", 31, 8, 0, 8),
+    ("check", BALL_POLY, None, 31, 8, 0, None),
+    ("hyperbolic", BALL_POLY, None, 31, 8, 0, None),
+    ("check", BALL_POLY, None, 1, 0, 0, None),
+    ("check", BALL_POLY, None, 15, 4, -4, None),
+    ("check", FERMAT3_POLY, None, 31, 8, 0, 1),
+    ("check", LOBE3_POLY, "1/20,0,0", 31, 8, 3, 7),
+    ("hyperbolic", LOBE3_POLY, "1/20,0,0", 31, 8, 3, 7),
+]
+
+
+@pytest.mark.parametrize("case", _SCAN_CASES)
+def test_scan_writer_matches_the_dumped_document(tmp_path, case):
+    command, text, point, rays, randoms, seed, witness_at = case
+    path = write(tmp_path, "p.poly", text)
+    argv = [command, path, "--rays", str(rays), "--random", str(randoms),
+            f"--seed={seed}"] + ([] if point is None else [f"--point={point}"])
+    code, out, err = run_cli(argv)
+    p = parse_polynomial(text)
+    check = (rigid_convexity_check if command == "check"
+             else hyperbolicity_check)
+    verdict = check(p, cli._parse_point(point, p.num_vars),
+                    RaySampler(p.num_vars, rays, randoms, seed))
+    expected = _dumps(_old_verdict_document(verdict))
+    assert cli._verdict_json(verdict) == expected
+    assert (code, out, err) == (0 if witness_at is None else 2, expected, "")
+    if witness_at is not None:
+        assert verdict.rays_checked == witness_at
+
+
+def test_scan_writer_on_verdicts_the_command_line_cannot_give():
+    v = (Fraction(-1), Fraction(3, 7))
+    counts = RootCount(1, 1, 2)
+    for verdict in (
+            RZVerdict("ProbablyRZ", None, 0, 0, ()),
+            RZVerdict("CertifiedNotRZ", (v, counts), 1, 10 ** 30,
+                      (RayRecord(v, 2, 1, 1, 0, False),)),
+            RZVerdict("ProbablyRZ", None, 2, -1,
+                      (RayRecord((Fraction(1),), 0, 0, 0, 3, True),) * 2,
+                      Fraction(0), True)):
+        assert cli._verdict_json(verdict) == _dumps(
+            _old_verdict_document(verdict))

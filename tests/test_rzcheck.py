@@ -15,8 +15,8 @@ from lmicert.errors import (BasePointError, DimensionMismatch,
 from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
 from lmicert.realroots import RootCount, count_real_roots, side_counts
 from lmicert.rzcheck import (CERTIFIED_NOT_RZ, PROBABLY_RZ, RaySampler,
-                             _grid_index, _reduce_direction,
-                             _square_direction,
+                             _grid_index, _integer_vector,
+                             _reduce_direction, _square_ray,
                              boundary_samples, hyperbolicity_check,
                              rigid_convexity_check, rz_check)
 
@@ -33,6 +33,10 @@ TOUCHING = (x1 ** 2 + x2 ** 2) * (x1 ** 2 + x2 ** 2 + 12 * x1 - one) \
 ODD_CUBIC = (one - x1) * (4 * one - x1 ** 2 - x2 ** 2)
 
 SMALL = RaySampler(2, deterministic_count=31, random_count=8)
+
+
+def _square_direction(j, k):
+    return _square_ray(j, k)[1]
 
 
 # === ray sampling ===
@@ -179,14 +183,75 @@ def test_lazy_directions_match_the_eager_family():
     assert dropped > 200
 
 
+def _reference_grid(k):
+    """The k grid rays from their pseudo-angles s = 4j/k alone."""
+    out = []
+    for j in range(k):
+        s = F(4 * j, k)
+        out.append((F(1), s) if s <= 1 else (2 - s, F(1)) if s <= 3
+                   else (F(-1), 4 - s))
+    return out
+
+
+def _reference_draws(m, seed, count):
+    """The first count random rays of a seed, drawn with randint as
+    Fractions n/q, redrawn while all are zero, in canonical form."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coords = [F(rng.randint(-64, 64), rng.randint(1, 16))
+                  for _ in range(m)]
+        if any(coords):
+            out.append(_reduce_direction(coords))
+    return out
+
+
+def test_ray_family_matches_a_plain_reference():
+    # the grid rays in the plane, then the seeded random rays; a random
+    # ray on a grid line is skipped and a repeat is kept only at its
+    # first occurrence
+    skipped = {"grid": 0, "repeat": 0}
+    for m in (2, 3):
+        for seed in range(50):
+            draws = _reference_draws(m, seed, 181 + 300)
+            for k in (1, 4, 7, 31, 181):
+                grid = _reference_grid(k) if m == 2 else []
+                on_grid = set(grid)
+                expected, seen, done = list(grid), set(grid), 0
+                for randoms in (0, 8, 64, 300):
+                    stop = randoms if m == 2 else k + randoms
+                    for v in draws[done:stop]:
+                        if v not in seen:
+                            seen.add(v)
+                            expected.append(v)
+                        else:
+                            skipped["grid" if v in on_grid
+                                    else "repeat"] += 1
+                    done = stop
+                    rays = RaySampler(m, k, randoms, seed).directions()
+                    assert list(rays) == expected
+                if seed % 10:
+                    continue
+                assert all(type(c) is F for v in rays for c in v)
+                # each ray's integer vector is a positive multiple of it
+                for w, v in rays.pairs():
+                    assert all(type(c) is int for c in w)
+                    top = max(map(abs, w))
+                    assert tuple(F(c, top) for c in w) == v
+    assert skipped["grid"] > 100 and skipped["repeat"] > 100
+
+
 def test_grid_index_finds_exactly_the_grid_rays():
-    # rays of other grids cover all three sides of the square
+    # rays of other grids cover all three sides of the square; the
+    # index reads any positive multiple of the direction
     for k in range(1, 41):
         grid = {_square_direction(j, k): j for j in range(k)}
         for other in range(1, 41):
             for i in range(other):
-                v = _square_direction(i, other)
-                assert _grid_index(v, k) == grid.get(v)
+                w, v = _square_ray(i, other)
+                assert w == tuple(other * c for c in v)
+                assert _grid_index(w, k) == grid.get(v)
+                assert _grid_index(_integer_vector(v), k) == grid.get(v)
 
 
 def test_partial_reads_interleave():
@@ -229,10 +294,10 @@ def test_rejecting_scan_builds_only_the_rays_it_reads(monkeypatch):
             return build(*args)
         return wrapper
 
-    monkeypatch.setattr(rzcheck, "_square_direction",
-                        counted("grid", _square_direction))
-    monkeypatch.setattr(rzcheck, "_random_direction",
-                        counted("random", rzcheck._random_direction))
+    monkeypatch.setattr(rzcheck, "_square_ray",
+                        counted("grid", _square_ray))
+    monkeypatch.setattr(rzcheck, "_random_vector",
+                        counted("random", rzcheck._random_vector))
     fermat = parse_polynomial((GOLDEN / "fermat.poly").read_text())
     verdict = rigid_convexity_check(fermat, (0, 0))
     assert verdict.certified_not_rz() and verdict.rays_checked == 1
@@ -684,8 +749,8 @@ def test_slope_cells_replace_most_restrictions(monkeypatch):
         assert len(kept) == verdict.rays_checked == 243
         assert len(calls) == sum(f is not None for f, _ in kept)
         cells = rzcheck.SlopeCells.at(p, x0)
-        keys = [cells.key(v, True)
-                for v in RaySampler(2).directions()[rzcheck._CELLS_AFTER:]]
+        pairs = list(RaySampler(2).directions().pairs())
+        keys = [cells.key(w, True) for w, _ in pairs[rzcheck._CELLS_AFTER:]]
         assert len(calls) <= (rzcheck._CELLS_AFTER + keys.count(None)
                               + len(set(keys) - {None})) < 100
         assert verdict == rzcheck._scan(p, x0, RaySampler(2))[0]
@@ -701,10 +766,10 @@ def test_scan_with_a_late_witness_builds_only_the_rays_it_reads(monkeypatch):
             return build(*args)
         return wrapper
 
-    monkeypatch.setattr(rzcheck, "_square_direction",
-                        counted("grid", _square_direction))
-    monkeypatch.setattr(rzcheck, "_random_direction",
-                        counted("random", rzcheck._random_direction))
+    monkeypatch.setattr(rzcheck, "_square_ray",
+                        counted("grid", _square_ray))
+    monkeypatch.setattr(rzcheck, "_random_vector",
+                        counted("random", rzcheck._random_vector))
     verdict = rigid_convexity_check(_golden("lobe"), (F(1, 20), 0))
     assert verdict.certified_not_rz()
     assert verdict.rays_checked > rzcheck._CELLS_AFTER

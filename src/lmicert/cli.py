@@ -119,11 +119,12 @@ def _sampler(args, num_vars: int, extra_directions=()) -> RaySampler:
 
 
 def _fmt_direction(direction) -> List[str]:
-    return [format_rational(c) for c in direction]
+    return list(map(str, direction))
 
 
 # one per-ray record at its depth in the verdict; a direction's entries
-# are format_rational strings, which JSON writes as they are, quoted
+# are str(Fraction), the format_rational text, which JSON writes as it
+# is, quoted
 _RAY_JSON = ('{\n      "at_infinity": %d,\n      "degree": %d,\n'
              '      "direction": [\n        "%s"\n      ],\n'
              '      "distinct": %d,\n      "with_multiplicity": %d\n    }')
@@ -135,11 +136,11 @@ def _verdict_json(verdict: RZVerdict) -> str:
     record written to text as it is read."""
     rays = ",\n    ".join([
         _RAY_JSON % (r.at_infinity, r.degree,
-                     '",\n        "'.join(map(format_rational, r.direction)),
+                     '",\n        "'.join(map(str, r.direction)),
                      r.distinct, r.with_multiplicity)
         for r in verdict.per_ray])
     witness = ("null" if verdict.witness is None else '[\n    "%s"\n  ]'
-               % '",\n    "'.join(map(format_rational, verdict.witness[0])))
+               % '",\n    "'.join(map(str, verdict.witness[0])))
     return ('{\n  "degenerate_flag": %s,\n  "kind": %s,\n'
             '  "per_ray": %s,\n  "ray_count": %d,\n  "seed": %d,\n'
             '  "witness_direction": %s\n}\n'

@@ -702,8 +702,9 @@ def parse_pencil(text: str) -> LinearPencil:
         size, num_vars = int(fields[1]), int(fields[2])
     except ValueError:
         raise ParseError("pencil header needs integer N and m", lineno)
-    if size < 1 or num_vars < 1:
-        raise ParseError("pencil needs N >= 1 and m >= 1", lineno)
+    # N = 0 is the empty pencil of a rank-0 reduction, with determinant 1
+    if size < 0 or num_vars < 1:
+        raise ParseError("pencil needs N >= 0 and m >= 1", lineno)
     pos = 1
     mats = []
     for k in range(num_vars + 1):

@@ -536,7 +536,8 @@ class UnivariatePolynomial:
 
 
 def format_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    """NUM/DEN in lowest terms, or NUM when DEN is 1: str(c)."""
+    return str(c)
 
 
 # the common tokens, read with int(); every other token is read by

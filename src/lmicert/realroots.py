@@ -693,8 +693,10 @@ class ZeroCells:
                 self.end_cells.append(cell)
 
     def cell(self, a: int, b: int) -> Optional[int]:
-        """The number of the zero-free cell that holds t = a/b (b > 0),
-        or None."""
+        """The number of the zero-free cell that holds t = a/b, or None;
+        None also for b = 0."""
+        if b <= 0:
+            return None if not b else self.cell(-a, -b)
         u, rest = divmod(a << self.depth, b << self.exp)
         ends = self.ends
         if u < ends[0]:

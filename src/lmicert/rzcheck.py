@@ -36,15 +36,16 @@ prefix of _CELLS_AFTER = 8 rays, it builds these slope cells once
 (SlopeCells.at: D by interpolation from Bezout determinants, the zeros
 of P by Descartes bisection), and each later ray whose slope lies
 strictly inside a cell where a ray was already counted takes that
-ray's root count, with no restriction: one direct count per cell.  Vertical rays, slopes that may be zeros of
-P, and every ray when D = 0 (p not square-free) are counted directly.
+ray's root count, with no restriction: one direct count per cell.
+Vertical rays, slopes that may be zeros of P, and every ray when D = 0
+(p not square-free) are counted directly.
 The verdict and every record are those of counting every ray.  Every
-scan uses the cells; for oval_profile a ray takes its counts only from
-a ray of its cell with the same sign of v1, whose side counts it shares
-(SlopeCells.key).  boundary_samples, which isolates the roots on every
-ray, does not.  construct.intercept_normalize reads the cells too: a
-slope t with a cell is a line through x0 that meets the curve in d
-distinct points or certifies that p is not real-zero.
+scan keys a ray by its slope's cell number alone (ZeroCells.cell) and
+names the ray each borrowing ray took its counts from, whose side
+counts oval_profile reads.  boundary_samples, which isolates the roots
+on every ray, does not use the cells.  construct.intercept_normalize
+reads them too: a slope t with a cell is a line through x0 that meets
+the curve in d distinct points or certifies that p is not real-zero.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
 from .pencil import _bareiss_det, _interpolate
@@ -310,14 +311,11 @@ def _checked_base(p: Polynomial, x0: Sequence, signed: bool = False
 
 
 def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
-          reverse: bool = False, keep: bool = False
-          ) -> Tuple[RZVerdict, List[Tuple[Optional[UnivariatePolynomial],
-                                           int]]]:
+          reverse: bool = False
+          ) -> Tuple[RZVerdict, List[Union[UnivariatePolynomial, int]]]:
     """The line test along the sampler's directions: the verdict, and
-    with keep one pair (f, i) per scanned ray: f is the restriction of p
-    to the ray and i the ray's own index, or f is None when the ray took
-    its counts from ray i, the first one scanned in its slope cell with
-    the same sign of v1.
+    per scanned ray its restriction f, or the index of the ray it took
+    its counts from.
 
     Roots are counted on the restriction f; reverse, which allows
     p(x0) < 0, reports the count of f's reversal padded to degree
@@ -329,25 +327,24 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
     witness.
 
     A plane scan of degree >= 2 builds the slope cells (SlopeCells.at)
-    once _CELLS_AFTER = 8 rays have passed.  From then on, a ray whose slope
-    lies in a cell where an earlier ray was counted takes that ray's
-    RootCount, with no restriction; the verdict is the one of counting
-    every ray.  With keep, the earlier ray must also have the same sign
-    of v1, so that it has the same side counts (topology.oval_profile).
+    once _CELLS_AFTER = 8 rays have passed.  From then on, a ray whose
+    slope w2/w1 lies in a cell where an earlier ray was counted
+    (ZeroCells.cell) takes the RootCount of the first such ray, with no
+    restriction; the verdict is the one of counting every ray.
     """
     q, x = _checked_base(p, x0, signed=reverse)
     if sampler.num_vars != p.num_vars:
         raise DimensionMismatch("sampler dimension differs from polynomial")
     d = int(q.degree())
     per_ray: List[RayRecord] = []
-    kept: List[Tuple[Optional[UnivariatePolynomial], int]] = []
+    kept: List[Union[UnivariatePolynomial, int]] = []
     build = d >= 2 and p.num_vars == 2
     cells = None
-    counted = {}                # key -> (RootCount, index of a ray with it)
+    counted = {}                # cell -> (RootCount, index of a ray in it)
     rays = sampler.directions()
     for w, v in rays.pairs():
-        key = None if cells is None else cells.key(w, keep)
-        hit = None if key is None else counted.get(key)
+        cell = None if cells is None else cells.cell(w[1], w[0])
+        hit = None if cell is None else counted.get(cell)
         if hit is None:
             f = q.restrict(x, v)
             counts = count_real_roots(f)
@@ -355,14 +352,12 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
             if reverse and drop:
                 counts = RootCount(counts.distinct_real + 1,
                                    counts.real_with_multiplicity + drop, d)
-            if keep:
-                kept.append((f, len(per_ray)))
-            if key is not None:
-                counted[key] = (counts, len(per_ray))
+            kept.append(f)
+            if cell is not None:
+                counted[cell] = (counts, len(per_ray))
         else:
             counts = hit[0]
-            if keep:
-                kept.append((None, hit[1]))
+            kept.append(hit[1])
         deg = counts.total_degree
         real = counts.real_with_multiplicity
         per_ray.append(RayRecord(v, deg, counts.distinct_real, real,
@@ -373,13 +368,14 @@ def _scan(p: Polynomial, x0: Sequence, sampler: RaySampler,
         if build and len(per_ray) == _CELLS_AFTER:
             build = False
             cells = SlopeCells.at(q, x)
-            # the rays counted so far are the first of their keys
+            # the rays counted so far are the first of their cells
             for i, (w, r) in enumerate(zip(rays._vectors, per_ray)
                                        if cells is not None else ()):
-                key = cells.key(w, keep)
-                if key is not None and key not in counted:
-                    counted[key] = (RootCount(r.distinct, r.with_multiplicity,
-                                              r.degree), i)
+                cell = cells.cell(w[1], w[0])
+                if cell is not None and cell not in counted:
+                    counted[cell] = (RootCount(r.distinct,
+                                               r.with_multiplicity,
+                                               r.degree), i)
     return (RZVerdict(PROBABLY_RZ, None, len(per_ray), sampler.seed,
                       tuple(per_ray)), kept)
 
@@ -431,7 +427,8 @@ _CELLS_AFTER = 8
 class SlopeCells(ZeroCells):
     """The plane line test's cells: the slope axis cut at the real zeros
     of P(t) = D(t) H_d(t) (realroots.ZeroCells), which at(q, x) builds.
-    key(v, sides) is the cell of a ray's slope."""
+    A ray with integer vector w lies in the cell cell(w2, w1) of its
+    slope; a vertical ray lies in none."""
 
     __slots__ = ()
 
@@ -509,23 +506,6 @@ class SlopeCells(ZeroCells):
         while out and not out[-1]:
             out.pop()
         return out
-
-    def key(self, w: Vector, sides: bool) -> Optional[Tuple[int, bool]]:
-        """(cell of the slope w2/w1, sides and w1 > 0) for a ray v whose
-        integer vector w is a positive multiple of v; None for a
-        vertical ray or a slope that may be a zero of P.
-
-        Rays with one key have one RootCount.  With sides, they also
-        have the same numbers of roots mu < 0 and mu > 0: on the cell
-        D(t) and h_d(1, t) = g_t(0) are nonzero, so the real roots s of
-        g_t are simple and nonzero, and the number of each sign cannot
-        change across the cell; mu = 1/(v1 s) has the sign of s for
-        v1 > 0 and the other for v1 < 0."""
-        a, b = w
-        if not a:
-            return None
-        cell = self.cell(b, a) if a > 0 else self.cell(-b, -a)
-        return None if cell is None else (cell, sides and a > 0)
 
 
 def rz_check(p: Polynomial, x0: Sequence,

@@ -11,12 +11,14 @@ read off 1-D root orderings only; no curve tracing is involved.
 The side counts and votes come from Sturm counts on the rays the line
 test restricts.  Once the scan has built its slope cells
 (rzcheck._scan), a later ray takes the side counts of the first ray in
-its cell with the same sign of v1: on the cell every line meets the
-curve in d simple points away from the base point, so the number on
-each side cannot change, and it swaps exactly when v1 changes sign.
-Such a ray is restricted, and its roots isolated, only when its
-parameters are first read.  The line test's count, the side counts and
-the isolation read one root analysis per ray.
+its cell, swapped when the two rays' v1 have opposite signs.  On the
+cell, the line of slope t meets the curve at the real roots s of g_t,
+which are simple and nonzero (rzcheck, slope cells), so the number of
+each sign cannot change across the cell; a ray v = (v1, v2) meets them
+at mu = 1/(v1 s), of the sign of s for v1 > 0 and the other for
+v1 < 0.  Such a ray is restricted, and its roots isolated, only when
+its parameters are first read.  The line test's count, the side counts
+and the isolation read one root analysis per ray.
 """
 
 from __future__ import annotations
@@ -115,11 +117,8 @@ def oval_profile(p: Polynomial, x0: Sequence,
         raise DimensionMismatch("oval profiles are two-variable only")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    # a ray that took its counts from its slope cell takes the side
-    # counts of the first ray with its key (rzcheck.SlopeCells.key)
     verdict, kept = _scan(
-        p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))),
-        keep=True)
+        p, x0, sampler or RaySampler(2, extra_directions=((1, 0), (0, 1))))
     if verdict.certified_not_rz():
         v, counts = verdict.witness
         raise CertifiedNotRZError(
@@ -129,9 +128,15 @@ def oval_profile(p: Polynomial, x0: Sequence,
             f"affine points", verdict=verdict)
     x = as_point(x0, 2)
     rays: List[RayProfile] = []
-    for record, (f, first) in zip(verdict.per_ray, kept):
-        if f is None:
-            neg, pos = rays[first].negative_count, rays[first].positive_count
+    for record, f in zip(verdict.per_ray, kept):
+        if isinstance(f, int):
+            # the side counts of ray f of the same slope cell, swapped
+            # when the signs of v1 differ, as mu = 1/(v1 s)
+            source, f = rays[f], None
+            neg, pos = source.negative_count, source.positive_count
+            if record.direction[0].numerator * \
+                    source.direction[0].numerator < 0:
+                neg, pos = pos, neg
         else:
             neg, pos = side_counts(f) if record.degree > 0 else (0, 0)
         rays.append(RayProfile(

@@ -238,6 +238,18 @@ def test_reduce_monic_embedded_block(tmp_path):
     assert reduced.size == 1
 
 
+def test_rank_zero_reduction_reads_back(tmp_path):
+    # L0 = L1 = 0 reduces to the empty pencil, whose determinant is 1
+    qpath = write(tmp_path, "zero.pencil", "pencil 1 1\nL 0\n0\nL 1\n0\n")
+    code, out, _ = run_cli(["reduce-monic", qpath])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rank"], doc["pencil"]) == (0, "pencil 0 1\nL 0\nL 1\n")
+    empty = write(tmp_path, "empty.pencil", doc["pencil"])
+    assert run_cli(["det", empty]) == (0, "vars 1\n1 0\n", "")
+    assert run_cli(["reduce-monic", empty]) == (0, out, "")
+
+
 def test_reduce_monic_failure_exits_3(tmp_path):
     bad = ("pencil 2 2\nL 0\n1 0\n0 0\nL 1\n0 0\n0 1\n"
            "L 2\n1 0\n0 0\n")
@@ -406,6 +418,79 @@ def test_point_defaults_to_origin_in_three_variables(tmp_path):
     assert all(len(r["direction"]) == 3 for r in doc["per_ray"])
     assert run_cli(["check", path, "--point", "0,0,0"] + FAST) == \
         (code, out, err)
+
+
+# each check of a malformed input document, through a command that
+# reads it: (command, document, the message after "error: ")
+MALFORMED_DOCUMENTS = {
+    "pencil-header": ("det", "# a comment\npencil 2\nL 0\n1\n",
+                      "line 2: expected header 'pencil N m'"),
+    "pencil-integers": ("det", "pencil two 1\nL 0\n1\nL 1\n0\n",
+                        "line 1: pencil header needs integer N and m"),
+    "pencil-no-matrix": ("det", "pencil 1 0\nL 0\n1\n",
+                         "line 1: pencil needs N >= 0 and m >= 1"),
+    "pencil-negative-size": ("det", "pencil -1 1\n",
+                             "line 1: pencil needs N >= 0 and m >= 1"),
+    "pencil-missing-block": ("det", "pencil 1 1\nL 0\n1\n\n",
+                             "line 3: missing block 'L 1'"),
+    "pencil-row-length": (
+        "det", "pencil 2 1\nL 0\n1 0\n0\nL 1\n0 0\n0 0\n",
+        "line 4: expected 2 entries, got 1"),
+    "pencil-asymmetric": (
+        "det", "pencil 2 1\nL 0\n1 2\n0 1\nL 1\n0 0\n0 0\n",
+        "line 4: block 'L 0': matrix is not symmetric at (1,0): 0 vs 2"),
+    "pencil-trailing": ("det", "pencil 1 1\nL 0\n1\nL 1\n0\nL 2\n",
+                        "line 6: trailing content after the last block"),
+    "poly-variable-count": ("check", "vars x\n1 0 0\n",
+                            "line 1: bad variable count 'x'"),
+    "poly-no-variables": ("check", "vars 0\n1\n",
+                          "line 1: variable count must be positive"),
+    "poly-exponent-token": ("check", "vars 2\n1 0 0\n\n1 a 0\n",
+                            "line 4: exponents must be integers"),
+    "poly-negative-exponent": ("check", "vars 2\n1 0 0\n1 -1 0\n",
+                               "line 3: exponents must be nonnegative"),
+    "poly-no-header": ("check", "# nothing here\n\n",
+                       "missing 'vars m' header"),
+}
+
+
+@pytest.mark.parametrize("command, document, message",
+                         list(MALFORMED_DOCUMENTS.values()),
+                         ids=list(MALFORMED_DOCUMENTS))
+def test_malformed_documents_exit_1_with_their_line(tmp_path, command,
+                                                    document, message):
+    path = write(tmp_path, "input", document)
+    assert run_cli([command, path]) == (1, "", f"error: {message}\n")
+
+
+def test_empty_factor_file_exits_1(tmp_path):
+    path = write(tmp_path, "disc.poly", DISC_POLY)
+    fpath = write(tmp_path, "factors.txt", "# no polynomial\n\n\n")
+    assert run_cli(["represent", path, "--factors", fpath] + FAST) == \
+        (1, "", "error: factor file holds no polynomials\n")
+
+
+def test_construction_error_reports_its_residual(tmp_path):
+    # every start of the degree-3 solve reaches the float tolerance, but
+    # no float pencil has an exact residual below 1e-30
+    path = write(tmp_path, "odd_cubic.poly", ODD_CUBIC_POLY)
+    code, out, err = run_cli(["represent", path, "--tol", "1e-30"] + FAST)
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert sorted(doc) == ["error", "kind", "residual"]
+    assert doc["kind"] == "ConstructionError"
+    assert doc["error"] == ("no start of the off-diagonal solve reached the "
+                            "tolerance; retry with a different seed")
+    assert isinstance(doc["residual"], float)
+    assert 1e-30 < doc["residual"] < 1e-9
+
+
+def test_boundary_svg_without_crossings(tmp_path):
+    # the constant 1: no line meets the curve, so there is nothing to draw
+    path = write(tmp_path, "one.poly", "vars 2\n1 0 0\n")
+    assert run_cli(["boundary", path, "--format", "svg", "--rays", "4"]) == \
+        (0, '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 10 10">'
+            '</svg>\n', "")
 
 
 def test_unknown_command_exits_1():

@@ -353,6 +353,11 @@ def test_root_cells_number_the_gaps_between_simple_roots(roots, points):
     assert cells.cell(below.numerator, below.denominator) == 0
     above = sorted(roots)[-1] + 1
     assert cells.cell(above.numerator, above.denominator) == len(roots)
+    # t = a/b with b < 0 is the same point; b = 0 is no point
+    for t in points:
+        assert cells.cell(-t.numerator, -t.denominator) == \
+            cells.cell(t.numerator, t.denominator)
+        assert cells.cell(t.numerator, 0) is None
 
 
 def test_root_cells_split_at_a_sixfold_zero_on_a_midpoint():

@@ -739,21 +739,20 @@ def test_slope_cells_replace_most_restrictions(monkeypatch):
         # the rays before the build, and a few first rays of cells
         assert rzcheck._CELLS_AFTER <= len(calls) <= rzcheck._CELLS_AFTER + 8
         calls.clear()
-    # with keep, topology's scan also reads the cells, keyed by the
-    # sign of v1 as well: it restricts the rays before the build and
-    # the first ray of each key, and keeps the records of the scan
-    # without keep
+    # the scan also names, per ray, its restriction or the ray it took
+    # its counts from: it restricts the rays before the build and the
+    # first ray of each cell
     for name, x0 in (("disc", (F(0), F(0))), ("tangent", (F(-4), F(0)))):
         p = _golden(name)
-        verdict, kept = rzcheck._scan(p, x0, RaySampler(2), keep=True)
+        verdict, kept = rzcheck._scan(p, x0, RaySampler(2))
         assert len(kept) == verdict.rays_checked == 243
-        assert len(calls) == sum(f is not None for f, _ in kept)
+        assert len(calls) == sum(not isinstance(f, int) for f in kept)
         cells = rzcheck.SlopeCells.at(p, x0)
         pairs = list(RaySampler(2).directions().pairs())
-        keys = [cells.key(w, True) for w, _ in pairs[rzcheck._CELLS_AFTER:]]
+        keys = [cells.cell(w[1], w[0])
+                for w, _ in pairs[rzcheck._CELLS_AFTER:]]
         assert len(calls) <= (rzcheck._CELLS_AFTER + keys.count(None)
                               + len(set(keys) - {None})) < 100
-        assert verdict == rzcheck._scan(p, x0, RaySampler(2))[0]
         calls.clear()
 
 
@@ -776,20 +775,25 @@ def test_scan_with_a_late_witness_builds_only_the_rays_it_reads(monkeypatch):
     assert built == {"grid": verdict.rays_checked, "random": 0}
 
 
-def _assert_keep_scan_agrees(p, x0, sampler):
-    """topology's scan (keep): the verdict and records of counting every
-    ray, and a ray that took its counts from an earlier ray has that
-    ray's side counts."""
+def _assert_borrowed_side_counts_agree(p, x0, sampler):
+    """The verdict and records of counting every ray, and a ray that
+    took its counts from an earlier ray of its slope cell has that
+    ray's side counts, swapped when the signs of v1 differ: checked
+    against side_counts of the ray's own restriction."""
     x0 = tuple(F(c) for c in x0)
-    verdict, kept = rzcheck._scan(p, x0, sampler, keep=True)
+    verdict, kept = rzcheck._scan(p, x0, sampler)
     kind, witness, per_ray = _direct_verdict(p, x0, sampler)
     assert (verdict.kind, verdict.witness) == (kind, witness)
     assert verdict.per_ray == per_ray and len(kept) == len(per_ray)
-    for (f, first), record in zip(kept, per_ray):
-        if f is None:
-            assert kept[first][0] is not None and record.at_infinity == 0
+    for f, record in zip(kept, per_ray):
+        if isinstance(f, int):
+            source = per_ray[f].direction
+            assert not isinstance(kept[f], int) and record.at_infinity == 0
+            neg, pos = side_counts(kept[f])
+            if (record.direction[0] > 0) != (source[0] > 0):
+                neg, pos = pos, neg
             assert side_counts(p.restrict(x0, record.direction)) == \
-                side_counts(kept[first][0])
+                (neg, pos)
 
 
 # samplers shorter and longer than the prefix rzcheck._CELLS_AFTER
@@ -823,7 +827,7 @@ def test_slope_prefix_keeps_every_record(data):
         if sampler == RaySampler(2):
             assert rz_check(p, x0).rays_checked > rzcheck._CELLS_AFTER
     _assert_cells_agree(p, x0, sampler)
-    _assert_keep_scan_agrees(p, x0, sampler)
+    _assert_borrowed_side_counts_agree(p, x0, sampler)
 
 
 @given(st.data())

@@ -118,6 +118,13 @@ THREE_VARIABLE_CASES = {
     "fermat3.check": ["fermat3", "check"],
 }
 
+# represent cases added after all the above, last for the same reason:
+# case name -> curve file stem and command
+APPROX_REPRESENT_CASES = {
+    # an ApproxMatch: no axis intercept of the curve is rational
+    "approx.represent": ["approx", "represent"],
+}
+
 
 def cases():
     for curve, point in CURVES.items():
@@ -141,6 +148,8 @@ def cases():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
     for name, (curve, command, *extra) in THREE_VARIABLE_CASES.items():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
+    for name, (curve, command) in APPROX_REPRESENT_CASES.items():
+        yield name, [command, str(GOLDEN / f"{curve}.poly"), *FAST]
 
 
 def run(argv):

@@ -18,8 +18,10 @@ unknown closed form (degree 2).  That numeric solve is the package's
 only use of numpy, imported on its first call.  An intercept is made
 exact when its one rounding is a root (_snap_root), and the matched L1
 when one of its roundings has the target determinant (_try_promote).
-The returned pencil is verified once, by exact rational determinant
-expansion, before it is returned, so floating point can only cause
+Where c_i is not a root, -1/c_i and s_i/c_i are rounded to the 2^-64
+grid (fixed_part): short entries keep every later integer short.  The
+returned pencil is verified once, by the expansion the match already
+made, before it is returned, so floating point can only cause
 failures, never wrong answers: an exact identity det = c * p with c > 0
 plus a positive definite L0 certifies the whole region, and only an
 approximate match falls back on sampled membership points.
@@ -69,9 +71,11 @@ class InterceptData:
     """Axis intercepts (0, c_i) of the curve and the implicit slopes
     there.  Roots are exact rationals when the curve passes through
     one, otherwise rational approximations accurate to the working
-    resolution."""
+    resolution; exact[i] says whether p(0, c_i) = 0 (None: all are
+    taken as exact)."""
     roots: Tuple[Fraction, ...]
     slopes: Tuple[Fraction, ...]
+    exact: Optional[Tuple[bool, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,17 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
     counts = count_real_roots(g)
     if not (counts.distinct_real == d and counts.real_with_multiplicity == d):
         return None
-    roots = [_snap_root(g, iv.low, iv.high, iv.midpoint())
-             for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION)]
+    found = []
+    for iv in isolate_real_roots(g, _INTERCEPT_RESOLUTION):
+        mid = iv.midpoint()
+        c = _snap_root(g, iv.low, iv.high, mid)
+        # g(c) = 0 when the isolation returned c exactly or the snap
+        # found it; a midpoint is a 2^-64 approximation
+        found.append((c, iv.low == iv.high or c != mid))
     # inner intercepts first, positive before negative on ties; this
     # fixes the representation among the diag-permutation equivalents
-    order = sorted(range(d), key=lambda i: (abs(roots[i]), roots[i] < 0))
-    roots = [roots[i] for i in order]
+    found.sort(key=lambda ce: (abs(ce[0]), ce[0] < 0))
+    roots = [c for c, _ in found]
     p1 = p.partial_derivative(1)
     p2 = p.partial_derivative(2)
     slopes: List[Fraction] = []
@@ -138,7 +147,8 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
             raise ConstructionError(
                 f"the implicit slope at the axis intercept {c} is undefined")
         slopes.append(-p1.evaluate(at) / denom)
-    return InterceptData(tuple(roots), tuple(slopes))
+    return InterceptData(tuple(roots), tuple(slopes),
+                         tuple(exact for _, exact in found))
 
 
 def _apply_change(p: Polynomial, t: int) -> Polynomial:
@@ -194,12 +204,23 @@ def intercept_normalize(p: Polynomial
 
 def fixed_part(data: InterceptData
                ) -> Tuple[SymmetricMatrix, Tuple[Fraction, ...]]:
-    """The pinned-down pencil entries: L2 and the diagonal of L1."""
+    """The pinned-down pencil entries, L2 and the diagonal of L1: the
+    exact -1/c_i and s_i/c_i where c_i is a root of p(0, x2), which
+    keeps _try_promote open, else both rounded to the 2^-64 grid.  That
+    is sound: such a c_i is itself a 2^-64 approximation, and
+    verification decides on the pencil as printed."""
     if any(c == 0 for c in data.roots):
         raise ConstructionError("axis intercept at the origin; renormalize")
-    l2 = SymmetricMatrix.diagonal([-1 / c for c in data.roots])
-    diag1 = tuple(s / c for s, c in zip(data.slopes, data.roots))
+    exact = data.exact or (True,) * len(data.roots)
+    l2 = SymmetricMatrix.diagonal([-1 / c if e else _on_grid(-1 / c)
+                                   for c, e in zip(data.roots, exact)])
+    diag1 = tuple(s / c if e else _on_grid(s / c)
+                  for s, c, e in zip(data.slopes, data.roots, exact))
     return l2, diag1
+
+
+def _on_grid(value: Fraction) -> Fraction:
+    return round(value / _INTERCEPT_RESOLUTION) * _INTERCEPT_RESOLUTION
 
 
 # -- coefficient matching ------------------------------------------------------

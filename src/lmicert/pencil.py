@@ -122,9 +122,11 @@ class LinearPencil:
     """Symmetric matrix tuple (L0, L1, ..., Lm) defining x -> L0 + sum x_i L_i.
 
     _ints holds (D, the upper triangles of D L0, ..., D Lm as integer
-    lists), filled on first use."""
+    lists), _det the determinant polynomial and _monic whether L0 = I,
+    each filled on first use."""
 
-    __slots__ = ("matrices", "num_vars", "size", "_hash", "_ints")
+    __slots__ = ("matrices", "num_vars", "size", "_hash", "_ints", "_det",
+                 "_monic")
 
     def __init__(self, matrices: Sequence[SymmetricMatrix]):
         mats = tuple(matrices)
@@ -139,9 +141,13 @@ class LinearPencil:
         self.size = n
         self._hash = None
         self._ints = None
+        self._det = None
+        self._monic = None
 
     def monic(self) -> bool:
-        return self.matrices[0].is_identity()
+        if self._monic is None:
+            self._monic = self.matrices[0].is_identity()
+        return self._monic
 
     def evaluate(self, point: Sequence) -> SymmetricMatrix:
         scale, upper = self._scaled(point)
@@ -331,7 +337,8 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     makes the pencil block-diagonal with an identically zero block, so
     the classification runs on the compression to range(L0); otherwise
     the literal test is used (Interior is then typically empty).  A
-    non-PSD L0 is an error.
+    non-PSD L0 is an error.  A point with a negative diagonal entry is
+    Outside at once, the verdict _eliminate's first pass would give.
     """
     if not pencil.monic():
         base, compressed, _, _ = _range_compression(pencil)
@@ -343,7 +350,10 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
             pencil = compressed
     # s L(x) with s > 0 has the verdict of L(x)
     _, upper = pencil._scaled(point)
-    return _classify(SymmetricMatrix._trusted(_mirror(pencil.size, upper)))
+    n = pencil.size
+    if any(upper[i * n - i * (i - 1) // 2] < 0 for i in range(n)):
+        return Membership.OUTSIDE
+    return _classify(SymmetricMatrix._trusted(_mirror(n, upper)))
 
 
 # -- determinants -------------------------------------------------------------
@@ -359,12 +369,14 @@ def determinant_polynomial(pencil: LinearPencil) -> Polynomial:
     C(s+m, m) lattice points of the simplex |a| <= s, and the polynomial
     of total degree at most s through those values is recovered exactly
     by Newton interpolation.  Every step is in integers; the only
-    division by the denominator comes last.
+    division by the denominator comes last.  Kept on the pencil (_det).
     """
-    result = Polynomial.constant(1, pencil.num_vars)
-    for comp in _components(pencil):
-        result = result * _component_det(pencil, comp)
-    return result
+    if pencil._det is None:
+        result = Polynomial.constant(1, pencil.num_vars)
+        for comp in _components(pencil):
+            result = result * _component_det(pencil, comp)
+        pencil._det = result
+    return pencil._det
 
 
 def _components(pencil: LinearPencil) -> List[List[int]]:

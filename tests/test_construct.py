@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lmicert import construct
+from lmicert import pencil as pencil_module
 from lmicert.construct import (APPROX_MATCH, CLOSED_FORM,
                                COEFFICIENT_MATCHING, DIRECT_SUM, EXACT_MATCH,
                                MISMATCH, InterceptData, fixed_part,
@@ -15,7 +16,8 @@ from lmicert.construct import (APPROX_MATCH, CLOSED_FORM,
 from lmicert.errors import (BasePointError, CertifiedNotRZError,
                             ConstructionError, DimensionMismatch)
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            determinant_polynomial, membership, parse_pencil)
+                            determinant_polynomial, format_pencil,
+                            membership, parse_pencil)
 from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
 from lmicert.realroots import isolate_real_roots
 from lmicert.rzcheck import RaySampler, SlopeCells
@@ -215,6 +217,57 @@ def test_fixed_part_rejects_origin_intercept():
     data = InterceptData((F(0), F(1)), (F(0), F(0)))
     with pytest.raises(ConstructionError):
         fixed_part(data)
+
+
+def _exact_fixed_part(data):
+    return ([-1 / c for c in data.roots],
+            [s / c for s, c in zip(data.slopes, data.roots)])
+
+
+def test_fixed_part_rounds_inexact_intercepts_to_the_dyadic_grid():
+    # seed 7 has one exact intercept, seeds 9 to 11 none
+    for seed in (7, 9, 10, 11):
+        p = determinant_polynomial(_half_integer_pencil(seed, 3))
+        _, data, change = intercept_normalize(p)
+        assert change is None
+        assert data.exact.count(True) == (1 if seed == 7 else 0)
+        l2, diag1 = fixed_part(data)
+        got = ([l2[i, i] for i in range(3)], list(diag1))
+        for values, exact_values in zip(got, _exact_fixed_part(data)):
+            for value, exact_value, exact in zip(values, exact_values,
+                                                 data.exact):
+                if exact:
+                    assert value == exact_value
+                    continue
+                den = value.denominator
+                assert den & (den - 1) == 0 and den <= 2 ** 64
+                assert abs(value - exact_value) <= F(1, 2 ** 65)
+
+
+def test_fixed_part_keeps_exact_intercepts_exact():
+    odd_cubic = parse_polynomial((GOLDEN / "odd_cubic.poly").read_text())
+    concentric = DISC * (4 * one - x1 ** 2 - x2 ** 2)
+    rational = determinant_polynomial(_rational_pencil(5009, 3))
+    for p in (odd_cubic, concentric, rational):
+        _, data, _ = intercept_normalize(p)
+        assert all(data.exact)
+        l2, diag1 = fixed_part(data)
+        assert (l2, list(diag1)) == (
+            SymmetricMatrix.diagonal(_exact_fixed_part(data)[0]),
+            _exact_fixed_part(data)[1])
+
+
+def test_exact_dyadic_intercept_beyond_the_snap_bound_stays_exact():
+    # 3/2^21 has a denominator above 10^6, so _snap_root would not find
+    # it, but the isolation returns it exactly: p(0, c) = 0 decides, not
+    # the size of the denominator
+    c = F(3, 2 ** 21)
+    p = (one - x2 * (1 / c)) * (one + x2) * (one + x1 + 2 * x2)
+    _, data, change = intercept_normalize(p)
+    assert change is None
+    assert c in data.roots and all(data.exact)
+    l2, _ = fixed_part(data)
+    assert l2[data.roots.index(c), data.roots.index(c)] == F(-2 ** 21, 3)
 
 
 # === closed forms ===
@@ -729,6 +782,35 @@ def test_represent_verifies_once(monkeypatch, factors):
     result = represent((one - x1) * DISC, factors=factors, sampler=SMALL)
     assert result.outcome.kind in (EXACT_MATCH, APPROX_MATCH)
     assert calls["verify_representation"] == 1
+
+
+def test_represent_expands_the_returned_pencil_once(monkeypatch):
+    # verify_representation reads the determinant that the winner's
+    # residual already expanded: one expansion fewer than with every
+    # pencil expanded afresh
+    p = determinant_polynomial(_half_integer_pencil(7, 3))
+    expanded = []
+    component_det = pencil_module._component_det
+    monkeypatch.setattr(pencil_module, "_component_det",
+                        lambda pencil, comp: expanded.append(pencil)
+                        or component_det(pencil, comp))
+    result = represent(p, sampler=SMALL)
+    assert (result.outcome.kind, result.coordinate_change) == \
+        (APPROX_MATCH, None)
+    assert [e is result.pencil for e in expanded].count(True) == 1
+    cached = len(expanded)
+    expand = construct.determinant_polynomial
+
+    def afresh(pencil):
+        pencil._det = None
+        return expand(pencil)
+    monkeypatch.setattr(construct, "determinant_polynomial", afresh)
+    expanded.clear()
+    assert represent(p, sampler=SMALL).pencil == result.pencil
+    assert len(expanded) == cached + 1
+    # a freshly parsed copy, with nothing cached, verifies alike
+    copy = parse_pencil(format_pencil(result.pencil))
+    assert verify_representation(p, copy) == result.outcome
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

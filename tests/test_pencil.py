@@ -578,6 +578,85 @@ def test_evaluate_and_membership_agree_with_the_entry_sum(case, data):
                 naive_at(hidden, pt))
 
 
+def _membership_by_elimination(pencil, pt):
+    """membership with no diagonal exit: the compression when L0 is
+    singular PSD with the range condition, then _classify at pt."""
+    if not pencil.matrices[0].is_identity():
+        _, compressed, _, _ = _range_compression(pencil)
+        if compressed is not None:
+            pencil = compressed
+    return _classify(pencil.evaluate(pt))
+
+
+def _zero_diagonal_points(pencil):
+    """The points on a coordinate axis where a diagonal entry of L(x)
+    is 0."""
+    for j, mat in enumerate(pencil.matrices[1:]):
+        for i in range(pencil.size):
+            if mat[i, i]:
+                pt = [F(0)] * pencil.num_vars
+                pt[j] = -pencil.matrices[0][i, i] / mat[i, i]
+                yield tuple(pt)
+
+
+@given(hidden_pencil_st(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_membership_diagonal_exit_keeps_every_verdict(case, data):
+    # monic, PD and compressed singular L0 alike; a compression keeps
+    # the diagonal entries on L0's pivots, so the zero-diagonal points
+    # reach it too
+    pencil, _, _ = case
+    points = list(_zero_diagonal_points(pencil))
+    points += data.draw(st.lists(st.tuples(*[coord_st] * pencil.num_vars),
+                                 min_size=1, max_size=4))
+    for pt in points:
+        assert membership(pencil, pt) is \
+            _membership_by_elimination(pencil, pt)
+
+
+def test_membership_decides_a_negative_diagonal_without_elimination(
+        monkeypatch):
+    classified = []
+    classify = pencil_module._classify
+    monkeypatch.setattr(pencil_module, "_classify",
+                        lambda mat: classified.append(mat) or classify(mat))
+    pencil = LinearPencil([sym([[2, 0], [0, 3]]), sym([[1, 0], [0, 0]]),
+                           sym([[0, 1], [1, 0]])])
+    # diagonal (-1, 3): Outside on the diagonal alone
+    assert membership(pencil, (-3, 0)) is Membership.OUTSIDE
+    assert classified == []
+    # diagonal (0, 3) with a nonzero row, and diagonal (2, 3) with
+    # det -10: both Outside, and both eliminated
+    for pt in ((-2, 1), (0, 4)):
+        assert membership(pencil, pt) is Membership.OUTSIDE
+    assert len(classified) == 2
+    assert [min(m[i, i] for i in range(2)) for m in classified] == [0, 2]
+
+
+def test_monic_reads_l0_once(monkeypatch):
+    reads = []
+    is_identity = SymmetricMatrix.is_identity
+    monkeypatch.setattr(SymmetricMatrix, "is_identity",
+                        lambda mat: reads.append(mat) or is_identity(mat))
+    pencil = disc_pencil()
+    for pt in ((0, 0), (1, 0), (2, 0), (F(1, 2), F(-1, 3))):
+        membership(pencil, pt)
+    assert pencil.monic()
+    assert len(reads) == 1
+
+
+@given(pencils_and_points())
+@settings(max_examples=60, deadline=None)
+def test_cached_determinant_is_that_of_an_equal_pencil(case):
+    pencil, _ = case
+    det = determinant_polynomial(pencil)
+    assert determinant_polynomial(pencil) is det
+    twin = LinearPencil([SymmetricMatrix(mat.entries)
+                         for mat in pencil.matrices])
+    assert twin == pencil and twin is not pencil
+    assert determinant_polynomial(twin) == det
+
+
 @given(hidden_pencil_st())
 @settings(max_examples=60, deadline=None)
 def test_range_compression_is_the_hidden_block_up_to_a_positive_constant(

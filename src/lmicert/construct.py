@@ -71,11 +71,10 @@ class InterceptData:
     """Axis intercepts (0, c_i) of the curve and the implicit slopes
     there.  Roots are exact rationals when the curve passes through
     one, otherwise rational approximations accurate to the working
-    resolution; exact[i] says whether p(0, c_i) = 0 (None: all are
-    taken as exact)."""
+    resolution; exact[i] says whether p(0, c_i) = 0."""
     roots: Tuple[Fraction, ...]
     slopes: Tuple[Fraction, ...]
-    exact: Optional[Tuple[bool, ...]] = None
+    exact: Tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -208,19 +207,20 @@ def fixed_part(data: InterceptData
     exact -1/c_i and s_i/c_i where c_i is a root of p(0, x2), which
     keeps _try_promote open, else both rounded to the 2^-64 grid.  That
     is sound: such a c_i is itself a 2^-64 approximation, and
-    verification decides on the pencil as printed."""
+    verification decides on the pencil as printed.  A value the grid
+    would make 0 stays exact, so L2 stays invertible where |c_i| > 2^65."""
     if any(c == 0 for c in data.roots):
         raise ConstructionError("axis intercept at the origin; renormalize")
-    exact = data.exact or (True,) * len(data.roots)
     l2 = SymmetricMatrix.diagonal([-1 / c if e else _on_grid(-1 / c)
-                                   for c, e in zip(data.roots, exact)])
+                                   for c, e in zip(data.roots, data.exact)])
     diag1 = tuple(s / c if e else _on_grid(s / c)
-                  for s, c, e in zip(data.slopes, data.roots, exact))
+                  for s, c, e in zip(data.slopes, data.roots, data.exact))
     return l2, diag1
 
 
 def _on_grid(value: Fraction) -> Fraction:
-    return round(value / _INTERCEPT_RESOLUTION) * _INTERCEPT_RESOLUTION
+    return (round(value / _INTERCEPT_RESOLUTION) * _INTERCEPT_RESOLUTION
+            or value)
 
 
 # -- coefficient matching ------------------------------------------------------

@@ -214,7 +214,7 @@ def test_fixed_part_from_disc():
 
 
 def test_fixed_part_rejects_origin_intercept():
-    data = InterceptData((F(0), F(1)), (F(0), F(0)))
+    data = InterceptData((F(0), F(1)), (F(0), F(0)), (True, True))
     with pytest.raises(ConstructionError):
         fixed_part(data)
 
@@ -268,6 +268,19 @@ def test_exact_dyadic_intercept_beyond_the_snap_bound_stays_exact():
     assert c in data.roots and all(data.exact)
     l2, _ = fixed_part(data)
     assert l2[data.roots.index(c), data.roots.index(c)] == F(-2 ** 21, 3)
+
+
+def test_far_inexact_intercepts_keep_a_nonzero_fixed_part():
+    # the intercepts +-10^20/sqrt(2) lie beyond 2^65, where -1/c rounds
+    # to 0 on the 2^-64 grid: L2 would lose its inverse, and promotion
+    # its d evaluations of the target at -1/L2[i, i]
+    p = (one + x1 - x2) * (one - x1 ** 2 - F(2, 10 ** 40) * x2 ** 2)
+    _, data, change = intercept_normalize(p)
+    assert change is None and data.exact == (True, False, False)
+    l2, _ = fixed_part(data)
+    assert [l2[i, i] for i in range(3)] == _exact_fixed_part(data)[0]
+    result = represent(p, sampler=SMALL)
+    assert result.outcome.kind == APPROX_MATCH
 
 
 # === closed forms ===
@@ -344,7 +357,7 @@ def test_degree_two_off_diagonal_ignores_intercept_rounding(text):
     p = parse_polynomial(text)
     _, data, _ = intercept_normalize(p)
     shifted = InterceptData(tuple(c + F(1, 2 ** 40) for c in data.roots),
-                            data.slopes)
+                            data.slopes, data.exact)
     assert construct._degree_two(p, shifted).matrices[1][0, 1] == \
         construct._degree_two(p, data).matrices[1][0, 1]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -110,6 +111,17 @@ def _parse_point(text: Optional[str], num_vars: int):
     if len(parts) != num_vars:
         raise ParseError(f"--point needs {num_vars} comma-separated values")
     return tuple(parse_rational(t) for t in parts)
+
+
+def _parse_tol(text: str) -> float:
+    """A finite tolerance >= 0: an infinite one accepts any pencil."""
+    try:
+        tol = float(text)
+        if tol >= 0 and math.isfinite(tol):
+            return tol
+    except ValueError:
+        pass
+    raise ParseError(f"--tol must be a finite number >= 0, got {text!r}")
 
 
 def _sampler(args, num_vars: int, extra_directions=()) -> RaySampler:
@@ -361,7 +373,7 @@ _OPTIONS = {
                      help="random ray count (default 64)"),
     "--seed": dict(type=int, default=0,
                    help="seed for all randomness (default 0)"),
-    "--tol": dict(type=float, default=1e-9,
+    "--tol": dict(type=_parse_tol, default=1e-9,
                   help="numeric tolerance (default 1e-9)"),
     "--resolution": dict(type=parse_rational, default=Fraction(1, 2 ** 20),
                          help="root isolation width (default 1/1048576)"),
@@ -425,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        # --resolution's type raises ParseError, which argparse passes on
+        # argparse passes on the ParseError of --resolution's or --tol's type
         args, extra = parser.parse_known_args(argv)
         if extra:
             # the command's own parser prints the command's usage

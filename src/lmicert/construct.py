@@ -292,6 +292,13 @@ def _lm_minimize(residual_fn, jacobian_fn, u0: np.ndarray) -> np.ndarray:
     return u
 
 
+def _check_match_degree(d: int) -> None:
+    if d > _MATCH_DEGREE_CAP:
+        raise ConstructionError(
+            f"degree {d} exceeds the matching cap {_MATCH_DEGREE_CAP}; "
+            f"supply a factorization")
+
+
 def match_offdiagonal(p: Polynomial,
                       fixed: Tuple[SymmetricMatrix, Tuple[Fraction, ...]],
                       tol: float = 1e-9, seed: int = 0
@@ -311,10 +318,7 @@ def match_offdiagonal(p: Polynomial,
     d = l2.size
     if int(p.degree()) != d:
         raise DimensionMismatch("fixed part size differs from degree")
-    if d > _MATCH_DEGREE_CAP:
-        raise ConstructionError(
-            f"coefficient matching is capped at degree {_MATCH_DEGREE_CAP}; "
-            f"supply a factorization for larger inputs")
+    _check_match_degree(d)
     target = _target_polynomial(p)
     n_unknowns = d * (d - 1) // 2
     if n_unknowns == 0:
@@ -546,10 +550,7 @@ def _unverified_pencil(p: Polynomial, tol: float, seed: int
     d = int(p.degree())
     if d <= 1:
         return _degree_one(p), CLOSED_FORM, None
-    if d > _MATCH_DEGREE_CAP:
-        raise ConstructionError(
-            f"degree {d} exceeds the matching cap {_MATCH_DEGREE_CAP}; "
-            f"supply a factorization")
+    _check_match_degree(d)
 
     q, data, change = intercept_normalize(p)
     if d == 2:

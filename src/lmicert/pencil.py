@@ -6,10 +6,10 @@ membership, and reduction of a pencil with singular PSD constant term to
 an equivalent monic pencil on its range.
 
 Each fact has one exact core: one diagonal-pivoted symmetric
-elimination (_eliminate) gives the PSD/PD verdict, is_psd's negative
-witness and ker L0 (both lifted back through its pivots by _lift); the
-determinant expansion also yields the principal-minor sums of is_psd's
-certificate.  One cached helper (_range_compression) reads off a single
+elimination (_eliminate) answers every PSD question: the verdict,
+is_psd's certificates (the squares its steps sum to, or a negative
+witness lifted back through its pivots by _lift) and ker L0, lifted the
+same way.  One cached helper (_range_compression) reads off a single
 elimination of L0 its verdict, whether 0 is interior for a singular
 PSD L0, the compression (the principal block on L0's pivots, for both
 membership and reduce_to_monic) and the LDL^T of the compressed L0
@@ -206,24 +206,22 @@ def _mirror(n: int, upper: Sequence) -> Tuple[tuple, ...]:
 class PsdReport:
     is_psd: bool
     is_pd: bool
-    # exactly one certificate is populated: minor_sums when PSD (the k x k
-    # principal minor sums, all >= 0), witness otherwise (w with w'Mw < 0)
-    minor_sums: Optional[Tuple[Fraction, ...]] = None
+    # exactly one certificate is populated: squares when PSD ((d, v) with
+    # d > 0 and M = sum d v v'), witness otherwise (w with w'Mw < 0)
+    squares: Optional[Tuple[Tuple[Fraction, tuple], ...]] = None
     witness: Optional[Tuple[Fraction, ...]] = None
 
 
 def is_psd(mat: SymmetricMatrix) -> PsdReport:
-    """Exact PSD/PD decision by _eliminate, with a certificate: the
-    principal-minor sums e_k, all >= 0, when PSD; a vector w with
-    w'Mw < 0 otherwise.
+    """Exact PSD/PD decision by _eliminate, with a checked certificate:
+    one square (d, v) per pivot, d > 0, with M = sum d v v' when PSD (PD
+    when there are n); a vector w with w'Mw < 0 otherwise (_witness).
 
-    e_k is the coefficient of t^(n-k) in det(M + tI), so the sums come
-    from one determinant expansion of the pencil (M, I).  The witness is
-    lifted from the elimination's stop (_witness).
+    A step (p, d, mults) leaves the complement m - d v v', v = e_p +
+    sum f e_i over its multipliers; a zero row drops out after its last
+    one, so the squares sum to a singular M too.
     """
     n = mat.size
-    if n == 0:
-        return PsdReport(True, True, minor_sums=())
     verdict, steps, stop = _eliminate(mat)
     if verdict is Membership.OUTSIDE:
         w = _witness(n, steps, stop)
@@ -232,13 +230,19 @@ def is_psd(mat: SymmetricMatrix) -> PsdReport:
         if value >= 0:
             raise AssertionError("internal error: witness is not negative")
         return PsdReport(False, False, witness=tuple(w))
-    char = determinant_polynomial(
-        LinearPencil([mat, SymmetricMatrix.identity(n)]))
-    sums = tuple(char.coefficient((n - k,)) for k in range(1, n + 1))
-    if any(s < 0 for s in sums):
-        raise AssertionError("internal error: PSD matrix has a negative "
-                             "principal-minor sum")
-    return PsdReport(True, verdict is Membership.INTERIOR, minor_sums=sums)
+    total = [[0] * n for _ in range(n)]
+    squares = []
+    for p, d, mults in steps:
+        support = [(p, Fraction(1))] + [(i, f) for i, f in mults if f]
+        v = [Fraction(0)] * n
+        for i, a in support:
+            v[i], da = a, d * a
+            for j, b in support:
+                total[i][j] += da * b
+        squares.append((d, tuple(v)))
+    if tuple(map(tuple, total)) != mat.entries:
+        raise AssertionError("internal error: squares do not sum to M")
+    return PsdReport(True, len(steps) == n, squares=tuple(squares))
 
 
 class Membership(enum.Enum):
@@ -292,11 +296,6 @@ def _eliminate(mat: SymmetricMatrix):
         idx = [idx[i] for i in rest]
     verdict = Membership.BOUNDARY if singular else Membership.INTERIOR
     return verdict, steps, None
-
-
-def _classify(mat: SymmetricMatrix) -> Membership:
-    """The verdict of _eliminate."""
-    return _eliminate(mat)[0]
 
 
 def _witness(n: int, steps, stop) -> List[Fraction]:
@@ -353,7 +352,7 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     n = pencil.size
     if any(upper[i * n - i * (i - 1) // 2] < 0 for i in range(n)):
         return Membership.OUTSIDE
-    return _classify(SymmetricMatrix._trusted(_mirror(n, upper)))
+    return _eliminate(SymmetricMatrix._trusted(_mirror(n, upper)))[0]
 
 
 # -- determinants -------------------------------------------------------------

@@ -36,6 +36,7 @@ DISC_PENCIL = ("pencil 2 2\nL 0\n1 0\n0 1\nL 1\n1 0\n0 -1\n"
 EMBEDDED_PENCIL = ("pencil 2 2\nL 0\n4 0\n0 0\nL 1\n1 0\n0 0\n"
                    "L 2\n-1 0\n0 0\n")
 FAST = ["--rays", "15", "--random", "4"]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(argv):
@@ -534,6 +535,32 @@ def test_nonpositive_resolution_exits_1(tmp_path, command, resolution):
     assert "resolution must be positive" in err
 
 
+@pytest.mark.parametrize("command", ["represent", "verify"])
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "1e400", "-1e-3",
+                                 "abc"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, command, tol):
+    # an infinite tolerance passes any pencil: it would make verify's
+    # Mismatch here (residual 1/2) an ApproxMatch, and let represent
+    # match the odd cubic with a zero L1
+    poly = write(tmp_path, "p.poly",
+                 DISC_POLY if command == "verify" else ODD_CUBIC_POLY)
+    extra = [str(GOLDEN_DIR / "concentric.pencil")] \
+        if command == "verify" else FAST
+    assert run_cli([command, poly, *extra, f"--tol={tol}"]) == \
+        (1, "", f"error: --tol must be a finite number >= 0, got '{tol}'\n")
+
+
+@pytest.mark.parametrize("command", ["represent", "verify"])
+@pytest.mark.parametrize("tol", ["0", "-0", "1e-300", "1e300"])
+def test_tolerance_takes_every_finite_nonnegative_number(tmp_path, command,
+                                                         tol):
+    inputs = [write(tmp_path, "disc.poly", DISC_POLY)]
+    if command == "verify":
+        inputs.append(write(tmp_path, "disc.pencil", DISC_PENCIL))
+    args = _build_parser().parse_args([command, *inputs, f"--tol={tol}"])
+    assert args.tol == float(tol)
+
+
 # the options each command reads, 33 of the 65 command-option slots
 # (each command with each option of OPTION_VALUES but --factors, which
 # only represent takes); any other slot is refused, not ignored
@@ -635,7 +662,7 @@ def test_every_public_name_resolves_once():
 # === one parser per process ===
 
 GOLDEN_DISC, GOLDEN_LOBE, GOLDEN_TANGENT, GOLDEN_PENCIL = (
-    str(Path(__file__).resolve().parent / "golden" / name)
+    str(GOLDEN_DIR / name)
     for name in ("disc.poly", "lobe.poly", "tangent.poly", "disc.pencil"))
 
 # two calls in one process, the second of which would show state the

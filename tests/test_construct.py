@@ -1,5 +1,6 @@
 """Monic pencil construction and exact verification of the results."""
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from lmicert import construct
 from lmicert import pencil as pencil_module
+from lmicert.cli import main
 from lmicert.construct import (APPROX_MATCH, CLOSED_FORM,
                                COEFFICIENT_MATCHING, DIRECT_SUM, EXACT_MATCH,
                                MISMATCH, InterceptData, fixed_part,
@@ -18,7 +20,8 @@ from lmicert.errors import (BasePointError, CertifiedNotRZError,
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
                             determinant_polynomial, format_pencil,
                             membership, parse_pencil)
-from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
+from lmicert.poly import (Polynomial, UnivariatePolynomial,
+                          format_polynomial, parse_polynomial)
 from lmicert.realroots import isolate_real_roots
 from lmicert.rzcheck import RaySampler, SlopeCells
 
@@ -389,6 +392,36 @@ def test_matching_requires_consistent_fixed_part():
     _, data, _ = intercept_normalize(DISC)
     with pytest.raises(DimensionMismatch):
         match_offdiagonal(DISC * DISC, fixed_part(data))
+
+
+def test_degree_cap_gives_one_message_and_yields_to_factors(tmp_path,
+                                                             capsys):
+    # a determinantal cubic times a determinantal quartic: degree 7, one
+    # above the matching cap unless --factors splits it
+    cubic = determinant_polynomial(_rational_pencil(5000, 3))
+    quartic = determinant_polynomial(_rational_pencil(5001, 4))
+    p = cubic * quartic
+    message = "degree 7 exceeds the matching cap 6; supply a factorization"
+    q, data, _ = intercept_normalize(p)
+    with pytest.raises(ConstructionError) as err:
+        match_offdiagonal(q, fixed_part(data))
+    assert str(err.value) == message
+    ppath = tmp_path / "product.poly"
+    ppath.write_text(format_polynomial(p))
+    fast = ["--rays", "31", "--random", "8"]
+    assert main(["represent", str(ppath), *fast]) == 3
+    assert json.loads(capsys.readouterr().out) == \
+        {"error": message, "kind": "ConstructionError"}
+    fpath = tmp_path / "factors.txt"
+    fpath.write_text(format_polynomial(cubic) + "\n"
+                     + format_polynomial(quartic))
+    target = tmp_path / "sum.pencil"
+    assert main(["represent", str(ppath), "--factors", str(fpath),
+                 "--out", str(target), *fast]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["method"], doc["size"]) == (DIRECT_SUM, 7)
+    assert main(["verify", str(ppath), str(target)]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == doc["kind"]
 
 
 def test_seeded_cubic_determinants_round_trip():

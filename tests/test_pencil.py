@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lmicert import pencil as pencil_module
 from lmicert.errors import DimensionMismatch, ParseError, ReductionError
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            _classify, _eliminate, _range_compression,
+                            _eliminate, _range_compression,
                             determinant_polynomial, direct_sum, format_pencil,
                             is_psd, membership, parse_pencil, reduce_to_monic,
                             shift_pencil)
@@ -24,6 +24,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def sym(rows):
     return SymmetricMatrix([[F(v) for v in row] for row in rows])
+
+
+def sum_of_squares(squares, n):
+    """sum d v v' over a PSD certificate, entry by entry."""
+    return tuple(tuple(sum((d * v[i] * v[j] for d, v in squares), F(0))
+                       for j in range(n)) for i in range(n))
 
 
 def disc_pencil():
@@ -72,13 +78,15 @@ def test_pencil_evaluate():
 def test_pd_matrix():
     rep = is_psd(sym([[2, 1], [1, 2]]))
     assert rep.is_psd and rep.is_pd
-    assert rep.minor_sums == (F(4), F(3))
+    # M = 2 (1, 1/2)(1, 1/2)' + 3/2 e_2 e_2'
+    assert rep.squares == ((F(2), (F(1), F(1, 2))), (F(3, 2), (F(0), F(1))))
 
 
 def test_psd_rank_deficient():
     rep = is_psd(sym([[1, 1], [1, 1]]))
     assert rep.is_psd and not rep.is_pd
-    assert rep.minor_sums == (F(2), F(0))
+    # one square: the zero complement row drops out
+    assert rep.squares == ((F(1), (F(1), F(1))),)
 
 
 def test_indefinite_gets_witness():
@@ -93,6 +101,26 @@ def test_indefinite_gets_witness():
 def test_zero_diagonal_indefinite():
     rep = is_psd(sym([[0, 1], [1, 0]]))
     assert not rep.is_psd
+
+
+@pytest.mark.parametrize("rows, psd, pd", [
+    ([[2, 1], [1, 2]], True, True), ([[1, 1], [1, 1]], True, False),
+    ([[1, 2], [2, 1]], False, False),
+    ([[4, 2, 0], [2, 1, 0], [0, 0, 0]], True, False), ([], True, True)],
+    ids=["pd", "singular-psd", "indefinite", "zero-row", "empty"])
+def test_is_psd_makes_no_determinant_expansion(monkeypatch, rows, psd, pd):
+    expanded = []
+    component_det = pencil_module._component_det
+    monkeypatch.setattr(pencil_module, "_component_det",
+                        lambda pencil, comp: expanded.append(pencil)
+                        or component_det(pencil, comp))
+    m = sym(rows)
+    rep = is_psd(m)
+    assert expanded == []
+    assert (rep.is_psd, rep.is_pd) == (psd, pd)
+    if psd:
+        assert sum_of_squares(rep.squares, m.size) == m.entries
+        assert pd is (len(rep.squares) == m.size)
 
 
 @given(st.lists(st.lists(st.integers(min_value=-4, max_value=4),
@@ -119,7 +147,8 @@ def test_witness_certificate_is_sound(vals):
              [vals[2], vals[4], vals[5]]])
     rep = is_psd(m)
     if rep.is_psd:
-        assert all(s >= 0 for s in rep.minor_sums)
+        assert all(d > 0 for d, _ in rep.squares)
+        assert sum_of_squares(rep.squares, 3) == m.entries
     else:
         w = rep.witness
         value = sum(w[i] * m[i, j] * w[j] for i in range(3) for j in range(3))
@@ -311,7 +340,8 @@ def _principal_minor(mat, idx):
 def test_classify_agrees_with_principal_minors(mat):
     # oracle independent of any elimination order: PD iff every leading
     # principal minor is > 0, PSD iff every principal minor is >= 0; a
-    # PSD certificate lists the k x k principal-minor sums, k = 1..n
+    # PSD certificate has one positive square per unit of rank, which
+    # is the largest k with a nonzero k x k principal minor
     n = mat.size
     minors = [[_principal_minor(mat, idx)
                for idx in combinations(range(n), k)]
@@ -320,9 +350,15 @@ def test_classify_agrees_with_principal_minors(mat):
     psd = all(m >= 0 for row in minors for m in row)
     expected = (Membership.INTERIOR if pd else
                 Membership.BOUNDARY if psd else Membership.OUTSIDE)
-    assert _classify(mat) is expected
+    assert _eliminate(mat)[0] is expected
     if psd:
-        assert is_psd(mat).minor_sums == tuple(sum(row) for row in minors)
+        rep = is_psd(mat)
+        rank = max((k for k, row in enumerate(minors, 1) if any(row)),
+                   default=0)
+        assert len(rep.squares) == rank
+        assert rep.is_pd is (rank == n) is pd
+        assert all(d > 0 for d, _ in rep.squares)
+        assert sum_of_squares(rep.squares, n) == mat.entries
     else:
         w = is_psd(mat).witness
         assert sum(w[i] * mat[i, j] * w[j]
@@ -570,22 +606,22 @@ def test_evaluate_and_membership_agree_with_the_entry_sum(case, data):
         naive = naive_at(pencil.matrices, pt)
         assert pencil.evaluate(pt) == naive
         if literal or hidden[0].size == pencil.size:
-            assert membership(pencil, pt) is _classify(naive)
+            assert membership(pencil, pt) is _eliminate(naive)[0]
         if not literal:
             # the compression is congruent to the hidden block, whose
             # verdict is the verdict of the point (Sylvester's inertia)
-            assert membership(pencil, pt) is _classify(
-                naive_at(hidden, pt))
+            assert membership(pencil, pt) is _eliminate(
+                naive_at(hidden, pt))[0]
 
 
 def _membership_by_elimination(pencil, pt):
     """membership with no diagonal exit: the compression when L0 is
-    singular PSD with the range condition, then _classify at pt."""
+    singular PSD with the range condition, then _eliminate at pt."""
     if not pencil.matrices[0].is_identity():
         _, compressed, _, _ = _range_compression(pencil)
         if compressed is not None:
             pencil = compressed
-    return _classify(pencil.evaluate(pt))
+    return _eliminate(pencil.evaluate(pt))[0]
 
 
 def _zero_diagonal_points(pencil):
@@ -616,12 +652,13 @@ def test_membership_diagonal_exit_keeps_every_verdict(case, data):
 
 def test_membership_decides_a_negative_diagonal_without_elimination(
         monkeypatch):
-    classified = []
-    classify = pencil_module._classify
-    monkeypatch.setattr(pencil_module, "_classify",
-                        lambda mat: classified.append(mat) or classify(mat))
     pencil = LinearPencil([sym([[2, 0], [0, 3]]), sym([[1, 0], [0, 0]]),
                            sym([[0, 1], [1, 0]])])
+    # eliminate L0 (cached per pencil) first, so that only points count
+    _range_compression(pencil)
+    classified = []
+    monkeypatch.setattr(pencil_module, "_eliminate",
+                        lambda mat: classified.append(mat) or _eliminate(mat))
     # diagonal (-1, 3): Outside on the diagonal alone
     assert membership(pencil, (-3, 0)) is Membership.OUTSIDE
     assert classified == []

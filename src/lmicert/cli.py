@@ -57,29 +57,11 @@ def _json(document) -> str:
     return _json_text(document, "\n") + "\n"
 
 
-def _json_scalar(value) -> str:
-    """The JSON text of a string, number, bool or None, as json.dumps
-    writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return json.dumps(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-# the writers of the exact scalar types, looked up first; subclasses
-# take the general path
+# the writer of each exact scalar type, as json.dumps writes it; a
+# subclass takes json.dumps itself
 _SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__,
-                bool: _json_scalar, type(None): _json_scalar,
-                float: json.dumps}
+                float: json.dumps, bool: ("false", "true").__getitem__,
+                type(None): lambda _: "null"}
 
 
 def _json_text(value, newline: str) -> str:
@@ -101,7 +83,8 @@ def _json_text(value, newline: str) -> str:
             encode_basestring_ascii(k) + ": "
             + (w(v) if (w := scalar(type(v))) else _json_text(v, inner))
             for k, v in sorted(value.items())]) + newline + "}")
-    return _json_scalar(value)
+    write = scalar(type(value))
+    return write(value) if write else json.dumps(value)
 
 
 def _parse_point(text: Optional[str], num_vars: int):
@@ -156,7 +139,7 @@ def _verdict_json(verdict: RZVerdict) -> str:
     return ('{\n  "degenerate_flag": %s,\n  "kind": %s,\n'
             '  "per_ray": %s,\n  "ray_count": %d,\n  "seed": %d,\n'
             '  "witness_direction": %s\n}\n'
-            % (_json_scalar(verdict.degenerate),
+            % (_json_text(verdict.degenerate, ""),
                encode_basestring_ascii(verdict.kind),
                "[\n    " + rays + "\n  ]" if rays else "[]",
                verdict.rays_checked, verdict.seed, witness))

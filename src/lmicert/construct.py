@@ -23,8 +23,9 @@ grid (fixed_part): short entries keep every later integer short.  The
 returned pencil is verified once, by the expansion the match already
 made, before it is returned, so floating point can only cause
 failures, never wrong answers: an exact identity det = c * p with c > 0
-plus a positive definite L0 certifies the whole region, and only an
-approximate match falls back on sampled membership points.
+plus a positive definite L0 certifies the whole region, where c = det
+L(0)/p(0) is the ExactMatch constant, and only an approximate match
+falls back on sampled membership points.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import isqrt
+from math import comb, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
@@ -152,17 +153,14 @@ def _intercepts(p: Polynomial) -> Optional[InterceptData]:
 
 def _apply_change(p: Polynomial, t: int) -> Polynomial:
     """p(y2, y1 + t y2), p in the coordinates y of x = R y, R = ((0, 1),
-    (1, t))."""
-    y2 = Polynomial.variable(2, 2)
-    images = (y2, Polynomial.variable(1, 2) + y2 * t)
-    out = Polynomial.zero(2)
-    for expo, coeff in p.sorted_terms():
-        term = Polynomial.constant(coeff, 2)
-        for image, e in zip(images, expo):
-            for _ in range(e):
-                term = term * image
-        out = out + term
-    return out
+    (1, t)): x1^a x2^b becomes the sum over k of C(b, k) t^(b-k) y1^k
+    y2^(a+b-k)."""
+    out = {}
+    for (a, b), coeff in p.terms.items():
+        for k in range(b + 1):
+            key = (k, a + b - k)
+            out[key] = out.get(key, 0) + coeff * comb(b, k) * t ** (b - k)
+    return Polynomial(2, out)
 
 
 def intercept_normalize(p: Polynomial
@@ -594,38 +592,33 @@ def _membership_spot_check(p: Polynomial, pencil: LinearPencil,
 
 def verify_representation(p: Polynomial, pencil: LinearPencil,
                           tol: float = 1e-9) -> VerifyOutcome:
-    """Compare det(pencil) with p.
+    """Compare det(pencil) with p through s = det(0)/p(0) and det - s p.
 
-    ExactMatch when the determinant is c * p coefficient for coefficient
-    with c > 0 and L0 = L(0) is positive definite.  That is a complete
-    certificate, so no point is sampled: the spectrahedron {L >= 0} is
-    then the closure of the component of {p > 0} containing the origin
-    (Helton-Vinnikov, CPAM 60 (2007), section 2), whose interior has
-    p > 0 and whose boundary has p = 0.  ApproxMatch when, after scaling
-    by det(0)/p(0), every coefficient agrees within tol, L0 is positive
-    definite and 100 seeded sample points agree in sign up to the
-    coefficient error.  Mismatch otherwise.
+    Mismatch when p(0) = 0, det(0) = 0 or s <= 0, since a positive
+    definite L0 = L(0) has det(0) > 0.  ExactMatch, with constant s, when
+    det = s p coefficient for coefficient and L0 is positive definite.
+    That is a complete certificate, so no point is sampled: the
+    spectrahedron {L >= 0} is then the closure of the component of
+    {p > 0} containing the origin (Helton-Vinnikov, CPAM 60 (2007),
+    section 2), whose interior has p > 0 and whose boundary has p = 0.
+    ApproxMatch when every coefficient of det - s p is within tol, L0 is
+    positive definite and 100 seeded sample points agree in sign up to
+    the coefficient error.  Mismatch otherwise.
     """
     if pencil.num_vars != p.num_vars:
         raise DimensionMismatch("pencil and polynomial dimensions differ")
     det = determinant_polynomial(pencil)
-    terms = p.sorted_terms()
-    if not terms:
-        return VerifyOutcome(MISMATCH, None, None, None, 0)
-    lead_expo, lead_coeff = terms[-1]
-    constant = det.coefficient(lead_expo) / lead_coeff
-    base_pd = is_psd(pencil.matrices[0]).is_pd
-    if constant > 0 and det == p * constant:
-        if not base_pd:
-            return VerifyOutcome(MISMATCH, None, None, None, 0)
-        return VerifyOutcome(EXACT_MATCH, constant, None, None, 0)
-
-    origin = tuple(Fraction(0) for _ in range(p.num_vars))
-    det0, p0 = det.evaluate(origin), p.evaluate(origin)
+    zero = (0,) * p.num_vars
+    det0, p0 = det.coefficient(zero), p.coefficient(zero)
     if p0 == 0 or det0 == 0 or det0 / p0 <= 0:
         return VerifyOutcome(MISMATCH, None, None, None, 0)
     scale = det0 / p0
     diff = det - p * scale
+    base_pd = is_psd(pencil.matrices[0]).is_pd
+    if diff.is_zero():
+        if not base_pd:
+            return VerifyOutcome(MISMATCH, None, None, None, 0)
+        return VerifyOutcome(EXACT_MATCH, scale, None, None, 0)
     worst, worst_mono, bound = 0.0, None, Fraction(0)
     for expo, coeff in diff.sorted_terms():
         dev = abs(float(coeff))

@@ -230,17 +230,20 @@ def is_psd(mat: SymmetricMatrix) -> PsdReport:
         if value >= 0:
             raise AssertionError("internal error: witness is not negative")
         return PsdReport(False, False, witness=tuple(w))
+    # a support is in increasing index order and M is symmetric, so the
+    # upper triangle of the sum decides
     total = [[0] * n for _ in range(n)]
     squares = []
     for p, d, mults in steps:
         support = [(p, Fraction(1))] + [(i, f) for i, f in mults if f]
         v = [Fraction(0)] * n
-        for i, a in support:
-            v[i], da = a, d * a
-            for j, b in support:
-                total[i][j] += da * b
+        for k, (i, a) in enumerate(support):
+            v[i], da, row = a, d * a, total[i]
+            for j, b in support[k:]:
+                row[j] += da * b
         squares.append((d, tuple(v)))
-    if tuple(map(tuple, total)) != mat.entries:
+    if any(tuple(row[i:]) != m_row[i:]
+           for i, (row, m_row) in enumerate(zip(total, mat.entries))):
         raise AssertionError("internal error: squares do not sum to M")
     return PsdReport(True, len(steps) == n, squares=tuple(squares))
 
@@ -574,13 +577,13 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
             f"vanish on ker L0")
     piv = [d for _, d, _ in steps]
     scale = Fraction(1)
-    roots = _square_roots(piv)
-    if roots is None:
+    roots = [_exact_sqrt(d) for d in piv]
+    if None in roots:
         # a uniform positive rescale changes no membership facts but can
         # fix the square classes; one retry with c = 1/d_1
         scale = 1 / piv[0]
-        roots = _square_roots([scale * d for d in piv])
-        if roots is None:
+        roots = [_exact_sqrt(scale * d) for d in piv]
+        if None in roots:
             pretty = ", ".join(format_rational(d) for d in piv)
             raise ReductionError(
                 f"no exact rational congruence makes the compressed L0 the "
@@ -605,12 +608,6 @@ def reduce_to_monic(pencil: LinearPencil) -> MonicReduction:
     if not reduced.monic():
         raise AssertionError("internal error: reduction did not reach I")
     return MonicReduction(reduced, det_scale, compressed.size)
-
-
-def _square_roots(pivots: Sequence[Fraction]):
-    """Exact square roots of every pivot, or None if any is irrational."""
-    roots = [_exact_sqrt(d) for d in pivots]
-    return None if None in roots else roots
 
 
 def _congruence(b, m) -> SymmetricMatrix:

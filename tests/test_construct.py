@@ -12,13 +12,14 @@ from lmicert import pencil as pencil_module
 from lmicert.cli import main
 from lmicert.construct import (APPROX_MATCH, CLOSED_FORM,
                                COEFFICIENT_MATCHING, DIRECT_SUM, EXACT_MATCH,
-                               MISMATCH, InterceptData, fixed_part,
-                               intercept_normalize, match_offdiagonal,
-                               represent, verify_representation)
+                               MISMATCH, InterceptData, VerifyOutcome,
+                               fixed_part, intercept_normalize,
+                               match_offdiagonal, represent,
+                               verify_representation)
 from lmicert.errors import (BasePointError, CertifiedNotRZError,
                             ConstructionError, DimensionMismatch)
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            determinant_polynomial, format_pencil,
+                            determinant_polynomial, format_pencil, is_psd,
                             membership, parse_pencil)
 from lmicert.poly import (Polynomial, UnivariatePolynomial,
                           format_polynomial, parse_polynomial)
@@ -693,6 +694,32 @@ def test_coordinate_change_is_undone():
         assert determinant_polynomial(result.pencil) == p * c
 
 
+def _compose_by_products(p, t):
+    """p(y2, y1 + t y2) by Polynomial products, one factor at a time."""
+    y2 = Polynomial.variable(2, 2)
+    images = (y2, Polynomial.variable(1, 2) + y2 * t)
+    out = Polynomial.zero(2)
+    for expo, coeff in p.sorted_terms():
+        term = Polynomial.constant(coeff, 2)
+        for image, e in zip(images, expo):
+            for _ in range(e):
+                term = term * image
+        out = out + term
+    return out
+
+
+def test_coordinate_change_is_the_composition_by_products():
+    rng = random.Random(17)
+    for _ in range(300):
+        deg = rng.randint(1, 8)
+        p = Polynomial(2, {(a, k - a): F(rng.randint(-9, 9), rng.randint(1, 4))
+                           for k in range(deg + 1) for a in range(k + 1)
+                           if rng.random() < 0.6})
+        t = rng.randint(-5, 5)
+        assert (construct._apply_change(p, t).sorted_terms()
+                == _compose_by_products(p, t).sorted_terms())
+
+
 # === factored inputs ===
 
 def test_factors_build_direct_sum():
@@ -802,6 +829,87 @@ def test_verify_needs_positive_definite_base(eps):
         DISC, LinearPencil([a.scale(-1) for a in m.matrices]))
     assert out.kind == MISMATCH
     assert out.membership_points == 0
+
+
+NO_RESIDUAL = VerifyOutcome(MISMATCH, None, None, None, 0)
+
+
+def _singular_base_pencil():
+    # L0 = diag(1, 0) is PSD and singular: det = x1 + x1^2 - x2^2
+    return LinearPencil([sym([[1, 0], [0, 0]]), SymmetricMatrix.identity(2),
+                         sym([[0, 1], [1, 0]])])
+
+
+@pytest.mark.parametrize("p, pencil", [
+    # p = 0, so p(0) = 0
+    (Polynomial.zero(2), disc_pencil()),
+    # det = p / 2 with p(0) = 0: the identity holds, but a singular L0
+    # is never positive definite
+    (2 * (x1 + x1 ** 2 - x2 ** 2), _singular_base_pencil()),
+    # det(0) = 0 while p(0) = 1
+    (DISC, _singular_base_pencil()),
+    # det = -p, so det(0)/p(0) = -1
+    (one - x1 - x2, LinearPencil([sym([[-1]]), sym([[1]]), sym([[1]])])),
+])
+def test_verify_mismatch_with_no_residual(p, pencil):
+    assert verify_representation(p, pencil) == NO_RESIDUAL
+
+
+def _exact_by_leading_term(p, pencil):
+    """(c, L0 is PD) when det = c p with c > 0, c read off p's leading
+    graded-lex term, and None otherwise: the exact identity found
+    without det(0)/p(0)."""
+    terms = p.sorted_terms()
+    if not terms:
+        return None
+    expo, coeff = terms[-1]
+    det = determinant_polynomial(pencil)
+    c = det.coefficient(expo) / coeff
+    if c > 0 and det == p * c:
+        return c, is_psd(pencil.matrices[0]).is_pd
+    return None
+
+
+def _verify_cases():
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        mats = []
+        for _ in range(3):
+            rows = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = F(rng.randint(-3, 3), 2)
+            mats.append(rows)
+        base = rng.choice(["identity", "negated", "singular", "random"])
+        if base != "random":
+            mats[0] = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+            if base == "negated":
+                mats[0] = [[-v for v in row] for row in mats[0]]
+            elif base == "singular":
+                mats[0][n - 1][n - 1] = F(0)
+        pencil = LinearPencil([SymmetricMatrix(rows) for rows in mats])
+        det = determinant_polynomial(pencil)
+        for c in (F(1), F(3), F(1, 2), F(-2), F(0)):
+            yield det * c, pencil
+        yield det - det.coefficient((0, 0)), pencil
+        yield det + F(1, 10 ** 12) * x1 ** 2, pencil
+
+
+def test_verify_exact_decision_agrees_with_the_leading_term():
+    seen = set()
+    for p, pencil in _verify_cases():
+        out = verify_representation(p, pencil)
+        exact = _exact_by_leading_term(p, pencil)
+        if exact is None:
+            assert out.kind != EXACT_MATCH
+        elif exact[1]:
+            assert out == VerifyOutcome(EXACT_MATCH, exact[0], None, None, 0)
+        else:
+            assert out == NO_RESIDUAL
+        seen.add(out.kind if exact is None else (out.kind, "identity"))
+    assert seen >= {(EXACT_MATCH, "identity"), (MISMATCH, "identity"),
+                    APPROX_MATCH, MISMATCH}
 
 
 def _count_calls(monkeypatch, *names):

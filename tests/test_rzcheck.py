@@ -823,7 +823,9 @@ def test_slope_prefix_keeps_every_record(data):
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
             a, b = (data.draw(st.integers(min_value=-3, max_value=3))
                     for _ in range(2))
-            p = p * (3 * one - a * x1 - b * x2)
+            if 3 - a * x0[0] - b * x0[1]:
+                # a line through x0 would make p(x0) = 0
+                p = p * (3 * one - a * x1 - b * x2)
         if sampler == RaySampler(2):
             assert rz_check(p, x0).rays_checked > rzcheck._CELLS_AFTER
     _assert_cells_agree(p, x0, sampler)

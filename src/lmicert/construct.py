@@ -41,8 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (BasePointError, CertifiedNotRZError, ConstructionError,
                      DimensionMismatch)
 from .pencil import (LinearPencil, Membership, SymmetricMatrix, _bareiss_det,
-                     _mirror, determinant_polynomial, direct_sum, is_psd,
-                     membership)
+                     determinant_polynomial, direct_sum, is_psd, membership)
 from .poly import Polynomial, UnivariatePolynomial, _exact_sqrt
 from .realroots import count_real_roots, isolate_real_roots
 from .rzcheck import RaySampler, RZVerdict, SlopeCells, rz_check
@@ -414,8 +413,7 @@ def _try_promote(pencil: LinearPencil, target: Polynomial
         cand = LinearPencil([pencil.matrices[0], SymmetricMatrix(rows),
                              pencil.matrices[2]])
         scale, upper = cand._scaled((1, 1))
-        ints = [list(row) for row in _mirror(d, upper)]
-        if (Fraction(_bareiss_det(ints), scale ** d) == value
+        if (Fraction(_bareiss_det(upper), scale ** d) == value
                 and determinant_polynomial(cand) == target):
             return cand
     return None

@@ -16,10 +16,15 @@ membership and reduce_to_monic) and the LDL^T of the compressed L0
 that reduce_to_monic normalizes.
 
 Matrices hold Fractions; the kernels scale them to integers over
-common denominators and work in int: point evaluation (one integer
-multiple of L(x) per point, which membership classifies as it is),
-determinant expansion, and the congruence of monic reduction.  The
-elimination runs over Fraction.  Decisions are exact, never floating.
+common denominators and work in int, on the upper rows of a symmetric
+matrix (_triangle): point evaluation (one integer multiple of L(x) per
+point, which membership classifies as it is), both symmetric
+eliminations, fraction-free (_bareiss_det for every determinant, and
+_eliminate, which keeps each Schur complement times its last pivot),
+determinant expansion, and the congruence of monic reduction.
+Fractions are built only where a certificate is read: is_psd's squares
+and witness, _lift, reduce_to_monic and ker L0.  Decisions are exact,
+never floating.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import factorial
 from operator import mul
@@ -150,29 +155,31 @@ class LinearPencil:
         return self._monic
 
     def evaluate(self, point: Sequence) -> SymmetricMatrix:
-        scale, upper = self._scaled(point)
+        scale, rows = self._scaled(point)
         return SymmetricMatrix._trusted(
-            _mirror(self.size, [Fraction(v, scale) for v in upper]))
+            _mirror([[Fraction(v, scale) for v in row] for row in rows]))
 
-    def _scaled(self, point: Sequence) -> Tuple[int, List[int]]:
-        """(s, the upper triangle of s L(x), row by row) with a positive
-        integer s and integer entries: with x = X/Dx, s L(x) is
-        Dx (D L0) + sum X_i (D L_i) and s = D Dx."""
+    def _scaled(self, point: Sequence) -> Tuple[int, List[List[int]]]:
+        """(s, the upper rows of s L(x)) with a positive integer s and
+        integer entries (_triangle)."""
+        scale, terms = self._terms(point)
+        return scale, _triangle(self.size, _combine(terms))
+
+    def _terms(self, point: Sequence) -> Tuple[int, list]:
+        """(s, [(c, u), ...]) with s L(x) = sum c u over nonzero integers
+        c and the upper triangles u of D L0, ..., D Lm, row by row: with
+        x = X/Dx, s L(x) is Dx (D L0) + sum X_i (D L_i) and s = D Dx."""
         x = as_point(point, self.num_vars)
         if self._ints is None:
-            uppers = [[v for i, row in enumerate(mat.entries) for v in row[i:]]
-                      for mat in self.matrices]
-            den = _lcm_denominators(v for upper in uppers for v in upper)
-            self._ints = (den, [[v.numerator * (den // v.denominator)
-                                 for v in upper] for upper in uppers])
+            self._ints = _integer_uppers(
+                [mat.entries for mat in self.matrices])
         den, (base, *rest) = self._ints
         dx = _lcm_denominators(x)
-        acc = [dx * v for v in base]
+        terms = [(dx, base)]
         for c, upper in zip(x, rest):
             if c:
-                xi = c.numerator * (dx // c.denominator)
-                acc = [a + xi * b for a, b in zip(acc, upper)]
-        return den * dx, acc
+                terms.append((c.numerator * (dx // c.denominator), upper))
+        return den * dx, terms
 
     def __eq__(self, other):
         return (isinstance(other, LinearPencil)
@@ -187,16 +194,48 @@ class LinearPencil:
         return f"LinearPencil(size={self.size}, num_vars={self.num_vars})"
 
 
-def _mirror(n: int, upper: Sequence) -> Tuple[tuple, ...]:
-    """The symmetric n x n rows whose upper triangle, row by row, is
-    upper."""
-    rows = [[None] * n for _ in range(n)]
-    k = 0
+def _integer_uppers(mats: Sequence[Sequence[Sequence[Fraction]]]):
+    """(D, [the upper triangle of D M, row by row, as ints for M in
+    mats]) for symmetric matrices M given by their rows and the least
+    positive integer D that clears every denominator of mats."""
+    uppers = [[v for i, row in enumerate(mat) for v in row[i:]]
+              for mat in mats]
+    den = _lcm_denominators(v for upper in uppers for v in upper)
+    return den, [[v.numerator * (den // v.denominator) for v in upper]
+                 for upper in uppers]
+
+
+def _integer_rows(mat: SymmetricMatrix) -> Tuple[int, List[List[int]]]:
+    """(D, the upper rows of D M) for the D of _integer_uppers."""
+    den, (upper,) = _integer_uppers([mat.entries])
+    return den, _triangle(mat.size, upper)
+
+
+def _combine(terms) -> List[int]:
+    """sum c u over the pairs (c, u) of terms, entry by entry."""
+    (c, u), *rest = terms
+    acc = [c * v for v in u]
+    for c, u in rest:
+        acc = [a + c * v for a, v in zip(acc, u)]
+    return acc
+
+
+def _triangle(n: int, upper: Sequence) -> List[list]:
+    """The upper rows of an n x n symmetric matrix whose upper triangle,
+    row by row, is upper: row i holds the entries (i, i), ..., (i, n-1),
+    so entry (i, j), i <= j, is rows[i][j - i]."""
+    rows, start = [], 0
     for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = upper[k]
-            k += 1
-    return tuple(map(tuple, rows))
+        rows.append(upper[start:start + n - i])
+        start += n - i
+    return rows
+
+
+def _mirror(rows: Sequence[Sequence]) -> Tuple[tuple, ...]:
+    """The symmetric matrix, as row tuples, with the upper rows rows."""
+    n = len(rows)
+    return tuple(tuple(rows[i][j - i] if i <= j else rows[j][i - j]
+                       for j in range(n)) for i in range(n))
 
 
 # -- exact definiteness -------------------------------------------------------
@@ -213,16 +252,18 @@ class PsdReport:
 
 
 def is_psd(mat: SymmetricMatrix) -> PsdReport:
-    """Exact PSD/PD decision by _eliminate, with a checked certificate:
-    one square (d, v) per pivot, d > 0, with M = sum d v v' when PSD (PD
-    when there are n); a vector w with w'Mw < 0 otherwise (_witness).
+    """Exact PSD/PD decision by _eliminate on the integer multiple D M of
+    _integer_rows, with a checked certificate: one square (d, v) per
+    pivot, d > 0, with M = sum d v v' when PSD (PD when there are n); a
+    vector w with w'Mw < 0 otherwise (_witness).
 
-    A step (p, d, mults) leaves the complement m - d v v', v = e_p +
-    sum f e_i over its multipliers; a zero row drops out after its last
-    one, so the squares sum to a singular M too.
+    A step of _ldl, (p, d, mults), leaves the complement m - d v v', v =
+    e_p + sum f e_i over its multipliers; a zero row drops out after its
+    last one, so the squares sum to a singular M too.
     """
     n = mat.size
-    verdict, steps, stop = _eliminate(mat)
+    den, rows = _integer_rows(mat)
+    verdict, steps, stop = _eliminate(rows)
     if verdict is Membership.OUTSIDE:
         w = _witness(n, steps, stop)
         value = sum(wi * sum(mij * wj for mij, wj in zip(row, w))
@@ -234,8 +275,8 @@ def is_psd(mat: SymmetricMatrix) -> PsdReport:
     # upper triangle of the sum decides
     total = [[0] * n for _ in range(n)]
     squares = []
-    for p, d, mults in steps:
-        support = [(p, Fraction(1))] + [(i, f) for i, f in mults if f]
+    for p, d, mults in _ldl(steps, den):
+        support = [(p, Fraction(1))] + mults
         v = [Fraction(0)] * n
         for k, (i, a) in enumerate(support):
             v[i], da, row = a, d * a, total[i]
@@ -254,51 +295,82 @@ class Membership(enum.Enum):
     OUTSIDE = "Outside"
 
 
-def _eliminate(mat: SymmetricMatrix):
-    """One symmetric elimination with diagonal pivoting: (verdict,
+def _eliminate(rows: List[List[int]]):
+    """One fraction-free symmetric elimination with diagonal pivoting of
+    the integer matrix with upper rows rows (_triangle): (verdict,
     steps, stop), the verdict being Interior (PD), Boundary (PSD and
     singular) or Outside.
 
-    Each step is (p, d, [(i, f), ...]) in original indices: pivot row p,
-    pivot d > 0, and the multiplier f = m[i][p] / d of every row i left.
-    A zero row is a kernel vector and drops out.  A negative diagonal
+    It is the Fraction elimination that takes each pivot in turn from
+    the first nonzero diagonal entry of the Schur complement, with every
+    complement kept times the last pivot P > 0 (Bareiss): after pivot p
+    the entry (i, j) is (P a_ij - a_ip a_pj) / P_prev, the minor of the
+    matrix on the pivots so far bordered by row i and column j, so every
+    division is exact and every sign and zero is the Fraction one.  A
+    zero row is a kernel vector and drops out.  A negative diagonal
     entry, or a zero one whose row is not zero, is a negative 1x1 or 2x2
-    principal minor of the current Schur complement: the verdict is then
-    Outside and stop is (original indices, complement rows, that row);
-    otherwise stop is None.  After a positive pivot the complement is PSD
-    (PD) exactly when the matrix is.  So a PD matrix pivots in natural
-    order, and its steps are its LDL^T: T[i][p] = f, D = the pivots.
-    Entries may also be ints (membership passes an integer multiple).
+    principal minor of the complement: the verdict is then Outside and
+    stop is (original indices, complement rows, that row); otherwise
+    stop is None.  After a positive pivot the complement is PSD (PD)
+    exactly when the matrix is.  So a PD matrix pivots in natural order,
+    and its steps are its LDL^T (_ldl).
+
+    Each step is (indices, row) for the complement it pivots: its
+    original indices, the pivot p = indices[0] first, and the pivot's
+    upper row, row[0] = P and row[k] the entry of row indices[k].
     """
-    m = [list(row) for row in mat.entries]
-    idx = list(range(mat.size))
+    idx = list(range(len(rows)))
     steps = []
     singular = False
-    while m:
+    prev = 1
+    while rows:
         live = []
-        for i, row in enumerate(m):
-            if row[i] < 0 or (not row[i] and any(row)):
-                return Membership.OUTSIDE, steps, (idx, m, i)
-            if row[i]:
-                live.append(i)
-        if len(live) < len(m):
+        for a, row in enumerate(rows):
+            if row[0] < 0 or (not row[0] and (
+                    any(row) or any(rows[b][a - b] for b in range(a)))):
+                return Membership.OUTSIDE, steps, (idx, rows, a)
+            if row[0]:
+                live.append(a)
+        if len(live) < len(rows):
             singular = True
             if not live:
                 break
-        p, rest = live[0], live[1:]
-        pivot_row = m[p]
-        d = pivot_row[p]
-        mults = []
+            keep = set(live)
+            rows = [[v for b, v in enumerate(rows[a], a) if b in keep]
+                    for a in live]
+            idx = [idx[a] for a in live]
+        col = rows[0]
+        pivot = col[0]
+        steps.append((idx, col))
+        # row off holds (off, off + j) and col (0, j); a row with no
+        # entry in the pivot column is only rescaled, by P / P_prev
         schur = []
-        for i in rest:
-            f = Fraction(m[i][p], d)
-            mults.append((idx[i], f))
-            schur.append([m[i][j] - f * pivot_row[j] for j in rest])
-        steps.append((idx[p], d, mults))
-        m = schur
-        idx = [idx[i] for i in rest]
+        for off in range(1, len(rows)):
+            row, f = rows[off], col[off]
+            if f or pivot != prev:
+                row = [(pivot * row[j] - f * col[j + off]) // prev
+                       for j in range(len(row))]
+            schur.append(row)
+        rows = schur
+        idx = idx[1:]
+        prev = pivot
     verdict = Membership.BOUNDARY if singular else Membership.INTERIOR
     return verdict, steps, None
+
+
+def _ldl(steps, den: int):
+    """The Fraction steps (p, d, [(i, f), ...]) of _eliminate's steps
+    on D M, D = den, for M: pivot d = P / (P_prev D) > 0 and the nonzero
+    multipliers f = a_ip / P in original indices.  For a PD matrix these
+    are its LDL^T: T[i][p] = f, D = the pivots."""
+    out, prev = [], den
+    for idx, row in steps:
+        pivot = row[0]
+        out.append((idx[0], Fraction(pivot, prev),
+                    [(i, Fraction(a, pivot))
+                     for i, a in zip(idx[1:], row[1:]) if a]))
+        prev = pivot * den
+    return out
 
 
 def _witness(n: int, steps, stop) -> List[Fraction]:
@@ -307,27 +379,30 @@ def _witness(n: int, steps, stop) -> List[Fraction]:
     The stopping row a of the complement S gives e_a when s_aa < 0, and
     t e_a - sign(s_ab) e_b with form -2 t |s_ab| + s_bb < 0 when s_aa = 0
     and s_ab != 0.  _lift then keeps w'Mw equal to the form of the
-    complement it came from.
+    complement it came from.  S is kept times a positive integer, which
+    changes none of these signs or ratios.
     """
     idx, s, a = stop
     w = [Fraction(0)] * n
-    row = s[a]
-    if row[a] < 0:
+    if s[a][0] < 0:
         w[idx[a]] = Fraction(1)
     else:
+        row = [s[min(a, b)][abs(a - b)] for b in range(len(s))]
         b = next(b for b, v in enumerate(row) if v)
-        w[idx[a]] = s[b][b] / (2 * abs(row[b])) + 1
+        w[idx[a]] = Fraction(s[b][0], 2 * abs(row[b])) + 1
         w[idx[b]] = Fraction(-1 if row[b] > 0 else 1)
     return _lift(w, steps)
 
 
 def _lift(w: List[Fraction], steps) -> List[Fraction]:
     """Back-substitute w through the steps of _eliminate, in place: each
-    pivot p, in reverse, gets w_p = -sum f_i w_i.  One step maps (w_p, u)
-    to (0, S u) under M, S the complement it leaves; so M w is 0 on the
-    pivot rows, and w'Mw is the form of the last complement on w."""
-    for p, _, mults in reversed(steps):
-        w[p] = -sum(f * w[i] for i, f in mults)
+    pivot p, in reverse, gets w_p = -sum f_i w_i, f_i = a_ip / P.  One
+    step maps (w_p, u) to (0, S u) under M, S the complement it leaves;
+    so M w is 0 on the pivot rows, and w'Mw is the form of the last
+    complement on w."""
+    for idx, row in reversed(steps):
+        w[idx[0]] = Fraction(-sum(a * w[i] for i, a in zip(idx[1:], row[1:])
+                                  if a), row[0])
     return w
 
 
@@ -339,8 +414,10 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
     makes the pencil block-diagonal with an identically zero block, so
     the classification runs on the compression to range(L0); otherwise
     the literal test is used (Interior is then typically empty).  A
-    non-PSD L0 is an error.  A point with a negative diagonal entry is
-    Outside at once, the verdict _eliminate's first pass would give.
+    non-PSD L0 is an error.  The integer multiple s L(x), s > 0, of
+    LinearPencil._terms has the verdict of L(x); its diagonal comes
+    first, and a negative entry there is Outside at once, the verdict
+    _eliminate's first pass would give.
     """
     if not pencil.monic():
         base, compressed, _, _ = _range_compression(pencil)
@@ -350,12 +427,12 @@ def membership(pencil: LinearPencil, point: Sequence) -> Membership:
                 "apply reduce_to_monic after shifting to an interior point")
         if compressed is not None:
             pencil = compressed
-    # s L(x) with s > 0 has the verdict of L(x)
-    _, upper = pencil._scaled(point)
+    _, terms = pencil._terms(point)
     n = pencil.size
-    if any(upper[i * n - i * (i - 1) // 2] < 0 for i in range(n)):
+    if any(sum(c * u[i * n - i * (i - 1) // 2] for c, u in terms) < 0
+           for i in range(n)):
         return Membership.OUTSIDE
-    return _eliminate(SymmetricMatrix._trusted(_mirror(n, upper)))[0]
+    return _eliminate(_triangle(n, _combine(terms)))[0]
 
 
 # -- determinants -------------------------------------------------------------
@@ -367,17 +444,19 @@ def determinant_polynomial(pencil: LinearPencil) -> Polynomial:
     The joint support graph is split into connected components (so direct
     sums, permuted or not, factor automatically).  Each component of size
     s is scaled to integer matrices over one common denominator, its
-    determinant is evaluated by fraction-free Bareiss elimination at the
+    determinant is evaluated by fraction-free Bareiss elimination
+    (_bareiss_det, on the upper rows of each symmetric evaluation) at the
     C(s+m, m) lattice points of the simplex |a| <= s, and the polynomial
     of total degree at most s through those values is recovered exactly
     by Newton interpolation.  Every step is in integers; the only
-    division by the denominator comes last.  Kept on the pencil (_det).
+    division by the denominator comes last.  The determinant is the
+    product of the components' (1 for the 0 x 0 pencil).  Kept on the
+    pencil (_det).
     """
     if pencil._det is None:
-        result = Polynomial.constant(1, pencil.num_vars)
-        for comp in _components(pencil):
-            result = result * _component_det(pencil, comp)
-        pencil._det = result
+        dets = [_component_det(pencil, comp) for comp in _components(pencil)]
+        pencil._det = (reduce(mul, dets) if dets
+                       else Polynomial.constant(1, pencil.num_vars))
     return pencil._det
 
 
@@ -414,22 +493,14 @@ def _component_det(pencil: LinearPencil, comp: List[int]) -> Polynomial:
     integer points and interpolation."""
     s = len(comp)
     m = pencil.num_vars
-    blocks = [[[mat.entries[i][j] for j in comp] for i in comp]
-              for mat in pencil.matrices]
-    den = _lcm_denominators(v for block in blocks for row in block
-                            for v in row)
-    a0, *ak = [[[v.numerator * (den // v.denominator) for v in row]
-                for row in block] for block in blocks]
+    den, (a0, *ak) = _integer_uppers(
+        [[[mat.entries[i][j] for j in comp] for i in comp]
+         for mat in pencil.matrices])
     points = [a for a in product(range(s + 1), repeat=m) if sum(a) <= s]
     table = {}
     for a in points:
-        rows = [row[:] for row in a0]
-        for c, mat in zip(a, ak):
-            if c:
-                for row, mrow in zip(rows, mat):
-                    for j, v in enumerate(mrow):
-                        row[j] += c * v
-        table[a] = _bareiss_det(rows)
+        terms = [(1, a0)] + [(c, u) for c, u in zip(a, ak) if c]
+        table[a] = _bareiss_det(_triangle(s, _combine(terms)))
     den_s = den ** s
     return Polynomial(m, {e: Fraction(c, den_s)
                           for e, c in _interpolate(table, s, m).items()})
@@ -489,26 +560,52 @@ def _interpolate(table, s: int, m: int):
 
 
 def _bareiss_det(rows: List[List[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination (rows are overwritten); every division is exact."""
+    """Determinant of a symmetric integer matrix from its upper rows
+    (_triangle) by fraction-free Bareiss elimination, which keeps the
+    trailing block symmetric, so only its upper rows are updated; rows
+    is overwritten and every division is exact.  A zero pivot is made
+    nonzero by _repivot, a congruence of determinant 1."""
     n = len(rows)
-    sign, prev = 1, 1
+    prev = 1
     for k in range(n - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        if not rows[k][0] and not _repivot(rows, k):
+            return 0
+        col = rows[k]
+        pivot = col[0]
+        # row k + off holds (k + off, k + off + j); col holds (k, k + j)
+        for off in range(1, n - k):
+            row, f = rows[k + off], col[off]
+            for j in range(n - k - off):
+                row[j] = (row[j] * pivot - f * col[j + off]) // prev
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+    return rows[-1][0] if rows else 1
+
+
+def _repivot(rows: List[List[int]], k: int) -> bool:
+    """Make the zero diagonal entry (k, k) of the trailing block of the
+    upper rows rows nonzero by a congruence of determinant 1, in place:
+    swap k on both sides with the first later index whose diagonal
+    entry is nonzero; if there is none, add the first index j with
+    (k, j) nonzero to k on both sides, which makes (k, k) 2 (k, j).
+    False, with rows untouched, when the trailing diagonal and row k are
+    zero, and so is the determinant."""
+    t = len(rows) - k
+    full = [[rows[k + min(a, b)][abs(a - b)] for b in range(t)]
+            for a in range(t)]
+    swap = next((a for a in range(1, t) if full[a][a]), None)
+    if swap is not None:
+        order = list(range(t))
+        order[0], order[swap] = swap, 0
+        full = [[full[a][b] for b in order] for a in order]
+    else:
+        j = next((b for b in range(1, t) if full[0][b]), None)
+        if j is None:
+            return False
+        full[0] = [v + c for v, c in zip(full[0], full[j])]
+        for row in full:
+            row[0] += row[j]
+    rows[k:] = [row[a:] for a, row in enumerate(full)]
+    return True
 
 
 def direct_sum(pencils: Sequence[LinearPencil]) -> LinearPencil:
@@ -625,18 +722,18 @@ def _congruence(b, m) -> SymmetricMatrix:
     # m' is symmetric, so row j of b_i m' is b_i . m'_j
     bm = [[sum(map(mul, row, mrow)) for mrow in mi] for row in bi]
     n = len(bi)
-    return SymmetricMatrix._trusted(_mirror(n, [
+    return SymmetricMatrix._trusted(_mirror([[
         Fraction(sum(map(mul, bm[i], bi[j])), betas[i] * betas[j] * mu)
-        for i in range(n) for j in range(i, n)]))
+        for j in range(i, n)] for i in range(n)]))
 
 
 @lru_cache(maxsize=16)
 def _range_compression(pencil: LinearPencil):
-    """(the verdict of L0, the compression, its L0's steps, None) when
-    ker L0 lies in ker L_j for every j >= 1, else (the verdict, None,
-    None, the first j for which it does not), all read off one
-    _eliminate(L0).  A PD L0 is its own compression, with its own steps;
-    a non-PSD L0 gets none.
+    """(the verdict of L0, the compression, its L0's steps (_ldl), None)
+    when ker L0 lies in ker L_j for every j >= 1, else (the verdict,
+    None, None, the first j for which it does not), all read off one
+    _eliminate of L0's integer multiple (_integer_rows).  A PD L0 is its
+    own compression, with its own steps; a non-PSD L0 gets none.
 
     Each index k that is not a pivot gives the kernel vector _lift(e_k),
     and these span ker L0.  The pivot coordinates span a complement of
@@ -655,13 +752,14 @@ def _range_compression(pencil: LinearPencil):
     a small eps keeps the compression PD.  Cached because membership
     asks it again for every point of one pencil.
     """
-    base, steps, _ = _eliminate(pencil.matrices[0])
+    den, rows = _integer_rows(pencil.matrices[0])
+    base, steps, _ = _eliminate(rows)
     if base is Membership.INTERIOR:
-        return base, pencil, steps, None
+        return base, pencil, _ldl(steps, den), None
     if base is Membership.OUTSIDE:
         return base, None, None, None
     n = pencil.size
-    pivots = [p for p, _, _ in steps]
+    pivots = [idx[0] for idx, _ in steps]
     kernel = [_lift([Fraction(int(i == k)) for i in range(n)], steps)
               for k in sorted(set(range(n)) - set(pivots))]
     for j, mat in enumerate(pencil.matrices[1:], start=1):
@@ -674,7 +772,7 @@ def _range_compression(pencil: LinearPencil):
         for mat in pencil.matrices])
     at = {p: k for k, p in enumerate(pivots)}
     steps = [(at[p], d, [(at[i], f) for i, f in mults if i in at])
-             for p, d, mults in steps]
+             for p, d, mults in _ldl(steps, den)]
     return base, compressed, steps, None
 
 

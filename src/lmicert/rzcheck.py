@@ -479,7 +479,9 @@ class SlopeCells(ZeroCells):
         constant E p(x0) != 0, which divides out exactly.  B is read
         off (f(x) g(y) - f(y) g(x))/(x - y) = sum B_ij x^i y^j, whose
         coefficients give B_ij = B_(i-1)(j+1) + f_(j+1) g_i - f_i g_(j+1)
-        (f_j, g_j the coefficients of s^j; B_ij = 0 off 0..d-1)."""
+        (f_j, g_j the coefficients of s^j; B_ij = 0 off 0..d-1).  B is
+        symmetric, and its upper rows (j >= i) are what the determinant
+        reads."""
         d = len(heads) - 1
         top = d * (d - 1)
         lead = heads[0][0] if d * (d - 1) % 4 == 0 else -heads[0][0]
@@ -499,7 +501,7 @@ class SlopeCells(ZeroCells):
                 gi, fi = g[i], f[i]
                 above = [above[j + 1] + f[j + 1] * gi - fi * g[j + 1]
                          for j in range(d)] + [0]
-                rows.append(above[:d])
+                rows.append(above[i:d])
             table[(t,)] = _bareiss_det(rows) // lead
         coeffs = _interpolate(table, top, 1)
         out = [coeffs.get((k,), 0) for k in range(top + 1)]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from lmicert import pencil as pencil_module
 from lmicert.errors import DimensionMismatch, ParseError, ReductionError
 from lmicert.pencil import (LinearPencil, Membership, SymmetricMatrix,
-                            _eliminate, _range_compression,
+                            _eliminate, _integer_rows, _ldl,
+                            _range_compression,
                             determinant_polynomial, direct_sum, format_pencil,
                             is_psd, membership, parse_pencil, reduce_to_monic,
                             shift_pencil)
@@ -24,6 +25,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def sym(rows):
     return SymmetricMatrix([[F(v) for v in row] for row in rows])
+
+
+def eliminate(mat):
+    """_eliminate on the integer multiple of mat that is_psd takes."""
+    return _eliminate(_integer_rows(mat)[1])
+
+
+def ldl_steps(mat):
+    """The Fraction steps (p, d, mults) of eliminating mat."""
+    den, rows = _integer_rows(mat)
+    return _ldl(_eliminate(rows)[1], den)
 
 
 def sum_of_squares(squares, n):
@@ -350,7 +362,7 @@ def test_classify_agrees_with_principal_minors(mat):
     psd = all(m >= 0 for row in minors for m in row)
     expected = (Membership.INTERIOR if pd else
                 Membership.BOUNDARY if psd else Membership.OUTSIDE)
-    assert _eliminate(mat)[0] is expected
+    assert eliminate(mat)[0] is expected
     if psd:
         rep = is_psd(mat)
         rank = max((k for k, row in enumerate(minors, 1) if any(row)),
@@ -366,7 +378,7 @@ def test_classify_agrees_with_principal_minors(mat):
     if pd:
         # the elimination's steps are the LDL^T factorization: rebuild
         # T diag(d) T^t entry by entry
-        _, steps, _ = _eliminate(mat)
+        steps = ldl_steps(mat)
         assert [p for p, _, _ in steps] == list(range(n))
         t = [[F(int(i == j)) for j in range(n)] for i in range(n)]
         for p, _, mults in steps:
@@ -606,11 +618,11 @@ def test_evaluate_and_membership_agree_with_the_entry_sum(case, data):
         naive = naive_at(pencil.matrices, pt)
         assert pencil.evaluate(pt) == naive
         if literal or hidden[0].size == pencil.size:
-            assert membership(pencil, pt) is _eliminate(naive)[0]
+            assert membership(pencil, pt) is eliminate(naive)[0]
         if not literal:
             # the compression is congruent to the hidden block, whose
             # verdict is the verdict of the point (Sylvester's inertia)
-            assert membership(pencil, pt) is _eliminate(
+            assert membership(pencil, pt) is eliminate(
                 naive_at(hidden, pt))[0]
 
 
@@ -621,7 +633,7 @@ def _membership_by_elimination(pencil, pt):
         _, compressed, _, _ = _range_compression(pencil)
         if compressed is not None:
             pencil = compressed
-    return _eliminate(pencil.evaluate(pt))[0]
+    return eliminate(pencil.evaluate(pt))[0]
 
 
 def _zero_diagonal_points(pencil):
@@ -663,11 +675,12 @@ def test_membership_decides_a_negative_diagonal_without_elimination(
     assert membership(pencil, (-3, 0)) is Membership.OUTSIDE
     assert classified == []
     # diagonal (0, 3) with a nonzero row, and diagonal (2, 3) with
-    # det -10: both Outside, and both eliminated
+    # det -10: both Outside, and both eliminated (the upper rows of
+    # s L(x), here with s = 1)
     for pt in ((-2, 1), (0, 4)):
         assert membership(pencil, pt) is Membership.OUTSIDE
     assert len(classified) == 2
-    assert [min(m[i, i] for i in range(2)) for m in classified] == [0, 2]
+    assert [min(row[0] for row in m) for m in classified] == [0, 2]
 
 
 def test_monic_reads_l0_once(monkeypatch):
@@ -703,7 +716,7 @@ def test_range_compression_is_the_hidden_block_up_to_a_positive_constant(
     _, compressed, steps, bad = _range_compression(pencil)
     assert bad is None
     # its steps are those of eliminating the compressed L0 afresh
-    assert steps == _eliminate(compressed.matrices[0])[1]
+    assert steps == ldl_steps(compressed.matrices[0])
     # rank(L0) is the size of the hidden PD block
     assert compressed.size == hidden[0].size
     det = determinant_polynomial(compressed)

@@ -125,6 +125,14 @@ APPROX_REPRESENT_CASES = {
     "approx.represent": ["approx", "represent"],
 }
 
+# boundary cases added after all the above, last for the same reason:
+# case name -> curve file stem and command
+LATE_BOUNDARY_CASES = {
+    # every restriction of the disc squared is a square: no ray's
+    # isolation runs on a square-free restriction
+    "disc_squared.boundary.json": ["disc_squared", "boundary"],
+}
+
 
 def cases():
     for curve, point in CURVES.items():
@@ -150,6 +158,8 @@ def cases():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
     for name, (curve, command) in APPROX_REPRESENT_CASES.items():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *FAST]
+    for name, (curve, command) in LATE_BOUNDARY_CASES.items():
+        yield name, [command, str(GOLDEN / f"{curve}.poly"), *RAYS]
 
 
 def run(argv):

@@ -19,9 +19,15 @@ those integers from the start; any other input is scaled once.
     Isolation runs it on each square-free factor with no depth limit
     and refines each one-root piece by sign bisection on the same grid,
     so a dyadic root of denominator at most 1/resolution is returned
-    exactly.  ZeroCells runs it with a depth limit and no gcd, and
-    numbers the zero-free intervals; rzcheck.SlopeCells builds them for
-    the plane line test's slope polynomial.  With the depth limit, a
+    exactly.  Asked only for the nearest root on each side of 0, as
+    rzcheck.boundary_samples asks, isolation walks each half of the
+    bound outwards from 0, stops at the first piece with a zero and
+    never isolates the roots farther out; a factored input, or an
+    interval that reaches an end of its piece, is isolated fully, since
+    there the interval can depend on those roots.  ZeroCells runs the
+    bisection with a depth limit and no gcd, and numbers the zero-free
+    intervals; rzcheck.SlopeCells builds them for the plane line test's
+    slope polynomial.  With the depth limit, a
     half of the bound that is to be split goes on from its inner piece
     inside a tighter bound on the same points (_clear_levels), so the
     empty outer shells cost one test a level, not a split and two.
@@ -214,7 +220,10 @@ class RootInterval:
     multiplicity: int
 
     def midpoint(self) -> Fraction:
-        return (self.low + self.high) / 2
+        low, high = self.low, self.high
+        return Fraction(low.numerator * high.denominator
+                        + high.numerator * low.denominator,
+                        2 * low.denominator * high.denominator)
 
 
 def square_free_decompose(
@@ -343,8 +352,8 @@ class _Grid:
 
 
 def isolate_real_roots(f: UnivariatePolynomial,
-                       resolution: Fraction = Fraction(1, 2 ** 20)
-                       ) -> List[RootInterval]:
+                       resolution: Fraction = Fraction(1, 2 ** 20),
+                       nearest: bool = False) -> List[RootInterval]:
     """Disjoint intervals, each of width <= resolution, each containing
     exactly one distinct real root of f, sorted ascending, with the
     root's multiplicity attached.
@@ -356,31 +365,72 @@ def isolate_real_roots(f: UnivariatePolynomial,
     aligned dyadic one, of power-of-two width: no grid point of a
     coarser level lies inside it.  So 0, on every grid, is inside no
     interval, and a root that is a dyadic rational with denominator at
-    most 1/resolution comes back exact, as [r, r]."""
+    most 1/resolution comes back exact, as [r, r].
+
+    With nearest, f(0) must not be 0, and only the intervals of the
+    nearest root below 0 and the nearest above it come back, those of
+    the full isolation.  On a square-free f the bisection goes from 0
+    outwards on each side and stops at the piece that holds that root
+    (_descartes_pieces with nearest), and only that piece is refined:
+    roots farther out are never isolated.  The full isolation narrows
+    an interval once more only where it touches another, which needs an
+    end of its one-zero piece, so where a refined interval reaches one,
+    and wherever f has a square factor, f is isolated fully and the two
+    intervals are picked from the result.  Between factors the clash
+    refinement shrinks one target shared by every clash, so there the
+    nearest interval can depend on roots farther out."""
     factors = _factor_chains(f, "isolate")
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    # [low, high, grid, ja, jb, k, sign, multiplicity]: low = 2^e ja/2^k
-    # and high = 2^e jb/2^k on the factor's grid; sign is g's just right
-    # of low
+    if not nearest:
+        return _isolate(factors, resolution)
+    if f.primitive()[0][0] == 0:
+        raise ValueError("f(0) = 0; no root is nearest on either side")
+    if len(factors) == 1 and factors[0][2] == 1:
+        found = _isolate_factor(factors[0][0], 1, resolution, True)
+        if found is not None:
+            # at most one interval on each side of 0: the one below first
+            found.sort(key=lambda t: t[3] > 0)
+            return [RootInterval(t[0], t[1], 1) for t in found]
+    intervals = _isolate(factors, resolution)
+    below = sum(1 for iv in intervals if iv.low < 0)
+    return intervals[max(0, below - 1):below + 1]
+
+
+def _isolate_factor(g: IntPoly, mult: int, resolution: Fraction,
+                    nearest: bool = False) -> Optional[list]:
+    """The intervals of the square-free factor g of multiplicity mult, as
+    [low, high, grid, ja, jb, k, sign, mult]: low = 2^e ja/2^k and
+    high = 2^e jb/2^k on g's grid, sign g's just right of low.  With
+    nearest, those of the nearest root on each side of 0, or None when
+    a refined interval reaches an end of its piece."""
+    grid = _Grid(g, power_of_two_bound(g))
+    leaves, zeros = _descartes_pieces(grid.g, nearest=nearest)
     found = []
-    for gi, _, mult in factors:
-        e = power_of_two_bound(gi)
-        grid = _Grid(gi, e)
-        leaves, zeros = _descartes_pieces(grid.g)
-        # the piece x in (i/2^k, (i+1)/2^k) of (0, 1) is y in
-        # ((2i - 2^k)/2^k, (2i + 2 - 2^k)/2^k)
-        for i, k in zeros:
+    # the piece x in (i/2^k, (i+1)/2^k) of (0, 1) is y in
+    # ((2i - 2^k)/2^k, (2i + 2 - 2^k)/2^k)
+    for i, k in zeros:
+        j = 2 * i - (1 << k)
+        point = grid.point(j, k)
+        found.append([point, point, grid, j, j, k, 0, mult])
+    for i, k, bound, sign in leaves:
+        if bound == 1:
             j = 2 * i - (1 << k)
-            found.append([grid.point(j, k), grid.point(j, k), grid,
-                          j, j, k, 0, mult])
-        for i, k, bound, sign in leaves:
-            if bound == 1:
-                ja = 2 * i - (1 << k)
-                ja, jb, k = _refine(grid, ja, ja + 2, k, resolution, sign)
-                found.append([grid.point(ja, k), grid.point(jb, k), grid,
-                              ja, jb, k, sign, mult])
+            ja, jb, fine = _refine(grid, j, j + 2, k, resolution, sign)
+            if nearest and k and (ja == j << (fine - k)
+                                  or jb == (j + 2) << (fine - k)):
+                return None
+            found.append([grid.point(ja, fine), grid.point(jb, fine), grid,
+                          ja, jb, fine, sign, mult])
+    return found
+
+
+def _isolate(factors, resolution: Fraction) -> List[RootInterval]:
+    """isolate_real_roots of the factors _factor_chains found."""
+    found = []
+    for g, _, mult in factors:
+        found += _isolate_factor(g, mult, resolution)
     # roots of coprime factors are distinct, but their isolating intervals
     # can still overlap; shrink until they are pairwise disjoint
     target = resolution
@@ -559,7 +609,8 @@ def _clear_levels(t: IntPoly, most: int) -> int:
     return m
 
 
-def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
+def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None,
+                      nearest: bool = False
                       ) -> Tuple[List[Tuple[int, int, int, int]],
                                  Set[Tuple[int, int]]]:
     """Descartes bisection (Collins-Akritas 1976) of (-1, 1) for the
@@ -571,14 +622,24 @@ def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
     positive multiple of s, so it has s's signs.  A piece with
     Descartes bound 0 has no zero and one with bound 1 one simple zero;
     one with a larger bound is split at its midpoint, unless it is on
-    level deepest.  Returns the leaves, left to right, as (i, k, bound,
-    sign), sign being that of s just right of the piece's left end: of
-    q's lowest nonzero coefficient, also where that end is a zero.  And
-    the midpoints (i, k), i odd, where s vanishes: with every zero on a
+    level deepest.  Returns the leaves as (i, k, bound, sign), sign
+    being that of s just right of the piece's left end: of q's lowest
+    nonzero coefficient, also where that end is a zero.  And the
+    midpoints (i, k), i odd, where s vanishes: with every zero on a
     midpoint or inside a one-zero leaf, for want of a depth limit, these
     are all of s's real zeros.  No gcd is taken, so a multiple zero, or
     zeros closer than 2^-deepest, keep the bound at 2 or more at every
     width; the depth limit stops that bisection.
+
+    The pieces are walked in order, each split's nearer half, then its
+    midpoint, then its farther half.  Without nearest that is left to
+    right, and the leaves come back in that order.  With nearest, for
+    s(0) != 0 and no depth limit, the half (0, 1) is walked left to
+    right and the half (-1, 0) right to left, each away from 0, and a
+    half stops at its first one-zero leaf or zero midpoint: the one
+    that holds its zero nearest 0.  Which pieces are split does not
+    depend on the order of the walk, so that leaf is the full
+    bisection's, and no zero farther out is located.
 
     With a depth limit, a half (0, 1) or (-1, 0) that is to be split
     is not peeled one empty outer shell at a time.  It goes on from its
@@ -599,12 +660,25 @@ def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
     leaves = []
     zeros = set()
     shells = []
+    # nearest: the halves, 0 for (-1, 0) and 1 for (0, 1), whose zero
+    # nearest 0 is found; piece (i, k), k >= 1, is in half i >> (k - 1)
+    done = set()
+    # (q, i, k) for a piece, (None, i, k) for a zero midpoint
     stack = [(_int_primitive(q), 0, 0)]
     while stack:
         q, i, k = stack.pop()
+        if done and i >> (k - 1) in done:
+            continue
+        if q is None:
+            zeros.add((i, k))
+            if nearest:
+                done.add(i >> (k - 1))
+            continue
         bound = _descartes_bound(q)
         if bound <= 1 or k == deepest:
             leaves.append((i, k, bound, _sign(next(v for v in q if v))))
+            if nearest and bound and k:
+                done.add(i >> (k - 1))
             continue
         if k == 1 and deepest is not None:
             # beyond 2^-m, t(y) = s(+-y) has the sign of its lead.  Shell
@@ -629,10 +703,14 @@ def _descartes_pieces(s: IntPoly, deepest: Optional[int] = None
                 continue
         left = [v << (n - j) for j, v in enumerate(q)]   # 2^n q(x/2)
         right = _taylor_shift(left, 1)
+        # popped last to first: the nearer half, the midpoint, the other
+        split = [(_int_primitive(right), 2 * i + 1, k + 1),
+                 (_int_primitive(left), 2 * i, k + 1)]
         if not right[0]:
-            zeros.add((2 * i + 1, k + 1))
-        stack.append((_int_primitive(right), 2 * i + 1, k + 1))
-        stack.append((_int_primitive(left), 2 * i, k + 1))
+            split.insert(1, (None, 2 * i + 1, k + 1))
+        if nearest and k and not i >> (k - 1):
+            split.reverse()
+        stack += split
     return leaves + shells, zeros
 
 

@@ -42,10 +42,11 @@ Vertical rays, slopes that may be zeros of P, and every ray when D = 0
 The verdict and every record are those of counting every ray.  Every
 scan keys a ray by its slope's cell number alone (ZeroCells.cell) and
 names the ray each borrowing ray took its counts from, whose side
-counts oval_profile reads.  boundary_samples, which isolates the roots
-on every ray, does not use the cells.  construct.intercept_normalize
-reads them too: a slope t with a cell is a line through x0 that meets
-the curve in d distinct points or certifies that p is not real-zero.
+counts oval_profile reads.  boundary_samples, which isolates the
+nearest root on each side of the base point on every ray, does not use
+the cells.  construct.intercept_normalize reads them too: a slope t
+with a cell is a line through x0 that meets the curve in d distinct
+points or certifies that p is not real-zero.
 """
 
 from __future__ import annotations
@@ -587,7 +588,11 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     boundary crossing, at pseudo-angle 4j/K on the positive side of ray
     j of K and 4 + 4j/K on the negative side; a side without real roots
     means the region is unbounded in that direction, which is recorded
-    rather than raised.
+    rather than raised.  Only those two roots are isolated
+    (isolate_real_roots with nearest): a root farther out is a crossing
+    of an outer oval, which no sample shows.  Each sample's parameter
+    is the midpoint of its interval and each coordinate of its point
+    is built as one Fraction from integers.
     """
     if p.num_vars != 2:
         raise DimensionMismatch("boundary extraction is two-variable only")
@@ -608,21 +613,26 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
             unbounded[0].append(angle)
             unbounded[1].append(angle + 4)
             continue
-        # f(0) != 0, and 0 is an end of every isolating interval that
-        # reaches it, so each interval lies on one side of the base point:
-        # the nearest negative one is the last before the first positive
+        # f(0) != 0: the nearest root below 0 comes first, if there is one
         neg = pos = None
-        for iv in isolate_real_roots(f, resolution):
+        for iv in isolate_real_roots(f, resolution, nearest=True):
             if iv.low >= 0:
                 pos = iv
-                break
-            neg = iv
+            else:
+                neg = iv
         for side, side_angle, iv in ((0, angle, pos), (1, angle + 4, neg)):
             if iv is None:
                 unbounded[side].append(side_angle)
                 continue
             mu = iv.midpoint()
-            pt = (x[0] + mu * v[0], x[1] + mu * v[1])
+            pt = (_moved(x[0], mu, v[0]), _moved(x[1], mu, v[1]))
             samples[side].append(BoundarySample(side_angle, v, mu, pt))
     return BoundaryData(tuple(samples[0] + samples[1]),
                         tuple(unbounded[0] + unbounded[1]))
+
+
+def _moved(c: Fraction, mu: Fraction, w: Fraction) -> Fraction:
+    """c + mu w, as one Fraction of integers."""
+    den = mu.denominator * w.denominator
+    return Fraction(c.numerator * den + mu.numerator * w.numerator
+                    * c.denominator, c.denominator * den)

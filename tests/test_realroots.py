@@ -2,19 +2,23 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmicert import realroots
+from lmicert import realroots, rzcheck
 from lmicert.errors import ZeroPolynomialError
-from lmicert.poly import UnivariatePolynomial
+from lmicert.poly import UnivariatePolynomial, parse_polynomial
 from lmicert.realroots import (_CELL_WIDTH_EXP, ZeroCells, count_real_roots,
                                count_roots_in_open_interval,
                                isolate_real_roots, power_of_two_bound,
                                side_counts, square_free_decompose)
+from lmicert.rzcheck import boundary_samples
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def poly(*coeffs):
@@ -395,10 +399,11 @@ def test_undecided_pieces_keep_the_bisection_finite():
 
 # === the bisection's start inside a tighter bound ===
 
-def _full_bisection(s, deepest=None):
+def _full_bisection(s, deepest=None, nearest=False):
     """Reference for realroots._descartes_pieces: the Descartes
     bisection of (-1, 1) from its one piece on level 0, every empty
-    outer shell peeled one level at a time."""
+    outer shell peeled one level at a time; the whole bisection only."""
+    assert not nearest
     n = len(s) - 1
     q = realroots._taylor_shift(s, -1)
     stack = [([v << k for k, v in enumerate(q)], 0, 0)]
@@ -700,3 +705,150 @@ def test_dyadic_isolation_splits_the_whole_bound_at_zero(f, point):
     (iv,) = isolate_real_roots(f, Fraction(2 ** 10))
     assert (iv.low == iv.high) == point
     assert iv.low >= 0 or iv.high <= 0
+
+
+# === nearest roots on each side of 0 ===
+
+def _nearest_of_full(f, resolution=Fraction(1, 2 ** 20)):
+    """The nearest entries of the full isolation: the last interval
+    below 0 and the first one above it."""
+    intervals = isolate_real_roots(f, resolution)
+    below = [iv for iv in intervals if iv.high <= 0]
+    above = [iv for iv in intervals if iv.low >= 0]
+    assert len(below) + len(above) == len(intervals)
+    return below[-1:] + above[:1]
+
+
+def _nearest_inputs():
+    for f, _ in _dyadic_root_inputs():
+        yield f
+    yield from _refine_inputs()
+    rng = random.Random(31)
+    for _ in range(60):
+        roots = [Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 6))]
+        f = from_roots(roots) * poly(rng.randint(1, 5), 0, rng.choice([-1, 1]))
+        yield f * poly(rng.randint(1, 9)) if rng.random() < 0.5 else f
+
+
+def test_dyadic_nearest_mode_returns_the_nearest_entries_of_the_full_isolation():
+    seen = 0
+    for f in _nearest_inputs():
+        if f.coeffs[0] == 0:
+            continue
+        seen += 1
+        for resolution in (Fraction(1, 2 ** 20), Fraction(3, 2 ** 40)):
+            assert isolate_real_roots(f, resolution, nearest=True) == \
+                _nearest_of_full(f, resolution), f
+    assert seen >= 200
+
+
+@given(st.lists(st.tuples(_START_ROOTS, st.integers(min_value=1, max_value=2)),
+                max_size=5),
+       st.lists(st.tuples(st.integers(min_value=-40, max_value=40),
+                          st.sampled_from([1, 7, 2 ** 20])),
+                max_size=2),
+       st.integers(min_value=-9, max_value=9).filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_dyadic_nearest_mode_agrees_with_the_full_isolation(roots, pairs,
+                                                            lead):
+    # roots at and next to bisection midpoints and within 2^-20 of 0,
+    # with nonreal pairs that keep Descartes' bound up near a
+    f = poly(lead)
+    for a, big in pairs:
+        f = f * poly(big * a * a + 1, -2 * big * a, big)
+    for r, m in roots:
+        if r:
+            f = f * from_roots([r], [m])
+    assert isolate_real_roots(f, nearest=True) == _nearest_of_full(f)
+
+
+def test_dyadic_nearest_roots_of_the_disc_on_its_axis_rays():
+    # 1 - mu^2 along both axes: the roots +-1 are bisection midpoints,
+    # where the walk stops with exact intervals
+    disc = parse_polynomial((GOLDEN / "disc.poly").read_text())
+    for v in ((1, 0), (0, 1)):
+        f = disc.restrict((0, 0), v)
+        got = isolate_real_roots(f, nearest=True)
+        assert [(iv.low, iv.high) for iv in got] == [(-1, -1), (1, 1)]
+        assert got == _nearest_of_full(f)
+
+
+def test_dyadic_nearest_side_without_a_root():
+    # roots 3 and 5 only above 0; (t^2 + 1) has none
+    f = from_roots([3, 5]) * poly(1, 0, 1)
+    (iv,) = isolate_real_roots(f, nearest=True)
+    assert iv.low == iv.high == 3
+    assert isolate_real_roots(from_roots([-7, Fraction(-1, 3)]),
+                              nearest=True) == \
+        _nearest_of_full(from_roots([-7, Fraction(-1, 3)]))
+    assert isolate_real_roots(poly(1, 0, 1), nearest=True) == []
+    assert isolate_real_roots(poly(4), nearest=True) == []
+
+
+def test_dyadic_nearest_one_root_in_the_level_zero_piece():
+    # 3t - 1: Descartes' bound of the whole bound is already 1, so the
+    # level-0 piece is the one leaf, and _refine splits it at 0
+    f = poly(-1, 3)
+    g = realroots._factor_chains(f, "isolate")[0][0]
+    s = realroots._unit_scaled(g, power_of_two_bound(g))
+    leaves, zeros = realroots._descartes_pieces(s, nearest=True)
+    assert [(k, bound) for _, k, bound, _ in leaves] == [(0, 1)] and not zeros
+    (iv,) = isolate_real_roots(f, nearest=True)
+    assert iv.low < Fraction(1, 3) < iv.high
+    assert [iv] == _nearest_of_full(f)
+
+
+def test_dyadic_nearest_falls_back_where_f_is_not_square_free(monkeypatch):
+    f = from_roots([-2, 1, 3], [1, 2, 1]) * poly(1, 0, 1)
+    calls = []
+    isolate_factor = realroots._isolate_factor
+    monkeypatch.setattr(realroots, "_isolate_factor",
+                        lambda *args: calls.append(args[3:]) or
+                        isolate_factor(*args))
+    got = isolate_real_roots(f, nearest=True)
+    assert got == _nearest_of_full(f)
+    assert [iv.multiplicity for iv in got] == [1, 2]
+    assert got[1].low == got[1].high == 1
+    # no factor was isolated in the nearest mode
+    assert calls and not any(calls)
+
+
+def test_dyadic_nearest_falls_back_where_an_interval_touches_its_piece():
+    # roots 1 -+ eps on either side of the bisection point 1: both
+    # refined pieces end at 1, so the full isolation narrows them past
+    # the resolution, and the nearest mode must return the same
+    eps = Fraction(1, 3 * 2 ** 30)
+    f = from_roots([1 - eps, 1 + eps, -5])
+    g = realroots._factor_chains(f, "isolate")[0][0]
+    assert realroots._isolate_factor(g, 1, Fraction(1, 2 ** 20), True) is None
+    got = isolate_real_roots(f, nearest=True)
+    assert got == _nearest_of_full(f)
+    assert got[1].high - got[1].low < Fraction(1, 2 ** 22)
+
+
+def test_dyadic_nearest_needs_a_nonzero_value_at_zero():
+    with pytest.raises(ValueError):
+        isolate_real_roots(from_roots([0, 1]), nearest=True)
+    with pytest.raises(ValueError):
+        isolate_real_roots(from_roots([0, 0, -1]), nearest=True)
+
+
+def test_dyadic_nearest_refines_at_most_two_pieces_per_ray(monkeypatch):
+    # the concentric quartic meets each line through the origin four
+    # times; boundary isolates only the two crossings next to the
+    # origin, where the full isolation refines all four off the axes
+    p = parse_polynomial((GOLDEN / "concentric.poly").read_text())
+    refined = []
+    refine = realroots._refine
+    monkeypatch.setattr(realroots, "_refine",
+                        lambda *args: refined.append(1) or refine(*args))
+    rays = 31
+    data = boundary_samples(p, (0, 0), rays)
+    assert len(data.samples) == 2 * rays
+    assert 0 < len(refined) <= 2 * rays
+    refined.clear()
+    for j in range(rays):
+        f = p.restrict((0, 0), rzcheck._square_ray(j, rays)[1])
+        assert len(isolate_real_roots(f)) == 4
+    assert len(refined) > 3 * rays

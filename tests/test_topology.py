@@ -229,8 +229,8 @@ def test_concentric_parameters_need_no_clash_refinement(monkeypatch):
     pieces, refined = [0], [0]
     descartes_pieces, refine = realroots._descartes_pieces, realroots._refine
 
-    def counted_pieces(*args):
-        leaves, zeros = descartes_pieces(*args)
+    def counted_pieces(*args, **kwargs):
+        leaves, zeros = descartes_pieces(*args, **kwargs)
         pieces[0] += sum(1 for leaf in leaves if leaf[2] == 1)
         return leaves, zeros
 

@@ -294,8 +294,8 @@ class Polynomial:
         shift per base point and kept for the next call at that point;
         a caller that passes the kept base point tuple back, as the scans
         do, skips its validation.  With v = V/D and n = deg f,
-        f_k = N_k / (E D^k) for N_k = sum_{|e| = k} C_e V^e, each V^e a
-        product of entries of one table of the powers V_i^j per call, so f is
+        f_k = N_k / (E D^k) for N_k = sum_{|e| = k} C_e V^e, each V^e
+        read off one table of the powers V_i^j built per call, so f is
         g / (E D^n) times the primitive integers N_k D^(n-k) / g, where g
         is their content.  f carries those integers; its Fraction
         coefficients are built only when they are read.

@@ -613,7 +613,7 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
             unbounded[0].append(angle)
             unbounded[1].append(angle + 4)
             continue
-        # f(0) != 0: the nearest root below 0 comes first, if there is one
+        # f(0) = q(x) > 0, as the nearest mode needs
         neg = pos = None
         for iv in isolate_real_roots(f, resolution, nearest=True):
             if iv.low >= 0:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
-from operator import getitem
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ParseError, ZeroPolynomialError
@@ -294,8 +293,7 @@ class Polynomial:
         shift per base point and kept for the next call at that point;
         a caller that passes the kept base point tuple back, as the scans
         do, skips its validation.  With v = V/D and n = deg f,
-        f_k = N_k / (E D^k) for N_k = sum_{|e| = k} C_e V^e, each V^e
-        read off one table of the powers V_i^j built per call, so f is
+        f_k = N_k / (E D^k) for N_k = sum_{|e| = k} C_e V^e, so f is
         g / (E D^n) times the primitive integers N_k D^(n-k) / g, where g
         is their content.  f carries those integers; its Fraction
         coefficients are built only when they are read.
@@ -318,20 +316,8 @@ class Polynomial:
         if table is None:
             table = self._build_forms(x0)
         _, den, forms = table
-        # one power table per ray: pows[i][e] = ws[i]^e
-        pows = []
-        for w in ws:
-            row = [1]
-            for _ in range(len(forms) - 1):
-                row.append(row[-1] * w)
-            pows.append(row)
-        if len(pows) == 2:
-            a, b = pows
-            nums = [sum([c * a[i] * b[j] for (i, j), c in form])
-                    for form in forms]
-        else:
-            nums = [sum([c * prod(map(getitem, pows, exps))
-                         for exps, c in form]) for form in forms]
+        nums = [sum(c * prod(map(pow, ws, exps)) for exps, c in form)
+                for form in forms]
         while nums and not nums[-1]:
             nums.pop()
         if not nums:

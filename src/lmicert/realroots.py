@@ -391,7 +391,7 @@ def isolate_real_roots(f: UnivariatePolynomial,
         found = _isolate_factor(factors[0][0], 1, resolution, True)
         if found is not None:
             # at most one interval on each side of 0: the one below first
-            found.sort(key=lambda t: t[3] > 0)
+            found.sort(key=lambda t: t[0] >= 0)
             return [RootInterval(t[0], t[1], 1) for t in found]
     intervals = _isolate(factors, resolution)
     below = sum(1 for iv in intervals if iv.low < 0)

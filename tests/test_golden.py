@@ -133,6 +133,14 @@ LATE_BOUNDARY_CASES = {
     "disc_squared.boundary.json": ["disc_squared", "boundary"],
 }
 
+# represent cases like EXTRA_CASES, last for the same reason: case
+# name -> curve file stem and command
+LATE_REPRESENT_CASES = {
+    # a degree-6 ApproxMatch: fifteen off-diagonal unknowns, the largest
+    # solve the matching cap admits
+    "det6.represent": ["det6", "represent"],
+}
+
 
 def cases():
     for curve, point in CURVES.items():
@@ -160,6 +168,8 @@ def cases():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *FAST]
     for name, (curve, command) in LATE_BOUNDARY_CASES.items():
         yield name, [command, str(GOLDEN / f"{curve}.poly"), *RAYS]
+    for name, (curve, command) in LATE_REPRESENT_CASES.items():
+        yield name, [command, str(GOLDEN / f"{curve}.poly"), *FAST]
 
 
 def run(argv):

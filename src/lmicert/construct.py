@@ -13,11 +13,13 @@ the line of the first integer slope that the plane's slope cells decide
 becomes the x2 axis (intercept_normalize, rzcheck.SlopeCells).
 
 That pins everything except the off-diagonal of L1, which is found by
-matching det coefficients numerically (degree 3 and up) or by a one
-unknown closed form (degree 2).  That numeric solve is the package's
-only use of numpy, imported on its first call.  An intercept is made
-exact when its one rounding is a root (_snap_root), and the matched L1
-when one of its roundings has the target determinant (_try_promote).
+matching det coefficients numerically (degree 3 and up; the model of
+that solve builds and factors a grid of pencils once per point) or by
+a one unknown closed form (degree 2).  The numeric solve is the
+package's only use of numpy, imported on its first call.  An intercept
+is made exact when its one rounding is a root (_snap_root), and the
+matched L1 when one of its roundings has the target determinant
+(_try_promote).
 Where c_i is not a root, -1/c_i and s_i/c_i are rounded to the 2^-64
 grid (fixed_part): short entries keep every later integer short.  The
 returned pencil is verified once, by the expansion the match already
@@ -233,11 +235,9 @@ def _pencil_from_entries(l2: SymmetricMatrix, diag1: Sequence[Fraction],
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i, a in enumerate(diag1):
         rows[i][i] = a
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows[i][j] = rows[j][i] = Fraction(off[k])
-            k += 1
+    pairs = ((i, j) for i in range(d) for j in range(i + 1, d))
+    for (i, j), v in zip(pairs, off):
+        rows[i][j] = rows[j][i] = Fraction(v)
     l1 = SymmetricMatrix(rows)
     return LinearPencil([SymmetricMatrix.identity(d), l1, l2])
 
@@ -245,7 +245,7 @@ def _pencil_from_entries(l2: SymmetricMatrix, diag1: Sequence[Fraction],
 def _coefficient_residual(pencil: LinearPencil, target: Polynomial) -> float:
     """Largest |coefficient| of det(pencil) - target."""
     diff = determinant_polynomial(pencil) - target
-    return max((abs(float(c)) for _, c in diff.sorted_terms()), default=0.0)
+    return max((abs(float(c)) for c in diff.terms.values()), default=0.0)
 
 
 def _grid(d: int) -> List[Tuple[Fraction, Fraction]]:
@@ -257,36 +257,37 @@ def _grid(d: int) -> List[Tuple[Fraction, Fraction]]:
     return [(a, b) for a in ts for b in ts]
 
 
-def _lm_minimize(residual_fn, jacobian_fn, u0: np.ndarray) -> np.ndarray:
+def _lm_minimize(model, u0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt from u0 on model(u) = (residual at u, its
+    Jacobian on call); returns the stopping point and its residual."""
     import numpy as np
     u = u0.astype(float).copy()
-    r = residual_fn(u)
+    r, jacobian = model(u)
+    norm = np.linalg.norm(r)
     lam = 1e-3
-    n = len(u)
     for _ in range(80):
         if np.max(np.abs(r)) < 1e-15:
             break
-        jac = jacobian_fn(u)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        improved = False
+        jac = jacobian()
+        grad, hess = jac.T @ r, jac.T @ jac
         for _ in range(10):
             try:
-                step = np.linalg.solve(hess + lam * np.eye(n), -grad)
+                step = np.linalg.solve(hess + lam * np.eye(len(u)), -grad)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
             cand = u + step
-            r_cand = residual_fn(cand)
-            if np.linalg.norm(r_cand) < np.linalg.norm(r):
-                u, r = cand, r_cand
-                lam = max(lam * 0.3, 1e-14)
-                improved = True
-                break
+            # a step below the rounding of u has nothing new to factor
+            if not np.array_equal(cand, u):
+                r_cand, jac_cand = model(cand)
+                if (norm_cand := np.linalg.norm(r_cand)) < norm:
+                    u, r, jacobian, norm = cand, r_cand, jac_cand, norm_cand
+                    lam = max(lam * 0.3, 1e-14)
+                    break
             lam *= 10
-        if not improved:
+        else:
             break
-    return u
+    return u, r
 
 
 def _check_match_degree(d: int) -> None:
@@ -304,12 +305,14 @@ def match_offdiagonal(p: Polynomial,
     matches p / p(0,0).
 
     Damped Newton least squares on a value grid, multi-start (all-zero
-    plus 16 seeded random starts); each start that reaches the
-    tolerance is re-checked by exact rational determinant expansion;
-    an exact rounding of the winner replaces it if one has the target
-    determinant (_try_promote, at most one more expansion).  The result
-    carries no outcome: represent verifies the pencil it finally
-    returns.
+    plus 16 seeded random starts).  The model is evaluated once per
+    point: it builds the grid's pencils and takes their determinants
+    once, and their inverses only where a step starts.  Each start that
+    reaches the tolerance is re-checked by exact rational determinant
+    expansion; an exact rounding of the winner replaces it if one has
+    the target determinant (_try_promote, at most one more expansion).
+    The result carries no outcome: represent verifies the pencil it
+    finally returns.
     """
     l2, diag1 = fixed
     d = l2.size
@@ -326,31 +329,27 @@ def match_offdiagonal(p: Polynomial,
     import numpy as np
     points = _grid(d)
     tvals = np.array([float(target.evaluate(pt)) for pt in points])
-    avals = np.array([float(a) for a, _ in points])
-    bvals = np.array([float(b) for _, b in points])
-    l2diag = np.array([float(l2[i, i]) for i in range(d)])
-    diag1f = np.array([float(v) for v in diag1])
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    avals, bvals = np.array(points, dtype=float).T
+    l2diag = np.array([l2[i, i] for i in range(d)], dtype=float)
+    diag1f = np.array(diag1, dtype=float)
+    # u fills the pairs i < j in _pencil_from_entries' row-major order
+    base = np.zeros((len(points), d, d))
+    base[:, range(d), range(d)] = (1.0 + np.outer(avals, diag1f)
+                                   + np.outer(bvals, l2diag))
+    rows, cols = np.triu_indices(d, 1)
 
-    def build(u: np.ndarray) -> np.ndarray:
-        m = np.zeros((len(points), d, d))
-        m[:, range(d), range(d)] = (1.0 + np.outer(avals, diag1f)
-                                    + np.outer(bvals, l2diag))
-        for k, (i, j) in enumerate(pairs):
-            m[:, i, j] = m[:, j, i] = avals * u[k]
-        return m
-
-    def residual_fn(u: np.ndarray) -> np.ndarray:
-        return np.linalg.det(build(u)) - tvals
-
-    def jacobian_fn(u: np.ndarray) -> np.ndarray:
-        m = build(u)
+    def model(u: np.ndarray):
+        m = base.copy()
+        m[:, rows, cols] = m[:, cols, rows] = np.outer(avals, u)
         dets = np.linalg.det(m)
-        inv = np.linalg.inv(m)
-        jac = np.empty((len(points), n_unknowns))
-        for k, (i, j) in enumerate(pairs):
-            jac[:, k] = 2.0 * avals * dets * inv[:, i, j]
-        return jac
+
+        def jacobian() -> np.ndarray:
+            # d det / d u_k = 2 a det [m^-1]_ij; C order, which the
+            # fancy index does not give, keeps the rounding of jac.T @ r
+            inv = np.linalg.inv(m)[:, rows, cols]
+            return np.ascontiguousarray((2.0 * avals * dets)[:, None] * inv)
+
+        return dets - tvals, jacobian
 
     rng = np.random.default_rng(seed)
     starts = [np.zeros(n_unknowns)]
@@ -359,12 +358,12 @@ def match_offdiagonal(p: Polynomial,
     best_pencil: Optional[LinearPencil] = None
     for u0 in starts:
         try:
-            u = _lm_minimize(residual_fn, jacobian_fn, u0)
+            u, r = _lm_minimize(model, u0)
         except np.linalg.LinAlgError:
             # a grid point landed on the determinantal curve, so the
             # Jacobian's inverse is singular: the start is lost
             continue
-        if np.max(np.abs(residual_fn(u))) > max(tol, 1e-6):
+        if np.max(np.abs(r)) > max(tol, 1e-6):
             continue
         pencil = _pencil_from_entries(l2, diag1,
                                       [Fraction(float(v)) for v in u])

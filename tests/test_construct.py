@@ -490,10 +490,10 @@ def _matching_expansions(monkeypatch, pencil):
         expansions.append(promoting[0])
         return expand(pencil)
 
-    def counted_minimize(residual_fn, jacobian_fn, u0):
-        u = minimize(residual_fn, jacobian_fn, u0)
-        reached.append(max(abs(residual_fn(u))) <= 1e-6)
-        return u
+    def counted_minimize(model, u0):
+        u, r = minimize(model, u0)
+        reached.append(max(abs(r)) <= 1e-6)
+        return u, r
 
     def counted_promote(pencil, target):
         promoting[0] = True
@@ -540,6 +540,31 @@ def test_matching_expands_each_pencil_once(monkeypatch):
     assert result.residual > 0
     assert promoting == 0
     assert others == reached >= 1
+
+
+def test_matching_factors_each_pencil_stack_once(monkeypatch):
+    # the solve builds the grid of pencils once per point: no stack is
+    # factored by det twice (the stopping point included), and inv runs
+    # at most once per stack, at the points the LM steps from
+    np = pytest.importorskip("numpy")
+    det, inv = np.linalg.det, np.linalg.inv
+    dets, invs = [], []
+
+    def recorded(fn, calls):
+        def wrapped(m):
+            calls.append(m.tobytes())
+            return fn(m)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "det", recorded(det, dets))
+    monkeypatch.setattr(np.linalg, "inv", recorded(inv, invs))
+    q, data, change = intercept_normalize(
+        determinant_polynomial(_half_integer_pencil(7, 3)))
+    assert change is None
+    assert match_offdiagonal(q, fixed_part(data)).residual <= 1e-9
+    assert len(dets) > len(invs) >= 1
+    assert len(set(dets)) == len(dets)
+    assert len(set(invs)) == len(invs) and set(invs) <= set(dets)
 
 
 # seed 5009 promotes with every bound from 8 up; seed 5012 only with the

@@ -78,6 +78,21 @@ def test_pencil_needs_consistent_sizes():
         LinearPencil([SymmetricMatrix.identity(2)])
 
 
+def test_matrix_shape_checks():
+    with pytest.raises(DimensionMismatch):
+        SymmetricMatrix([[1, 2]])
+    with pytest.raises(DimensionMismatch):
+        SymmetricMatrix.identity(2) + SymmetricMatrix.identity(3)
+
+
+def test_direct_sum_checks():
+    with pytest.raises(DimensionMismatch):
+        direct_sum([])
+    line = LinearPencil([SymmetricMatrix.identity(1), sym([[1]])])
+    with pytest.raises(DimensionMismatch):
+        direct_sum([disc_pencil(), line])
+
+
 def test_pencil_evaluate():
     m = disc_pencil().evaluate((F(1, 2), F(1, 3)))
     assert m[0, 0] == F(3, 2)

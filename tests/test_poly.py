@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmicert.errors import DimensionMismatch, ParseError
-from lmicert.poly import (Polynomial, UnivariatePolynomial, format_polynomial,
-                          format_rational, parse_polynomial, parse_rational)
+from lmicert.poly import (Polynomial, UnivariatePolynomial, as_point,
+                          format_polynomial, format_rational,
+                          parse_polynomial, parse_rational)
 
 x1 = Polynomial.variable(1, 2)
 x2 = Polynomial.variable(2, 2)
@@ -71,6 +72,33 @@ def test_sorted_terms_graded_order():
     assert expos == [(0, 0), (1, 0), (0, 2), (1, 1)]
 
 
+def test_constructor_rejects_malformed_terms():
+    with pytest.raises(DimensionMismatch):
+        Polynomial(0, {(): 1})
+    with pytest.raises(DimensionMismatch):
+        Polynomial(2, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(-1, 0): 1})
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})
+
+
+def test_constructor_drops_terms_that_cancel():
+    p = Polynomial(2, [((1, 0), 1), ((0, 1), 2), ((1, 0), -1)])
+    assert p.terms == {(0, 1): frac(2)}
+
+
+def test_index_and_power_checks():
+    with pytest.raises(DimensionMismatch):
+        Polynomial.variable(3, 2)
+    with pytest.raises(DimensionMismatch):
+        x1.partial_derivative(0)
+    with pytest.raises(DimensionMismatch):
+        x1.partial_derivative(3)
+    with pytest.raises(ValueError):
+        x1 ** -1
+
+
 # === substitution ===
 
 def test_shift_moves_base_point():
@@ -102,6 +130,15 @@ def test_partial_derivative():
     p = x1 ** 2 * x2 + 3 * x2
     assert p.partial_derivative(1) == 2 * x1 * x2
     assert p.partial_derivative(2) == x1 ** 2 + 3 * one
+
+
+def test_point_and_direction_checks():
+    with pytest.raises(DimensionMismatch):
+        as_point((1, 2, 3), 2)
+    with pytest.raises(DimensionMismatch):
+        (x1 + x2).evaluate((1,))
+    with pytest.raises(DimensionMismatch):
+        (x1 + x2).restrict((0, 0), (0, 0))
 
 
 # === univariate ===

@@ -98,6 +98,11 @@ def test_square_free_decompose_shape():
     assert by_mult[1].degree() == 3
 
 
+def test_square_free_decompose_rejects_zero():
+    with pytest.raises(ZeroPolynomialError):
+        square_free_decompose(UnivariatePolynomial(()))
+
+
 # === isolation ===
 
 def test_isolation_brackets_and_multiplicities():
@@ -124,6 +129,11 @@ def test_isolation_respects_resolution_argument():
     assert len(ivs) == 2
     for iv in ivs:
         assert iv.high - iv.low <= Fraction(1, 2 ** 50)
+
+
+def test_isolation_rejects_a_zero_resolution():
+    with pytest.raises(ValueError):
+        isolate_real_roots(poly(-2, 0, 1), 0)
 
 
 def test_isolation_of_rootless_polynomial():

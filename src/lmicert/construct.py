@@ -269,7 +269,8 @@ def _lm_minimize(model, u0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(r)) < 1e-15:
             break
         jac = jacobian()
-        grad, hess = jac.T @ r, jac.T @ jac
+        grad = jac.T @ r
+        hess = jac.T @ jac
         for _ in range(10):
             try:
                 step = np.linalg.solve(hess + lam * np.eye(len(u)), -grad)
@@ -280,7 +281,8 @@ def _lm_minimize(model, u0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             # a step below the rounding of u has nothing new to factor
             if not np.array_equal(cand, u):
                 r_cand, jac_cand = model(cand)
-                if (norm_cand := np.linalg.norm(r_cand)) < norm:
+                norm_cand = np.linalg.norm(r_cand)
+                if norm_cand < norm:
                     u, r, jacobian, norm = cand, r_cand, jac_cand, norm_cand
                     lam = max(lam * 0.3, 1e-14)
                     break
@@ -365,8 +367,7 @@ def match_offdiagonal(p: Polynomial,
             continue
         if np.max(np.abs(r)) > max(tol, 1e-6):
             continue
-        pencil = _pencil_from_entries(l2, diag1,
-                                      [Fraction(float(v)) for v in u])
+        pencil = _pencil_from_entries(l2, diag1, u.tolist())
         residual = _coefficient_residual(pencil, target)
         if residual < best_residual:
             best_residual, best_pencil = residual, pencil

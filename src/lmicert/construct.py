@@ -258,8 +258,8 @@ def _grid(d: int) -> List[Tuple[Fraction, Fraction]]:
 
 
 def _lm_minimize(model, u0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Levenberg-Marquardt from u0 on model(u) = (residual at u, its
-    Jacobian on call); returns the stopping point and its residual."""
+    """Levenberg-Marquardt from u0, where model(u) gives the residual at
+    u and a function for the Jacobian there; returns (u, r) at the stop."""
     import numpy as np
     u = u0.astype(float).copy()
     r, jacobian = model(u)

@@ -13,13 +13,12 @@ the line of the first integer slope that the plane's slope cells decide
 becomes the x2 axis (intercept_normalize, rzcheck.SlopeCells).
 
 That pins everything except the off-diagonal of L1, which is found by
-matching det coefficients numerically (degree 3 and up; the model of
-that solve builds and factors a grid of pencils once per point) or by
-a one unknown closed form (degree 2).  The numeric solve is the
-package's only use of numpy, imported on its first call.  An intercept
-is made exact when its one rounding is a root (_snap_root), and the
-matched L1 when one of its roundings has the target determinant
-(_try_promote).
+matching det coefficients numerically (degree 3 and up; its model
+builds and factors a grid of pencils once per point) or by a one
+unknown closed form (degree 2).  The numeric solve is the package's
+only use of numpy, imported on its first call.  An intercept is made
+exact when its one rounding is a root (_snap_root), and the matched L1
+when one of its roundings has the target determinant (_try_promote).
 Where c_i is not a root, -1/c_i and s_i/c_i are rounded to the 2^-64
 grid (fixed_part): short entries keep every later integer short.  The
 returned pencil is verified once, by the expansion the match already
@@ -230,14 +229,16 @@ def _target_polynomial(p: Polynomial) -> Polynomial:
 
 
 def _pencil_from_entries(l2: SymmetricMatrix, diag1: Sequence[Fraction],
-                         off: Sequence[Fraction]) -> LinearPencil:
+                         off: Sequence) -> LinearPencil:
     d = l2.size
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i, a in enumerate(diag1):
         rows[i][i] = a
-    pairs = ((i, j) for i in range(d) for j in range(i + 1, d))
-    for (i, j), v in zip(pairs, off):
-        rows[i][j] = rows[j][i] = Fraction(v)
+    k = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            rows[i][j] = rows[j][i] = Fraction(off[k])
+            k += 1
     l1 = SymmetricMatrix(rows)
     return LinearPencil([SymmetricMatrix.identity(d), l1, l2])
 
@@ -308,13 +309,12 @@ def match_offdiagonal(p: Polynomial,
 
     Damped Newton least squares on a value grid, multi-start (all-zero
     plus 16 seeded random starts).  The model is evaluated once per
-    point: it builds the grid's pencils and takes their determinants
-    once, and their inverses only where a step starts.  Each start that
-    reaches the tolerance is re-checked by exact rational determinant
-    expansion; an exact rounding of the winner replaces it if one has
-    the target determinant (_try_promote, at most one more expansion).
-    The result carries no outcome: represent verifies the pencil it
-    finally returns.
+    point: it builds and factors the grid's pencils once, and inverts
+    them only where a step starts.  Each start that reaches the
+    tolerance is re-checked by exact rational determinant expansion; an
+    exact rounding of the winner replaces it if one has the target
+    determinant (_try_promote, at most one more expansion).  The result
+    carries no outcome: represent verifies the pencil it finally returns.
     """
     l2, diag1 = fixed
     d = l2.size

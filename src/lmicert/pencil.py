@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import factorial
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -447,11 +446,12 @@ def determinant_polynomial(pencil: LinearPencil) -> Polynomial:
     determinant is evaluated by fraction-free Bareiss elimination
     (_bareiss_det, on the upper rows of each symmetric evaluation) at the
     C(s+m, m) lattice points of the simplex |a| <= s, and the polynomial
-    of total degree at most s through those values is recovered exactly
-    by Newton interpolation.  Every step is in integers; the only
-    division by the denominator comes last.  The determinant is the
-    product of the components' (1 for the 0 x 0 pencil).  Kept on the
-    pencil (_det).
+    of total degree at most s through those values is recovered by
+    _interpolate: forward differences along each axis give its Newton
+    coefficients, which Horner steps then expand into powers.  Every
+    step is in integers; the only division by the denominator comes
+    last.  The determinant is the product of the components' (1 for the
+    0 x 0 pencil).  Kept on the pencil (_det).
     """
     if pencil._det is None:
         dets = [_component_det(pencil, comp) for comp in _components(pencil)]
@@ -510,53 +510,49 @@ def _interpolate(table, s: int, m: int):
     """The nonzero coefficients {e: c} of the polynomial in m variables
     of total degree at most s that takes the integer value table[a] at
     each lattice point a of the simplex |a| <= s.  The polynomial must
-    have integer coefficients; table is overwritten."""
-    points = list(table)
-    # forward differences along each axis in turn, line by line: then
-    # table[a] is the Newton coefficient Delta^a f(0)
-    for k in range(m):
-        for a in points:
-            if a[k]:
-                continue
-            line = [a[:k] + (j,) + a[k + 1:] for j in range(s - sum(a) + 1)]
+    have integer coefficients; table is overwritten.
+
+    Two passes run along every axis-parallel line of the simplex (a
+    line along axis k from a with a_k = 0 has s - |a| + 1 points).  The
+    first takes forward differences, after which table[a] is the
+    Newton coefficient Delta^a f(0) of f = sum_a Delta^a f(0)
+    prod_k binom(x_k, a_k).  The second turns each axis' binomials into
+    powers, after which table[a] is the coefficient of x^a."""
+    lines = [[a[:k] + (j,) + a[k + 1:] for j in range(s - sum(a) + 1)]
+             for k in range(m) for a in table if not a[k]]
+    for step in (_forward_differences, _newton_to_powers):
+        for line in lines:
             g = [table[b] for b in line]
-            for j in range(1, len(g)):
-                for i in range(len(g) - 1, j - 1, -1):
-                    g[i] -= g[i - 1]
+            step(g)
             table.update(zip(line, g))
-    # f(x) = sum_a table[a] prod_k (x_k)_(a_k) / a_k!; the falling
-    # factorials expand by signed Stirling numbers of the first kind,
-    # and s! clears every a_k! (|a| <= s)
-    stirling = [[1]]
-    for n in range(s):
-        prev = stirling[-1] + [0]
-        stirling.append([(prev[j - 1] if j else 0) - n * prev[j]
-                         for j in range(n + 2)])
-    scale = factorial(s)
-    acc = {}
-    for a, delta in table.items():
-        if not delta:
-            continue
-        weight = delta * scale
-        for c in a:
-            weight //= factorial(c)
-        for e in product(*(range(c + 1) for c in a)):
-            term = weight
-            for c, d in zip(a, e):
-                term *= stirling[c][d]
-                if not term:
-                    break
-            if term:
-                acc[e] = acc.get(e, 0) + term
-    terms = {}
-    for e, c in acc.items():
-        q, r = divmod(c, scale)
+    return {e: c for e, c in table.items() if c}
+
+
+def _forward_differences(g: List[int]) -> None:
+    """Replace the values g[x] at x = 0..n by the Newton coefficients
+    Delta^j g(0), in place: g(x) = sum_j Delta^j g(0) binom(x, j)."""
+    for j in range(1, len(g)):
+        for i in range(len(g) - 1, j - 1, -1):
+            g[i] -= g[i - 1]
+
+
+def _newton_to_powers(g: List[int]) -> None:
+    """Replace the Newton coefficients g[j] of q(x) = sum_j g[j]
+    binom(x, j) by the coefficients of x^j, in place.  Each g[j] is
+    divided by j! exactly (an integer q has integer quotients), and
+    q = sum_j (g[j]/j!) x(x-1)...(x-j+1) is expanded by Horner from
+    the top, q <- q (x - j) + g[j]/j!, with q kept in g[j:]."""
+    fact = 1
+    for j in range(2, len(g)):
+        fact *= j
+        q, r = divmod(g[j], fact)
         if r:
             raise AssertionError("internal error: interpolated polynomial "
                                  "has a non-integer coefficient")
-        if q:
-            terms[e] = q
-    return terms
+        g[j] = q
+    for j in range(len(g) - 2, 0, -1):
+        for i in range(j, len(g) - 1):
+            g[i] -= j * g[i + 1]
 
 
 def _bareiss_det(rows: List[List[int]]) -> int:

@@ -300,13 +300,17 @@ def count_real_roots(f: UnivariatePolynomial) -> RootCount:
 def count_roots_in_open_interval(f: UnivariatePolynomial,
                                  lo: Fraction, hi: Fraction) -> Tuple[int, int]:
     """(distinct, with multiplicity) count of roots in the open interval
-    (lo, hi).  The endpoints must not be roots of f."""
+    (lo, hi).  The endpoints must not be roots of f.  For lo >= hi the
+    interval is empty and the count is (0, 0)."""
     factors = _factor_chains(f, "count")
     lo, hi = Fraction(lo), Fraction(hi)
+    empty = lo >= hi
     lo, hi = (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
     fi = f.primitive()[0]
     if _int_sign_at(fi, *lo) == 0 or _int_sign_at(fi, *hi) == 0:
         raise ValueError("interval endpoints must not be roots")
+    if empty:
+        return 0, 0
     return _tally(factors, lo, hi)
 
 

@@ -59,7 +59,7 @@ from math import gcd, lcm
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
-from .pencil import _bareiss_det, _interpolate
+from .pencil import _bareiss_det, _forward_differences, _newton_to_powers
 from .poly import Polynomial, UnivariatePolynomial, as_point
 from .realroots import (RootCount, ZeroCells, count_real_roots,
                         isolate_real_roots)
@@ -472,8 +472,10 @@ class SlopeCells(ZeroCells):
         = E g_t(s), heads[k] = H_k = E h_k(1, t) lowest degree first;
         so D(t) = E^(2d-1) Res_s(g_t, g_t').
 
-        deg D <= d(d-1), so D is interpolated (pencil._interpolate) from
-        its values at t = 0..d(d-1).  Each value is a Bareiss
+        deg D <= d(d-1), so D is recovered from its values at
+        t = 0..d(d-1) by the two line steps of pencil._interpolate:
+        forward differences give its Newton coefficients, and Horner
+        steps expand those into powers.  Each value is a Bareiss
         determinant of the d-square Bezout matrix B of f = G_t and
         g = G_t', not of their (2d-1)-square Sylvester matrix S:
         det B = (-1)^(d(d-1)/2) lc(f) det S, and lc(f) = H_0 is the
@@ -486,7 +488,7 @@ class SlopeCells(ZeroCells):
         d = len(heads) - 1
         top = d * (d - 1)
         lead = heads[0][0] if d * (d - 1) % 4 == 0 else -heads[0][0]
-        table = {}
+        values = []
         for t in range(top + 1):
             # G_t, lowest power of s first, and its derivative
             f = []
@@ -503,12 +505,12 @@ class SlopeCells(ZeroCells):
                 above = [above[j + 1] + f[j + 1] * gi - fi * g[j + 1]
                          for j in range(d)] + [0]
                 rows.append(above[i:d])
-            table[(t,)] = _bareiss_det(rows) // lead
-        coeffs = _interpolate(table, top, 1)
-        out = [coeffs.get((k,), 0) for k in range(top + 1)]
-        while out and not out[-1]:
-            out.pop()
-        return out
+            values.append(_bareiss_det(rows) // lead)
+        _forward_differences(values)
+        _newton_to_powers(values)
+        while values and not values[-1]:
+            values.pop()
+        return values
 
 
 def rz_check(p: Polynomial, x0: Sequence,

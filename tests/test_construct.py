@@ -786,6 +786,26 @@ def test_non_rz_input_rejected_with_witness():
     assert err.value.verdict.certified_not_rz()
 
 
+def test_degree_two_refuses_a_negative_square(tmp_path, capsys):
+    # the conic is not real-zero, but the single ray (1, 0) misses the
+    # cone of failing lines, and the closed form gives l^2 = -2
+    conic = one + x1 - x2 ** 2 + 3 * x1 * x2
+    message = ("off-diagonal closed form needs a nonnegative square; the "
+               "input is likely not rigidly convex")
+    with pytest.raises(ConstructionError, match=message):
+        represent(conic, sampler=RaySampler(2, 1, 0))
+    path = tmp_path / "conic.poly"
+    path.write_text(format_polynomial(conic))
+    assert main(["represent", str(path), "--rays", "1", "--random", "0"]) == 3
+    assert json.loads(capsys.readouterr().out) == \
+        {"error": message, "kind": "ConstructionError"}
+    # the default sampler meets the cone and names the witness
+    assert main(["represent", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "CertifiedNotRZ"
+    assert report["witness_direction"] == ["1", "16/181"]
+
+
 def test_origin_must_be_interior():
     with pytest.raises(BasePointError):
         represent(DISC.shift((2, 0)), sampler=SMALL)

@@ -50,96 +50,62 @@ COMMANDS = {
     "represent": ["represent"],
 }
 
-# pencil commands: case name -> command and its input files
-PENCIL_CASES = {
-    "disc.det": ["det", "disc.pencil"],
-    "disc.verify": ["verify", "disc.poly", "disc.pencil"],
-    "disc.reduce-monic": ["reduce-monic", "disc.pencil"],
-    "concentric.det": ["det", "concentric.pencil"],
-    "concentric.verify": ["verify", "concentric.poly", "concentric.pencil"],
-    "mismatch.verify": ["verify", "disc.poly", "concentric.pencil"],
-    "forms7.det": ["det", "forms7.pencil"],
-    "forms7.verify": ["verify", "forms7.poly", "forms7.pencil"],
-    "approx.det": ["det", "approx.pencil"],
-    "approx.verify": ["verify", "approx.poly", "approx.pencil"],
-    "embedded.det": ["det", "embedded.pencil"],
-    "embedded.reduce-monic": ["reduce-monic", "embedded.pencil"],
-    "squares.det": ["det", "squares.pencil"],
-    "squares.reduce-monic": ["reduce-monic", "squares.pencil"],
-    "three.det": ["det", "three.pencil"],
-    "three.reduce-monic": ["reduce-monic", "three.pencil"],
-    "neg.verify": ["verify", "disc.poly", "neg.pencil"],
-    "thin.reduce-monic": ["reduce-monic", "thin.pencil"],
-}
-
-# cases added after the grid above, last so earlier case ids keep their
-# index: case name -> curve file stem and command with extra arguments
-EXTRA_CASES = {
+# every case after the grid, in the order it was added: case name ->
+# command, input files in tests/golden/ and options.  A new case goes at
+# the end of this one table, so every earlier test id keeps its index.
+ADDED_CASES = [
+    ("disc.det", ["det", "disc.pencil"]),
+    ("disc.verify", ["verify", "disc.poly", "disc.pencil"]),
+    ("disc.reduce-monic", ["reduce-monic", "disc.pencil"]),
+    ("concentric.det", ["det", "concentric.pencil"]),
+    ("concentric.verify", ["verify", "concentric.poly", "concentric.pencil"]),
+    ("mismatch.verify", ["verify", "disc.poly", "concentric.pencil"]),
+    ("forms7.det", ["det", "forms7.pencil"]),
+    ("forms7.verify", ["verify", "forms7.poly", "forms7.pencil"]),
+    ("approx.det", ["det", "approx.pencil"]),
+    ("approx.verify", ["verify", "approx.poly", "approx.pencil"]),
+    ("embedded.det", ["det", "embedded.pencil"]),
+    ("embedded.reduce-monic", ["reduce-monic", "embedded.pencil"]),
+    ("squares.det", ["det", "squares.pencil"]),
+    ("squares.reduce-monic", ["reduce-monic", "squares.pencil"]),
+    ("three.det", ["det", "three.pencil"]),
+    ("three.reduce-monic", ["reduce-monic", "three.pencil"]),
+    ("neg.verify", ["verify", "disc.poly", "neg.pencil"]),
+    ("thin.reduce-monic", ["reduce-monic", "thin.pencil"]),
     # a non-default resolution must reach the parameters in the CSV
-    "odd_cubic.topology.csv.fine": [
-        "odd_cubic", "topology", "--format", "csv", "--resolution", "1/1024"],
-}
-
-# pencil cases added after EXTRA_CASES, last for the same reason
-EXTRA_PENCIL_CASES = {
+    ("odd_cubic.topology.csv.fine",
+     ["topology", "odd_cubic.poly", "--format", "csv", "--resolution",
+      "1/1024", *FAST]),
     # a singular L0 whose kernel is not spanned by coordinate vectors
-    "kernel2.reduce-monic": ["reduce-monic", "kernel2.pencil"],
-}
-
-# line tests with the default sampler (181 grid and 64 random rays),
-# last for the same reason: case name -> curve file stem, command and
-# extra arguments
-DEFAULT_SAMPLER_CASES = {
-    "odd_cubic.check.default": ["odd_cubic", "check"],
-    "tangent.hyperbolic.default": ["tangent", "hyperbolic", "--point=-4,0"],
-    "concentric.check.default": ["concentric", "check"],
+    ("kernel2.reduce-monic", ["reduce-monic", "kernel2.pencil"]),
+    # line tests with the default sampler (181 grid and 64 random rays)
+    ("odd_cubic.check.default", ["check", "odd_cubic.poly"]),
+    ("tangent.hyperbolic.default",
+     ["hyperbolic", "tangent.poly", "--point=-4,0"]),
+    ("concentric.check.default", ["check", "concentric.poly"]),
     # topology past the point where the scan builds its slope cells
-    "concentric.topology.json.default": ["concentric", "topology"],
-    "tangent.topology.json.default": ["tangent", "topology", "--point=-4,0"],
-    "odd_cubic.topology.csv.default": ["odd_cubic", "topology", "--format",
-                                       "csv"],
-}
-
-# cases like EXTRA_CASES added after all the above, last for the same
-# reason
-LATE_CASES = {
+    ("concentric.topology.json.default", ["topology", "concentric.poly"]),
+    ("tangent.topology.json.default",
+     ["topology", "tangent.poly", "--point=-4,0"]),
+    ("odd_cubic.topology.csv.default",
+     ["topology", "odd_cubic.poly", "--format", "csv"]),
     # the disc squared passes the line test, but no line through the
     # origin meets it in four distinct points: represent exits 3
-    "disc_squared.represent": ["disc_squared", "represent"],
-}
-
-# line tests in three variables, where every ray is a seeded random
-# one, last for the same reason: case name -> curve file stem, command
-# and extra arguments
-THREE_VARIABLE_CASES = {
-    "ball.check": ["ball", "check"],
-    "ball.hyperbolic": ["ball", "hyperbolic"],
+    ("disc_squared.represent", ["represent", "disc_squared.poly", *FAST]),
+    # line tests in three variables, where every ray is a seeded random one
+    ("ball.check", ["check", "ball.poly", *FAST]),
+    ("ball.hyperbolic", ["hyperbolic", "ball.poly", *FAST]),
     # fails on a random ray: exit 2 with the witness
-    "fermat3.check": ["fermat3", "check"],
-}
-
-# represent cases added after all the above, last for the same reason:
-# case name -> curve file stem and command
-APPROX_REPRESENT_CASES = {
+    ("fermat3.check", ["check", "fermat3.poly", *FAST]),
     # an ApproxMatch: no axis intercept of the curve is rational
-    "approx.represent": ["approx", "represent"],
-}
-
-# boundary cases added after all the above, last for the same reason:
-# case name -> curve file stem and command
-LATE_BOUNDARY_CASES = {
+    ("approx.represent", ["represent", "approx.poly", *FAST]),
     # every restriction of the disc squared is a square: no ray's
     # isolation runs on a square-free restriction
-    "disc_squared.boundary.json": ["disc_squared", "boundary"],
-}
-
-# represent cases like EXTRA_CASES, last for the same reason: case
-# name -> curve file stem and command
-LATE_REPRESENT_CASES = {
+    ("disc_squared.boundary.json", ["boundary", "disc_squared.poly", *RAYS]),
     # a degree-6 ApproxMatch: fifteen off-diagonal unknowns, the largest
     # solve the matching cap admits
-    "det6.represent": ["det6", "represent"],
-}
+    ("det6.represent", ["represent", "det6.poly", *FAST]),
+]
 
 
 def cases():
@@ -152,24 +118,9 @@ def cases():
             if point is not None:
                 argv.append(f"--point={point}")
             yield f"{curve}.{suffix}", argv
-    for name, (command, *files) in PENCIL_CASES.items():
-        yield name, [command] + [str(GOLDEN / f) for f in files]
-    for name, (curve, command, *extra) in EXTRA_CASES.items():
-        yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
-    for name, (command, *files) in EXTRA_PENCIL_CASES.items():
-        yield name, [command] + [str(GOLDEN / f) for f in files]
-    for name, (curve, command, *extra) in DEFAULT_SAMPLER_CASES.items():
-        yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra]
-    for name, (curve, command, *extra) in LATE_CASES.items():
-        yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
-    for name, (curve, command, *extra) in THREE_VARIABLE_CASES.items():
-        yield name, [command, str(GOLDEN / f"{curve}.poly"), *extra, *FAST]
-    for name, (curve, command) in APPROX_REPRESENT_CASES.items():
-        yield name, [command, str(GOLDEN / f"{curve}.poly"), *FAST]
-    for name, (curve, command) in LATE_BOUNDARY_CASES.items():
-        yield name, [command, str(GOLDEN / f"{curve}.poly"), *RAYS]
-    for name, (curve, command) in LATE_REPRESENT_CASES.items():
-        yield name, [command, str(GOLDEN / f"{curve}.poly"), *FAST]
+    for name, argv in ADDED_CASES:
+        yield name, [str(GOLDEN / a) if a.endswith((".poly", ".pencil"))
+                     else a for a in argv]
 
 
 def run(argv):
@@ -191,6 +142,14 @@ def test_golden_output(name, argv):
     assert (GOLDEN / f"{name}.out").read_text(encoding="utf-8") == out
     assert code == expected["exit"]
     assert err == expected["stderr"]
+
+
+def test_cases_and_manifest_agree():
+    # every case is named once, pinned in cases.json and has its .out
+    names = [name for name, _ in cases()]
+    assert len(names) == len(set(names))
+    assert set(names) == set(_manifest())
+    assert all((GOLDEN / f"{name}.out").is_file() for name in names)
 
 
 # reads a JSON list of argv lists on stdin, runs each through cli.main

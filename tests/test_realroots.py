@@ -71,6 +71,18 @@ def test_open_interval_excludes_endpoint_neighbours():
         count_roots_in_open_interval(f, 1, 2)
 
 
+def test_open_interval_reversed_or_equal_ends_is_empty():
+    # x^2 - 1 has both roots inside (-2, 2), and none in an empty interval
+    f = from_roots([-1, 1])
+    assert count_roots_in_open_interval(f, -2, 2) == (2, 2)
+    assert count_roots_in_open_interval(f, 2, -2) == (0, 0)
+    assert count_roots_in_open_interval(f, Fraction(1, 2), 0) == (0, 0)
+    assert count_roots_in_open_interval(f, 2, 2) == (0, 0)
+    # the endpoint check still comes first
+    with pytest.raises(ValueError):
+        count_roots_in_open_interval(f, 2, 1)
+
+
 def test_side_counts_with_multiplicity():
     f = from_roots([-1, 2, 2])
     assert side_counts(f) == (1, 2)

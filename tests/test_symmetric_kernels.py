@@ -1,21 +1,25 @@
-"""The two fraction-free symmetric eliminations of pencil.py against
-independent Fraction oracles written here: _bareiss_det against Gaussian
-elimination with row swaps, and _eliminate and is_psd against the
-Fraction elimination with diagonal pivoting whose complements they keep
-times the last pivot.  Seeded inputs and exact arithmetic only, so every
+"""The exact kernels of pencil.py against independent oracles written
+here: _bareiss_det against Fraction Gaussian elimination with row swaps,
+_eliminate and is_psd against the Fraction elimination with diagonal
+pivoting whose complements they keep times the last pivot, and
+_interpolate against integer polynomials tabulated term by term.
+Seeded or Hypothesis-drawn inputs and exact arithmetic only, so every
 platform must agree."""
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmicert import pencil as pencil_module
 from lmicert import rzcheck
 from lmicert.pencil import (Membership, PsdReport, SymmetricMatrix,
-                            _bareiss_det, _eliminate, _integer_rows, _ldl,
-                            _triangle, is_psd)
+                            _bareiss_det, _eliminate, _integer_rows,
+                            _interpolate, _ldl, _triangle, is_psd)
 
 F = Fraction
 
@@ -270,3 +274,53 @@ def test_eliminate_keeps_the_fraction_elimination_times_its_last_pivot():
 def test_is_psd_reports_the_fraction_certificates():
     for mat in rational_matrices(random.Random(33)):
         assert is_psd(mat) == fraction_report(mat)
+
+
+# -- _interpolate against tabulated integer polynomials --------------------
+
+
+def simplex(s, m):
+    return [a for a in product(range(s + 1), repeat=m) if sum(a) <= s]
+
+
+def tabulate(terms, s, m):
+    """{a: sum_e c_e a^e} at every lattice point of the simplex |a| <= s,
+    in plain integer arithmetic."""
+    table = {}
+    for a in simplex(s, m):
+        value = 0
+        for e, c in terms.items():
+            for x, k in zip(a, e):
+                c *= x ** k
+            value += c
+        table[a] = value
+    return table
+
+
+@st.composite
+def integer_polynomials(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    s = draw(st.integers(min_value=0, max_value=8))
+    terms = draw(st.dictionaries(
+        st.sampled_from(simplex(s, m)),
+        st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=12))
+    return m, s, terms
+
+
+@given(integer_polynomials())
+@settings(max_examples=200, deadline=None)
+def test_interpolate_recovers_integer_polynomials(drawn):
+    m, s, terms = drawn
+    want = {e: c for e, c in terms.items() if c}
+    assert _interpolate(tabulate(terms, s, m), s, m) == want
+
+
+@pytest.mark.parametrize("table,s,m", [
+    # x (x - 1)/2: integer at every integer, coefficients -1/2 and 1/2
+    ({a: a[0] * (a[0] - 1) // 2 for a in simplex(2, 1)}, 2, 1),
+    # x1 x2 (x2 - 1)/2 in two variables
+    ({a: a[0] * a[1] * (a[1] - 1) // 2 for a in simplex(3, 2)}, 3, 2),
+])
+def test_interpolate_refuses_non_integer_coefficients(table, s, m):
+    with pytest.raises(AssertionError, match="non-integer coefficient"):
+        _interpolate(table, s, m)

@@ -105,6 +105,11 @@ ADDED_CASES = [
     # a degree-6 ApproxMatch: fifteen off-diagonal unknowns, the largest
     # solve the matching cap admits
     ("det6.represent", ["represent", "det6.poly", *FAST]),
+    # boundary at the default 181 rays, where each ray's crossings are
+    # close to the last ray's; the odd cubic's crossings on its axis ray
+    # are the bisection points +-1
+    ("det6.boundary.json.default", ["boundary", "det6.poly"]),
+    ("odd_cubic.boundary.json.default", ["boundary", "odd_cubic.poly"]),
 ]
 
 

@@ -24,10 +24,13 @@ those integers from the start; any other input is scaled once.
     bound outwards from 0, stops at the first piece with a zero and
     never isolates the roots farther out; a factored input, or an
     interval that reaches an end of its piece, is isolated fully, since
-    there the interval can depend on those roots.  ZeroCells runs the
-    bisection with a depth limit and no gcd, and numbers the zero-free
-    intervals; rzcheck.SlopeCells builds them for the plane line test's
-    slope polynomial.  With the depth limit, a
+    there the interval can depend on those roots.  Given float guesses
+    of those roots, it first tries the cell of the last level that
+    Newton's method puts each in, and keeps it where two exact signs and
+    one Descartes test prove it the walk's (_nearest_from_guess).
+    ZeroCells runs the bisection with a depth limit and no gcd, and
+    numbers the zero-free intervals; rzcheck.SlopeCells builds them for
+    the plane line test's slope polynomial.  With the depth limit, a
     half of the bound that is to be split goes on from its inner piece
     inside a tighter bound on the same points (_clear_levels), so the
     empty outer shells cost one test a level, not a split and two.
@@ -357,7 +360,10 @@ class _Grid:
 
 def isolate_real_roots(f: UnivariatePolynomial,
                        resolution: Fraction = Fraction(1, 2 ** 20),
-                       nearest: bool = False) -> List[RootInterval]:
+                       nearest: bool = False,
+                       guess: Optional[Tuple[Optional[float],
+                                             Optional[float]]] = None
+                       ) -> List[RootInterval]:
     """Disjoint intervals, each of width <= resolution, each containing
     exactly one distinct real root of f, sorted ascending, with the
     root's multiplicity attached.
@@ -382,17 +388,40 @@ def isolate_real_roots(f: UnivariatePolynomial,
     and wherever f has a square factor, f is isolated fully and the two
     intervals are picked from the result.  Between factors the clash
     refinement shrinks one target shared by every clash, so there the
-    nearest interval can depend on roots farther out."""
+    nearest interval can depend on roots farther out.
+
+    guess, with nearest only, is a pair (below, above) of floats near
+    the nearest roots, None for a side thought to have none;
+    rzcheck.boundary_samples passes the last ray's crossings.  Newton's
+    method from each guess picks the cell [j, j + 2]/2^K of the level K
+    the refinement ends on that should hold the root, in the grid's
+    scaled g (or g(-y) below 0), and the cell is returned only when
+    (1) f is square-free, (2) j >= 2 and j + 4 <= 2^K, (3) the exact
+    signs at its ends are nonzero and opposite and (4) Descartes' bound
+    on (0, (j + 4)/2^K) is 1: then the walk ends on the same cell
+    (_nearest_from_guess has the proof).  A root on a cell end comes
+    back exact when Descartes' bound from 0 to it is 0, and a side
+    guessed empty needs bound 0 on its half of the root bound.  Without
+    a guess, on a square factor or when any check is refused, the walk
+    above runs, so the guess changes the speed, never the result."""
     factors = _factor_chains(f, "isolate")
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if not nearest:
+        if guess is not None:
+            raise ValueError("a guess needs nearest")
         return _isolate(factors, resolution)
     if f.primitive()[0][0] == 0:
         raise ValueError("f(0) = 0; no root is nearest on either side")
     if len(factors) == 1 and factors[0][2] == 1:
-        found = _isolate_factor(factors[0][0], 1, resolution, True)
+        g = factors[0][0]
+        if guess is not None:
+            found = _nearest_from_guess(_Grid(g, power_of_two_bound(g)),
+                                        resolution, guess)
+            if found is not None:
+                return found
+        found = _isolate_factor(g, 1, resolution, True)
         if found is not None:
             # at most one interval on each side of 0: the one below first
             found.sort(key=lambda t: t[0] >= 0)
@@ -485,11 +514,7 @@ def _refine(grid: _Grid, ja: int, jb: int, k: int, resolution: Fraction,
     Otherwise the exact bisection starts again from (ja, jb).  Floats
     only choose which path runs, never which interval is returned; the
     levels after the float ones are bisected exactly."""
-    top = (jb - ja) * resolution.denominator << grid.e
-    unit = resolution.numerator
-    end = max(1, k, top.bit_length() - unit.bit_length())
-    if unit << end < top:
-        end += 1
+    end = max(k, _end_level(grid, jb - ja, resolution))
     deep = min(end, _FLOAT_LEVELS)
     if deep > k:
         fa, fb, fk = _float_bisect(grid.floats, ja, jb, k, deep, sign_a)
@@ -510,6 +535,17 @@ def _refine(grid: _Grid, ja: int, jb: int, k: int, resolution: Fraction,
     return ja, jb, k
 
 
+def _end_level(grid: _Grid, width: int, resolution: Fraction) -> int:
+    """The first level K >= 1 on which an interval width grid steps
+    wide, 2^e width/2^K, is at most resolution; read off bit lengths."""
+    top = width * resolution.denominator << grid.e
+    unit = resolution.numerator
+    end = max(1, top.bit_length() - unit.bit_length())
+    if unit << end < top:
+        end += 1
+    return end
+
+
 def _float_bisect(floats: List[float], ja: int, jb: int, k: int, end: int,
                   sign_a: int) -> Tuple[int, int, int]:
     """_refine's bisection of (ja, jb) from level k to level end, with
@@ -527,6 +563,114 @@ def _float_bisect(floats: List[float], ja: int, jb: int, k: int, end: int,
         else:
             jb = jm
     return ja, jb, k
+
+
+# Newton steps _nearest_from_guess takes from a guess; from the last
+# ray's crossing a few reach the cell
+_NEWTON_STEPS = 12
+
+
+def _nearest_from_guess(grid: _Grid, resolution: Fraction,
+                        guess: Tuple[Optional[float], Optional[float]]
+                        ) -> Optional[List[RootInterval]]:
+    """isolate_real_roots(f, resolution, nearest=True) of a square-free
+    f, whose one factor has the grid grid, from float guesses (below,
+    above) of the nearest roots; or None where the exact checks below
+    cannot prove that the walk would return the same.
+
+    Per side, h is the grid's scaled g, or g(-y) below 0, so the side's
+    nearest root is h's least positive root y*, and K is the level
+    _refine ends on (_end_level, the same for every leaf of level <= K).
+    Float Newton on grid.floats from the guess puts y* in a cell
+    [j, j + 2]/2^K, j even: a piece of the bisection on level K.  The
+    cell is taken when
+      1. f is square-free (the caller's test: f's Sturm chain ends in a
+         constant),
+      2. j >= 2 and j + 4 <= 2^K,
+      3. h's exact signs at j/2^K and (j + 2)/2^K are nonzero and
+         opposite, and
+      4. Descartes' bound of h on (0, (j + 4)/2^K) is exactly 1.
+    Then a root lies inside the cell and it is the only root in
+    (0, (j + 4)/2^K), so it is y*.  The cell's own bound is at most 1,
+    since a sub-interval's bound is at most its parent's, so the walk
+    stops at a leaf of level <= K around the cell, and _refine, which
+    keeps the half holding the root by exact signs, ends on the cell:
+    no grid point of level K or coarser lies inside it.  Neither
+    neighbour cell holds a root, and every other interval of the full
+    isolation is a point or an aligned interval of level K or deeper on
+    one side of 0, so none touches the cell; where the walk falls back
+    on the full isolation (an interval that reaches an end of its leaf)
+    that returns the cell too.  When an end r/2^K of the cell is a root
+    (exact sign 0), a grid point, the walk returns [r, r], and so does
+    this path once Descartes' bound of h on (0, r/2^K) is 0.  A side
+    guessed to have no root (None) must have bound 0 on its whole half.
+    Floats only choose the cell that is checked."""
+    level = _end_level(grid, 2, resolution)
+    scale = 1 << level
+    found = []
+    for side, near in ((-1, guess[0]), (1, guess[1])):
+        h = grid.g if side > 0 else [-v if k & 1 else v
+                                     for k, v in enumerate(grid.g)]
+        if near is None:
+            if _descartes_bound(h):
+                return None
+            continue
+        y = _float_root(grid.floats, ldexp(near, -grid.e), level)
+        if y is None or side * y <= 0:
+            return None
+        j = 2 * int(ldexp(side * y, level - 1))
+        if j < 2 or j + 4 > scale:
+            return None
+        sign_a = _int_sign_at(h, j, scale)
+        sign_b = _int_sign_at(h, j + 2, scale)
+        if sign_a and sign_b:
+            if (sign_a == sign_b
+                    or _descartes_bound(_stretched(h, j + 4, level)) != 1):
+                return None
+            ja, jb = j, j + 2
+        else:
+            ja = jb = j if not sign_a else j + 2
+            if _descartes_bound(_stretched(h, ja, level)):
+                return None
+        if side < 0:
+            ja, jb = -jb, -ja
+        found.append(RootInterval(grid.point(ja, level),
+                                  grid.point(jb, level), 1))
+    return found
+
+
+def _float_root(floats: List[float], y: float, level: int
+                ) -> Optional[float]:
+    """A root of the float polynomial (highest degree first) by Newton's
+    method from y, within about 2^-(level + 1); None where an iterate
+    leaves (-1, 1), NaN included, or the slope is 0."""
+    tol = ldexp(1.0, -level - 1)
+    for _ in range(_NEWTON_STEPS):
+        if not -1.0 < y < 1.0:
+            return None
+        value = slope = 0.0
+        for c in floats:
+            slope = slope * y + value
+            value = value * y + c
+        if not slope:
+            return None
+        step = value / slope
+        y -= step
+        if abs(step) < tol:
+            break
+    return y if -1.0 < y < 1.0 else None
+
+
+def _stretched(h: IntPoly, a: int, level: int) -> List[int]:
+    """2^(level n) h(a x/2^level), n = deg h: the piece (0, a/2^level)
+    of h on (0, 1), where _descartes_bound reads its bound."""
+    n = len(h) - 1
+    out = []
+    power = 1
+    for k, v in enumerate(h):
+        out.append(v * power << level * (n - k))
+        power *= a
+    return out
 
 
 # -- Descartes bisection ------------------------------------------------------

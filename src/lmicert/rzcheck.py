@@ -44,9 +44,14 @@ scan keys a ray by its slope's cell number alone (ZeroCells.cell) and
 names the ray each borrowing ray took its counts from, whose side
 counts oval_profile reads.  boundary_samples, which isolates the
 nearest root on each side of the base point on every ray, does not use
-the cells.  construct.intercept_normalize reads them too: a slope t
-with a cell is a line through x0 that meets the curve in d distinct
-points or certifies that p is not real-zero.
+the cells.  It hands each ray's two crossings to the next ray as float
+guesses: for a real-zero p the region's boundary is the innermost oval,
+met once on each side of x0 (rigid convexity), so the crossings move
+continuously with the ray.  isolate_real_roots keeps the cell a guess
+leads to only where exact signs and Descartes' rule prove it is the one
+the walk from the root bound would end on.  construct.intercept_normalize reads the
+cells too: a slope t with a cell is a line through x0 that meets the
+curve in d distinct points or certifies that p is not real-zero.
 """
 
 from __future__ import annotations
@@ -595,6 +600,16 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     of an outer oval, which no sample shows.  Each sample's parameter
     is the midpoint of its interval and each coordinate of its point
     is built as one Fraction from integers.
+
+    From the second ray on, each side's parameter on the ray before, as
+    a float (None for a side without a crossing), is isolate_real_roots'
+    guess: float Newton steps from it pick the grid cell of the final
+    width that should hold the crossing, and the cell is kept only when
+    two exact signs bracket a root there and Descartes' bound proves it
+    the only root between the base point and the next cell out (a side
+    guessed empty needs bound 0 on its half).  That is the cell the
+    walk from the root bound ends on, so the samples are those of
+    isolating every ray afresh; a refused check runs that walk.
     """
     if p.num_vars != 2:
         raise DimensionMismatch("boundary extraction is two-variable only")
@@ -607,6 +622,9 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     # before every negative one (4 + 4j/K)
     samples: Tuple[List[BoundarySample], ...] = ([], [])
     unbounded: Tuple[List[Fraction], ...] = ([], [])
+    # the last ray's crossings (below, above) as floats, None for a side
+    # without one; the first ray has none to start from
+    guess = None
     for j in range(rays):
         _, v = _square_ray(j, rays)
         f = q.restrict(x, v)
@@ -614,21 +632,26 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
         if f.degree() <= 0:
             unbounded[0].append(angle)
             unbounded[1].append(angle + 4)
+            guess = (None, None)
             continue
         # f(0) = q(x) > 0, as the nearest mode needs
         neg = pos = None
-        for iv in isolate_real_roots(f, resolution, nearest=True):
+        for iv in isolate_real_roots(f, resolution, nearest=True,
+                                     guess=guess):
             if iv.low >= 0:
                 pos = iv
             else:
                 neg = iv
+        near = [None, None]
         for side, side_angle, iv in ((0, angle, pos), (1, angle + 4, neg)):
             if iv is None:
                 unbounded[side].append(side_angle)
                 continue
             mu = iv.midpoint()
+            near[side] = float(mu)
             pt = (_moved(x[0], mu, v[0]), _moved(x[1], mu, v[1]))
             samples[side].append(BoundarySample(side_angle, v, mu, pt))
+        guess = (near[1], near[0])
     return BoundaryData(tuple(samples[0] + samples[1]),
                         tuple(unbounded[0] + unbounded[1]))
 

@@ -874,3 +874,160 @@ def test_dyadic_nearest_refines_at_most_two_pieces_per_ray(monkeypatch):
         f = p.restrict((0, 0), rzcheck._square_ray(j, rays)[1])
         assert len(isolate_real_roots(f)) == 4
     assert len(refined) > 3 * rays
+
+
+# === nearest roots from the last ray's crossings ===
+
+GUESS_RESOLUTIONS = [Fraction(1, 2 ** 20), Fraction(3, 2 ** 40),
+                     Fraction(1, 4), Fraction(5)]
+
+
+def _near_guess(intervals, stretch=0.0):
+    """(below, above): the midpoints of nearest intervals as floats,
+    times 1 + stretch, None for a side without one."""
+    below = above = None
+    for iv in intervals:
+        mid = float(iv.midpoint()) * (1 + stretch)
+        if iv.low >= 0:
+            above = mid
+        else:
+            below = mid
+    return below, above
+
+
+def _proofs(monkeypatch):
+    """A list that records, per call of _nearest_from_guess, whether it
+    proved its intervals (True) or left them to the walk (False)."""
+    proved = []
+    guessed = realroots._nearest_from_guess
+
+    def recording(*args):
+        found = guessed(*args)
+        proved.append(found is not None)
+        return found
+
+    monkeypatch.setattr(realroots, "_nearest_from_guess", recording)
+    return proved
+
+
+def test_dyadic_nearest_guess_returns_the_intervals_of_the_walk(monkeypatch):
+    proved = _proofs(monkeypatch)
+    for f in _nearest_inputs():
+        if f.coeffs[0] == 0:
+            continue
+        for resolution in GUESS_RESOLUTIONS:
+            walk = isolate_real_roots(f, resolution, nearest=True)
+            for stretch in (0.0, 1e-3, -0.02):
+                guess = _near_guess(walk, stretch)
+                assert isolate_real_roots(f, resolution, nearest=True,
+                                          guess=guess) == walk, (f, guess)
+    # most square-free inputs are proved from the guess, not walked
+    assert proved.count(True) > 900 and proved.count(False) > 100, \
+        (proved.count(True), proved.count(False))
+
+
+@given(st.lists(st.tuples(_START_ROOTS, st.integers(min_value=1, max_value=2)),
+                max_size=5),
+       st.lists(st.tuples(st.integers(min_value=-40, max_value=40),
+                          st.sampled_from([1, 7, 2 ** 20])),
+                max_size=2),
+       st.integers(min_value=-9, max_value=9).filter(bool),
+       st.sampled_from(GUESS_RESOLUTIONS),
+       st.floats(min_value=-0.2, max_value=0.2))
+@settings(max_examples=120, deadline=None)
+def test_dyadic_nearest_guess_agrees_with_the_walk(roots, pairs, lead,
+                                                   resolution, stretch):
+    # the roots of the nearest-mode test above, guessed from the walk's
+    # intervals moved by up to a fifth of their distance from 0
+    f = poly(lead)
+    for a, big in pairs:
+        f = f * poly(big * a * a + 1, -2 * big * a, big)
+    for r, m in roots:
+        if r:
+            f = f * from_roots([r], [m])
+    walk = isolate_real_roots(f, resolution, nearest=True)
+    assert isolate_real_roots(f, resolution, nearest=True,
+                              guess=_near_guess(walk, stretch)) == walk
+
+
+# roots -3, -2/5 below 0 and 1/3, 5/7 above it, and the grid points
+# -1/4 and 1/2 as roots with nonreal roots near 0
+_HOSTILE = [
+    (from_roots([-3, Fraction(-2, 5), Fraction(1, 3), Fraction(5, 7)]),
+     (-3.0, 5 / 7)),
+    (from_roots([Fraction(-1, 4), Fraction(1, 2), 6]) * poly(1, -1, 4),
+     (-0.25, 6.0)),
+]
+
+
+@pytest.mark.parametrize("f, farther", _HOSTILE)
+def test_dyadic_nearest_hostile_guesses_give_the_walk(monkeypatch, f, farther):
+    proved = _proofs(monkeypatch)
+    for resolution in GUESS_RESOLUTIONS[:2]:
+        walk = isolate_real_roots(f, resolution, nearest=True)
+        below, above = _near_guess(walk)
+        e = power_of_two_bound(realroots._factor_chains(f, "isolate")[0][0])
+        # the farther root, the other side's root, grid points, 0, no
+        # number, the infinities, beyond the bound, no root at all, and
+        # the nearest crossing itself
+        hostile = [farther[0], farther[1], below, above, 0.5, -0.25, 1.0,
+                   0.0, float("nan"), float("inf"), float("-inf"),
+                   2.0 ** (e + 2), -1e300, None]
+        for low in hostile:
+            for high in hostile:
+                got = isolate_real_roots(f, resolution, nearest=True,
+                                         guess=(low, high))
+                assert got == walk, (resolution, low, high)
+    # the nearest guesses are proved, most other pairs are refused
+    assert len(proved) == 2 * 14 * 14
+    assert 2 <= proved.count(True) < proved.count(False), proved.count(True)
+
+
+def test_dyadic_nearest_guess_proves_a_side_without_a_root():
+    # below 0 the roots -1/3 and 5/7 have no partner: (None, ...) is a
+    # guess that the side has no root, checked by Descartes' bound 0
+    f = from_roots([3, 5]) * poly(1, 0, 1)
+    assert isolate_real_roots(f, nearest=True, guess=(None, 3.1)) == \
+        isolate_real_roots(f, nearest=True)
+    assert isolate_real_roots(poly(1, 0, 1), nearest=True,
+                              guess=(None, None)) == []
+    g = from_roots([-7, Fraction(-1, 3)])
+    assert isolate_real_roots(g, nearest=True, guess=(None, None)) == \
+        isolate_real_roots(g, nearest=True)
+    with pytest.raises(ValueError):
+        isolate_real_roots(g, guess=(None, None))
+
+
+def test_dyadic_nearest_boundary_carries_each_crossing_to_the_next_ray(
+        monkeypatch):
+    # det6 at 181 rays: every ray after the first is proved from the
+    # last ray's crossings, but at most eleven walk from the root bound
+    p = parse_polynomial((GOLDEN / "det6.poly").read_text())
+    walks = []
+    pieces = realroots._descartes_pieces
+    monkeypatch.setattr(realroots, "_descartes_pieces",
+                        lambda *args, **kw: walks.append(1) or
+                        pieces(*args, **kw))
+    data = boundary_samples(p, (0, 0))
+    assert len(data.samples) == 2 * 181
+    assert 1 <= len(walks) <= 181 - 170
+
+
+@pytest.mark.parametrize("name, x0, rays, resolution", [
+    ("disc", (0, 0), 181, Fraction(1, 2 ** 20)),
+    ("concentric", (0, 0), 31, Fraction(3, 2 ** 40)),
+    ("odd_cubic", (0, 0), 181, Fraction(1, 4)),
+    ("tangent", (-4, 0), 31, Fraction(1, 2 ** 20)),
+    ("lobe", (Fraction(7, 10), 0), 181, Fraction(1, 2 ** 20)),
+    ("det6", (0, 0), 7, Fraction(5)),
+    ("disc_squared", (0, 0), 31, Fraction(1, 2 ** 20)),
+])
+def test_dyadic_nearest_boundary_equals_the_walk_on_every_ray(
+        monkeypatch, name, x0, rays, resolution):
+    p = parse_polynomial((GOLDEN / f"{name}.poly").read_text())
+    guessed = boundary_samples(p, x0, rays, resolution)
+    isolate = rzcheck.isolate_real_roots
+    monkeypatch.setattr(rzcheck, "isolate_real_roots",
+                        lambda f, res, nearest, guess: isolate(f, res,
+                                                               nearest))
+    assert guessed == boundary_samples(p, x0, rays, resolution)

@@ -49,9 +49,10 @@ guesses: for a real-zero p the region's boundary is the innermost oval,
 met once on each side of x0 (rigid convexity), so the crossings move
 continuously with the ray.  isolate_real_roots keeps the cell a guess
 leads to only where exact signs and Descartes' rule prove it is the one
-the walk from the root bound would end on.  construct.intercept_normalize reads the
-cells too: a slope t with a cell is a line through x0 that meets the
-curve in d distinct points or certifies that p is not real-zero.
+the walk from the root bound would end on.
+construct.intercept_normalize reads the cells too: a slope t with a
+cell is a line through x0 that meets the curve in d distinct points or
+certifies that p is not real-zero.
 """
 
 from __future__ import annotations

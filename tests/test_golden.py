@@ -110,6 +110,12 @@ ADDED_CASES = [
     # are the bisection points +-1
     ("det6.boundary.json.default", ["boundary", "det6.poly"]),
     ("odd_cubic.boundary.json.default", ["boundary", "odd_cubic.poly"]),
+    # the tangent circles touch on the first ray from (-4, 0), a slope
+    # where the slope polynomial P = D h_d vanishes; an even ray count
+    # has a vertical ray, which has no slope
+    ("tangent.boundary.json.default",
+     ["boundary", "tangent.poly", "--point=-4,0"]),
+    ("disc.boundary.json.even", ["boundary", "disc.poly", "--rays", "64"]),
 ]
 
 

@@ -52,8 +52,9 @@ def _json(document) -> str:
     the same bytes, written by one recursive pass: with indent set,
     json.dumps falls back to its pure-Python encoder, which takes about
     twice as long on the golden documents.  Keys must be strings.  The
-    line tests' verdicts do not come here: _verdict_json writes their
-    per-ray records to text in one pass, with no document built."""
+    line tests' verdicts and the boundary samples do not come here:
+    _verdict_json and _boundary_json write their records to text in one
+    pass from a % template, with no document built."""
     return _json_text(document, "\n") + "\n"
 
 
@@ -318,6 +319,27 @@ def _boundary_svg(data: BoundaryData) -> str:
         "</svg>\n")
 
 
+# one boundary sample at its depth in the document; every entry is a
+# str(Fraction), which JSON writes as it is, quoted
+_SAMPLE_JSON = ('{\n      "angle": "%s",\n      "direction": [\n'
+                '        "%s",\n        "%s"\n      ],\n'
+                '      "parameter": "%s",\n      "x": "%s",\n'
+                '      "y": "%s"\n    }')
+
+
+def _boundary_json(data: BoundaryData) -> str:
+    """The boundary samples' JSON text, in the layout of
+    json.dumps(document, indent=2, sort_keys=True) plus a newline, each
+    sample written to text as it is read."""
+    samples = ",\n    ".join([
+        _SAMPLE_JSON % (s.angle, *s.direction, s.parameter, *s.point)
+        for s in data.samples])
+    angles = '",\n    "'.join(map(str, data.unbounded_angles))
+    return ('{\n  "samples": %s,\n  "unbounded_angles": %s\n}\n'
+            % ("[\n    " + samples + "\n  ]" if samples else "[]",
+               '[\n    "' + angles + '"\n  ]' if angles else "[]"))
+
+
 def cmd_boundary(args) -> int:
     p = parse_polynomial(_read(args.input))
     point = _parse_point(args.point, p.num_vars)
@@ -328,21 +350,7 @@ def cmd_boundary(args) -> int:
     elif args.format == "svg":
         _emit(_boundary_svg(data), args.out)
     else:
-        document = {
-            "samples": [
-                {
-                    "angle": format_rational(s.angle),
-                    "direction": _fmt_direction(s.direction),
-                    "parameter": format_rational(s.parameter),
-                    "x": format_rational(s.point[0]),
-                    "y": format_rational(s.point[1]),
-                }
-                for s in data.samples
-            ],
-            "unbounded_angles": [format_rational(a)
-                                 for a in data.unbounded_angles],
-        }
-        _emit(_json(document), args.out)
+        _emit(_boundary_json(data), args.out)
     return EXIT_OK
 
 

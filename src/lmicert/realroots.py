@@ -27,7 +27,10 @@ those integers from the start; any other input is scaled once.
     there the interval can depend on those roots.  Given float guesses
     of those roots, it first tries the cell of the last level that
     Newton's method puts each in, and keeps it where two exact signs and
-    one Descartes test prove it the walk's (_nearest_from_guess).
+    one Descartes test prove it the walk's (_nearest_from_guess, which
+    returns grid integers).  rzcheck.boundary_samples calls that proof
+    itself where its slope polynomial shows a ray's restriction
+    square-free, so such a ray builds no Sturm chain.
     ZeroCells runs the bisection with a depth limit and no gcd, and
     numbers the zero-free intervals; rzcheck.SlopeCells builds them for
     the plane line test's slope polynomial.  With the depth limit, a
@@ -403,11 +406,12 @@ def isolate_real_roots(f: UnivariatePolynomial,
     back exact when Descartes' bound from 0 to it is 0, and a side
     guessed empty needs bound 0 on its half of the root bound.  Without
     a guess, on a square factor or when any check is refused, the walk
-    above runs, so the guess changes the speed, never the result."""
+    above runs, so the guess changes the speed, never the result.
+
+    resolution is read once, as a Fraction (_resolution); a NaN or an
+    infinity is refused like a width <= 0."""
+    resolution = _resolution(resolution)
     factors = _factor_chains(f, "isolate")
-    resolution = Fraction(resolution)
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     if not nearest:
         if guess is not None:
             raise ValueError("a guess needs nearest")
@@ -417,10 +421,11 @@ def isolate_real_roots(f: UnivariatePolynomial,
     if len(factors) == 1 and factors[0][2] == 1:
         g = factors[0][0]
         if guess is not None:
-            found = _nearest_from_guess(_Grid(g, power_of_two_bound(g)),
-                                        resolution, guess)
-            if found is not None:
-                return found
+            grid = _Grid(g, power_of_two_bound(g))
+            cells = _nearest_from_guess(grid, resolution, guess)
+            if cells is not None:
+                return [RootInterval(grid.point(ja, k), grid.point(jb, k), 1)
+                        for ja, jb, k in cells]
         found = _isolate_factor(g, 1, resolution, True)
         if found is not None:
             # at most one interval on each side of 0: the one below first
@@ -429,6 +434,19 @@ def isolate_real_roots(f: UnivariatePolynomial,
     intervals = _isolate(factors, resolution)
     below = sum(1 for iv in intervals if iv.low < 0)
     return intervals[max(0, below - 1):below + 1]
+
+
+def _resolution(value) -> Fraction:
+    """value, an isolation width, as a Fraction; ValueError unless it is
+    positive.  Fraction refuses NaN and the infinities with errors of
+    its own, so those are caught and refused like 0."""
+    try:
+        value = Fraction(value)
+    except (ValueError, OverflowError):
+        value = None
+    if value is None or value <= 0:
+        raise ValueError("resolution must be positive")
+    return value
 
 
 def _isolate_factor(g: IntPoly, mult: int, resolution: Fraction,
@@ -572,11 +590,15 @@ _NEWTON_STEPS = 12
 
 def _nearest_from_guess(grid: _Grid, resolution: Fraction,
                         guess: Tuple[Optional[float], Optional[float]]
-                        ) -> Optional[List[RootInterval]]:
+                        ) -> Optional[List[Tuple[int, int, int]]]:
     """isolate_real_roots(f, resolution, nearest=True) of a square-free
     f, whose one factor has the grid grid, from float guesses (below,
     above) of the nearest roots; or None where the exact checks below
-    cannot prove that the walk would return the same.
+    cannot prove that the walk would return the same.  Each interval
+    comes back as the integers (ja, jb, K) of its ends 2^e ja/2^K and
+    2^e jb/2^K on the grid, e = grid.e, the one below 0 first:
+    isolate_real_roots builds the RootIntervals, and
+    rzcheck.boundary_samples reads its samples off the integers.
 
     Per side, h is the grid's scaled g, or g(-y) below 0, so the side's
     nearest root is h's least positive root y*, and K is the level
@@ -584,8 +606,10 @@ def _nearest_from_guess(grid: _Grid, resolution: Fraction,
     Float Newton on grid.floats from the guess puts y* in a cell
     [j, j + 2]/2^K, j even: a piece of the bisection on level K.  The
     cell is taken when
-      1. f is square-free (the caller's test: f's Sturm chain ends in a
-         constant),
+      1. f is square-free, which the caller proves: in
+         isolate_real_roots f's Sturm chain ends in a constant, and in
+         rzcheck.boundary_samples the slope polynomial P(t) = D(t)
+         h_d(1, t) is nonzero at the ray's slope,
       2. j >= 2 and j + 4 <= 2^K,
       3. h's exact signs at j/2^K and (j + 2)/2^K are nonzero and
          opposite, and
@@ -634,8 +658,7 @@ def _nearest_from_guess(grid: _Grid, resolution: Fraction,
                 return None
         if side < 0:
             ja, jb = -jb, -ja
-        found.append(RootInterval(grid.point(ja, level),
-                                  grid.point(jb, level), 1))
+        found.append((ja, jb, level))
     return found
 
 

@@ -43,13 +43,17 @@ The verdict and every record are those of counting every ray.  Every
 scan keys a ray by its slope's cell number alone (ZeroCells.cell) and
 names the ray each borrowing ray took its counts from, whose side
 counts oval_profile reads.  boundary_samples, which isolates the
-nearest root on each side of the base point on every ray, does not use
-the cells.  It hands each ray's two crossings to the next ray as float
-guesses: for a real-zero p the region's boundary is the innermost oval,
-met once on each side of x0 (rigid convexity), so the crossings move
-continuously with the ray.  isolate_real_roots keeps the cell a guess
+nearest root on each side of the base point on every ray, builds no
+cells, only their polynomial P (SlopeCells.polynomial): P != 0 at a
+ray's slope proves the ray's restriction square-free of degree d, the
+premise of the guess check below, with no Sturm chain per ray.  It
+hands each ray's two crossings to the next ray as float guesses: for a
+real-zero p the region's boundary is the innermost oval, met once on
+each side of x0 (rigid convexity), so the crossings move continuously
+with the ray.  realroots._nearest_from_guess keeps the cell a guess
 leads to only where exact signs and Descartes' rule prove it is the one
-the walk from the root bound would end on.
+the walk from the root bound would end on, and boundary_samples builds
+each sample from that cell's grid integers.
 construct.intercept_normalize reads the cells too: a slope t with a
 cell is a line through x0 that meets the curve in d distinct points or
 certifies that p is not real-zero.
@@ -61,14 +65,15 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, ldexp
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import BasePointError, DimensionMismatch, ZeroPolynomialError
 from .pencil import _bareiss_det, _forward_differences, _newton_to_powers
 from .poly import Polynomial, UnivariatePolynomial, as_point
-from .realroots import (RootCount, ZeroCells, count_real_roots,
-                        isolate_real_roots)
+from .realroots import (RootCount, ZeroCells, _Grid, _int_sign_at,
+                        _nearest_from_guess, _resolution, count_real_roots,
+                        isolate_real_roots, power_of_two_bound)
 
 Direction = Tuple[Fraction, ...]
 Vector = Tuple[int, ...]
@@ -444,13 +449,23 @@ class SlopeCells(ZeroCells):
            ) -> Optional[SlopeCells]:
         """The cells of P(t) = D(t) H_d(t) for q in two variables at x,
         or None when D = 0 (q is not square-free)."""
+        product = cls.polynomial(q, x)
+        return cls(product) if product else None
+
+    @classmethod
+    def polynomial(cls, q: Polynomial, x: Tuple[Fraction, ...]
+                   ) -> List[int]:
+        """The integer coefficients of P(t) = D(t) H_d(t) for q in two
+        variables at x, lowest degree first, or [] when D = 0.  A slope
+        t = a/b (b > 0) with _int_sign_at(P, a, b) != 0 has a square-free
+        restriction of full degree d."""
         table = q._forms
         if table is None or table[0] != x:
             table = q._build_forms(x)
         heads = cls._heads(table[2])
         disc = cls._discriminant(heads)
         if not disc:
-            return None
+            return []
         top = heads[-1]
         while not top[-1]:
             top.pop()
@@ -458,7 +473,7 @@ class SlopeCells(ZeroCells):
         for i, a in enumerate(disc):
             for j, b in enumerate(top):
                 product[i + j] += a * b
-        return cls(product)
+        return product
 
     @staticmethod
     def _heads(forms) -> List[List[int]]:
@@ -600,25 +615,42 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     (isolate_real_roots with nearest): a root farther out is a crossing
     of an outer oval, which no sample shows.  Each sample's parameter
     is the midpoint of its interval and each coordinate of its point
-    is built as one Fraction from integers.
+    is built as one Fraction from integers.  resolution is read once,
+    as a Fraction, and must be positive (a NaN or an infinity is not).
 
     From the second ray on, each side's parameter on the ray before, as
-    a float (None for a side without a crossing), is isolate_real_roots'
-    guess: float Newton steps from it pick the grid cell of the final
-    width that should hold the crossing, and the cell is kept only when
-    two exact signs bracket a root there and Descartes' bound proves it
-    the only root between the base point and the next cell out (a side
-    guessed empty needs bound 0 on its half).  That is the cell the
-    walk from the root bound ends on, so the samples are those of
-    isolating every ray afresh; a refused check runs that walk.
+    a float (None for a side without a crossing), is the guess: float
+    Newton steps from it pick the grid cell of the final width that
+    should hold the crossing, and the cell is kept only when two exact
+    signs bracket a root there and Descartes' bound proves it the only
+    root between the base point and the next cell out (a side guessed
+    empty needs bound 0 on its half).  That is the cell the walk from
+    the root bound ends on, so the samples are those of isolating every
+    ray afresh.
+
+    That proof needs the restriction f square-free.  The slope
+    polynomial P(t) = D(t) h_d(1, t) of the slope cells, built once per
+    call of more than 2 d^2 rays (SlopeCells.polynomial), shows it:
+    P != 0 at the ray's slope makes f square-free of degree d.  Such a
+    ray goes to _nearest_from_guess with f's primitive integers, builds
+    no Sturm chain, and reads its samples off the proved cells' grid
+    integers.  A vertical ray, a slope that is a zero of P, every ray
+    when D = 0 (p not square-free) or P is not built, the first ray and
+    any ray whose cell is refused go to isolate_real_roots, which proves
+    f square-free by its Sturm chain or isolates f's factors, and walks
+    where the guess fails.
     """
     if p.num_vars != 2:
         raise DimensionMismatch("boundary extraction is two-variable only")
     if rays < 1:
         raise ValueError("rays must be >= 1")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    resolution = _resolution(resolution)
     q, x = _checked_base(p, x0)
+    d = int(q.degree())
+    # P costs about as much as the Sturm chains of d^2 to 4 d^2 rays (on
+    # determinantal curves, d = 2..8 at 31, 64 and 121 rays, 2-core
+    # x86-64); with fewer rays [] sends every ray to isolate_real_roots
+    slope = SlopeCells.polynomial(q, x) if rays > 2 * d * d else []
     # per side, in increasing angle: every positive side (4j/K) comes
     # before every negative one (4 + 4j/K)
     samples: Tuple[List[BoundarySample], ...] = ([], [])
@@ -627,32 +659,44 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     # without one; the first ray has none to start from
     guess = None
     for j in range(rays):
-        _, v = _square_ray(j, rays)
+        (w1, w2), v = _square_ray(j, rays)
         f = q.restrict(x, v)
-        angle = Fraction(4 * j, rays)
+        angles = (Fraction(4 * j, rays), Fraction(4 * (j + rays), rays))
         if f.degree() <= 0:
-            unbounded[0].append(angle)
-            unbounded[1].append(angle + 4)
+            unbounded[0].append(angles[0])
+            unbounded[1].append(angles[1])
             guess = (None, None)
             continue
-        # f(0) = q(x) > 0, as the nearest mode needs
-        neg = pos = None
-        for iv in isolate_real_roots(f, resolution, nearest=True,
-                                     guess=guess):
-            if iv.low >= 0:
-                pos = iv
-            else:
-                neg = iv
+        # (parameter, its float) of the crossing above 0, then below it
         near = [None, None]
-        for side, side_angle, iv in ((0, angle, pos), (1, angle + 4, neg)):
-            if iv is None:
-                unbounded[side].append(side_angle)
+        cells = None
+        if guess is not None and w1 and _int_sign_at(
+                slope, *((w2, w1) if w1 > 0 else (-w2, -w1))):
+            # f is square-free, so its primitive integers are its one
+            # factor; the cells do not depend on that factor's sign
+            g = f.primitive()[0]
+            grid = _Grid(g, power_of_two_bound(g))
+            cells = _nearest_from_guess(grid, resolution, guess)
+            if cells is None:
+                guess = None            # refused: the walk alone is left
+            for ja, jb, k in cells or ():
+                # the cell's midpoint 2^e (ja + jb)/2^(k + 1)
+                near[ja < 0] = (Fraction(ja + jb << grid.e, 2 << k),
+                                ldexp(ja + jb, grid.e - k - 1))
+        if cells is None:
+            # f(0) = q(x) > 0, as the nearest mode needs
+            for iv in isolate_real_roots(f, resolution, nearest=True,
+                                         guess=guess):
+                mu = iv.midpoint()
+                near[mu < 0] = (mu, float(mu))
+        for side, angle in enumerate(angles):
+            if near[side] is None:
+                unbounded[side].append(angle)
                 continue
-            mu = iv.midpoint()
-            near[side] = float(mu)
+            mu = near[side][0]
             pt = (_moved(x[0], mu, v[0]), _moved(x[1], mu, v[1]))
-            samples[side].append(BoundarySample(side_angle, v, mu, pt))
-        guess = (near[1], near[0])
+            samples[side].append(BoundarySample(angle, v, mu, pt))
+        guess = tuple(None if c is None else c[1] for c in reversed(near))
     return BoundaryData(tuple(samples[0] + samples[1]),
                         tuple(unbounded[0] + unbounded[1]))
 

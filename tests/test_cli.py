@@ -19,7 +19,8 @@ from lmicert.cli import _build_parser, main
 from lmicert.pencil import determinant_polynomial, parse_pencil
 from lmicert.poly import format_rational, parse_polynomial
 from lmicert.realroots import RootCount
-from lmicert.rzcheck import (RaySampler, RayRecord, RZVerdict,
+from lmicert.rzcheck import (BoundaryData, BoundarySample, RaySampler,
+                             RayRecord, RZVerdict, boundary_samples,
                              hyperbolicity_check, rigid_convexity_check)
 
 DISC_POLY = "vars 2\n1 0 0\n-1 2 0\n-1 0 2\n"
@@ -879,3 +880,67 @@ def test_scan_writer_on_verdicts_the_command_line_cannot_give():
                       Fraction(0), True)):
         assert cli._verdict_json(verdict) == _dumps(
             _old_verdict_document(verdict))
+
+
+# === the boundary writer ===
+
+def _old_boundary_document(data):
+    """The document the boundary JSON was once dumped from."""
+    return {
+        "samples": [{"angle": format_rational(s.angle),
+                     "direction": [format_rational(c) for c in s.direction],
+                     "parameter": format_rational(s.parameter),
+                     "x": format_rational(s.point[0]),
+                     "y": format_rational(s.point[1])}
+                    for s in data.samples],
+        "unbounded_angles": [format_rational(a)
+                             for a in data.unbounded_angles],
+    }
+
+
+# rationals of every sign and size, integers among them
+_RATIONALS = (st.fractions()
+              | st.integers(min_value=-10 ** 40,
+                            max_value=10 ** 40).map(Fraction)
+              | st.builds(Fraction,
+                          st.integers(min_value=-10 ** 30,
+                                      max_value=10 ** 30),
+                          st.integers(min_value=1, max_value=10 ** 30)))
+_PAIRS = st.tuples(_RATIONALS, _RATIONALS)
+_BOUNDARY_DATA = st.builds(
+    BoundaryData,
+    st.lists(st.builds(BoundarySample, _RATIONALS, _PAIRS, _RATIONALS,
+                       _PAIRS), max_size=5).map(tuple),
+    st.lists(_RATIONALS, max_size=4).map(tuple))
+
+
+@given(_BOUNDARY_DATA)
+@settings(max_examples=200, deadline=None)
+def test_boundary_writer_matches_the_dumped_document(data):
+    assert cli._boundary_json(data) == _dumps(_old_boundary_document(data))
+
+
+@pytest.mark.parametrize("samples, angles", [
+    ((), ()),
+    ((), (Fraction(2), Fraction(-6, 7))),
+    ((BoundarySample(Fraction(-1, 3), (Fraction(-1), Fraction(10 ** 40)),
+                     Fraction(-(10 ** 50), 3), (Fraction(0), Fraction(7))),),
+     ()),
+])
+def test_boundary_writer_edge_data(samples, angles):
+    data = BoundaryData(samples, angles)
+    assert cli._boundary_json(data) == _dumps(_old_boundary_document(data))
+
+
+@pytest.mark.parametrize("poly, point, rays", [
+    (DISC_POLY, None, 9), (STRIP_POLY, None, 16),
+    (ODD_CUBIC_POLY, "1/2,-1/3", 12)])
+def test_boundary_command_writes_the_dumped_document(tmp_path, poly, point,
+                                                     rays):
+    path = write(tmp_path, "p.poly", poly)
+    argv = ["boundary", path, "--rays", str(rays)]
+    if point is not None:
+        argv.append(f"--point={point}")
+    p = parse_polynomial(poly)
+    data = boundary_samples(p, cli._parse_point(point, 2), rays)
+    assert run_cli(argv) == (0, _dumps(_old_boundary_document(data)), "")

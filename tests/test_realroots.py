@@ -148,6 +148,17 @@ def test_isolation_rejects_a_zero_resolution():
         isolate_real_roots(poly(-2, 0, 1), 0)
 
 
+@pytest.mark.parametrize("resolution", [float("nan"), float("inf"),
+                                        float("-inf"), 0, -1.5])
+@pytest.mark.parametrize("nearest", [False, True])
+def test_isolation_refuses_a_resolution_that_is_not_positive(resolution,
+                                                             nearest):
+    # Fraction itself raises on NaN and on the infinities; those are
+    # refused with the message of a width <= 0
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        isolate_real_roots(poly(-2, 0, 1), resolution, nearest)
+
+
 def test_isolation_of_rootless_polynomial():
     assert isolate_real_roots(poly(5, 0, 1)) == []
 
@@ -1026,8 +1037,11 @@ def test_dyadic_nearest_boundary_equals_the_walk_on_every_ray(
         monkeypatch, name, x0, rays, resolution):
     p = parse_polynomial((GOLDEN / f"{name}.poly").read_text())
     guessed = boundary_samples(p, x0, rays, resolution)
+    # no guess is tried, by isolate_real_roots or on the rays that the
+    # slope polynomial proves square-free, so every ray walks
     isolate = rzcheck.isolate_real_roots
     monkeypatch.setattr(rzcheck, "isolate_real_roots",
                         lambda f, res, nearest, guess: isolate(f, res,
                                                                nearest))
+    monkeypatch.setattr(rzcheck, "_nearest_from_guess", lambda *args: None)
     assert guessed == boundary_samples(p, x0, rays, resolution)

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmicert import rzcheck
+from lmicert import realroots, rzcheck
 from lmicert.errors import (BasePointError, DimensionMismatch,
                             ZeroPolynomialError)
 from lmicert.poly import Polynomial, UnivariatePolynomial, parse_polynomial
-from lmicert.realroots import RootCount, count_real_roots, side_counts
+from lmicert.realroots import (RootCount, count_real_roots,
+                               isolate_real_roots, side_counts)
 from lmicert.rzcheck import (CERTIFIED_NOT_RZ, PROBABLY_RZ, RaySampler,
                              _grid_index, _integer_vector,
                              _reduce_direction, _square_ray,
@@ -577,6 +578,110 @@ def test_ellipse_boundary_points_near_zero_set(a, b):
     assert data.unbounded_angles == ()
     for s in data.samples:
         assert abs(float(p.evaluate(s.point))) < 1e-4
+
+
+def _walked_boundary(p, x0, rays, resolution=F(1, 2 ** 20)):
+    """boundary_samples' data with every ray isolated afresh by
+    isolate_real_roots(f, resolution, nearest=True): no guess and no
+    slope polynomial."""
+    x = tuple(F(c) for c in x0)
+    samples, unbounded = ([], []), ([], [])
+    for j in range(rays):
+        v = _square_direction(j, rays)
+        f = p.restrict(x, v)
+        near = [None, None]
+        if f.degree() > 0:
+            for iv in isolate_real_roots(f, resolution, nearest=True):
+                near[iv.low < 0] = iv.midpoint()
+        for side, angle in enumerate((F(4 * j, rays), 4 + F(4 * j, rays))):
+            mu = near[side]
+            if mu is None:
+                unbounded[side].append(angle)
+            else:
+                point = tuple(c + mu * w for c, w in zip(x, v))
+                samples[side].append(
+                    rzcheck.BoundarySample(angle, v, mu, point))
+    return rzcheck.BoundaryData(tuple(samples[0] + samples[1]),
+                                tuple(unbounded[0] + unbounded[1]))
+
+
+def _slope_sign(p, x0, v):
+    """The sign of the slope polynomial P at the slope of direction v."""
+    x = tuple(F(c) for c in x0)
+    w = _integer_vector(v)
+    return realroots._int_sign_at(rzcheck.SlopeCells.polynomial(p, x),
+                                  *(w[1], w[0]) if w[0] > 0
+                                  else (-w[1], -w[0]))
+
+
+@pytest.mark.parametrize("resolution", [F(1, 2 ** 20), F(3, 2 ** 40)])
+def test_boundary_rays_the_slope_polynomial_cannot_prove_give_the_walk(
+        resolution):
+    # the disc squared has D = 0, so no ray is proved square-free by P;
+    # the tangent circles touch on the first ray from (-4, 0), a zero
+    # of P; 64 rays have a vertical one, ray 32, which has no slope
+    square = _golden("disc_squared")
+    assert rzcheck.SlopeCells.polynomial(square, (F(0), F(0))) == []
+    tangent = _golden("tangent")
+    assert _slope_sign(tangent, (-4, 0), _square_direction(0, 181)) == 0
+    assert _square_direction(32, 64) == (0, 1)
+    for p, x0, rays in ((square, (0, 0), 31), (tangent, (-4, 0), 181),
+                        (DISC, (0, 0), 64)):
+        assert boundary_samples(p, x0, rays, resolution) == \
+            _walked_boundary(p, x0, rays, resolution)
+
+
+def test_boundary_builds_sturm_chains_only_on_fallback_rays(monkeypatch):
+    # det6 at 181 rays: P proves every ray's restriction square-free, so
+    # only the rays sent to isolate_real_roots (the first, which has no
+    # guess, and any whose cell is refused) build a Sturm chain, where
+    # each of the 181 rays built one before P was read
+    chains, fallbacks = [], []
+    chain = realroots._int_sturm_chain
+    monkeypatch.setattr(realroots, "_int_sturm_chain",
+                        lambda g: chains.append(1) or chain(g))
+    isolate = rzcheck.isolate_real_roots
+    monkeypatch.setattr(rzcheck, "isolate_real_roots",
+                        lambda *args, **kw: fallbacks.append(1) or
+                        isolate(*args, **kw))
+    data = boundary_samples(_golden("det6"), (0, 0))
+    assert len(data.samples) == 2 * 181
+    assert 1 <= len(chains) == len(fallbacks) <= 11
+
+
+def test_boundary_with_few_rays_reads_no_slope_polynomial(monkeypatch):
+    # P is built only for more than 2 d^2 rays, where it pays for itself
+    built = []
+    polynomial = rzcheck.SlopeCells.polynomial
+    monkeypatch.setattr(rzcheck.SlopeCells, "polynomial",
+                        lambda q, x: built.append(1) or polynomial(q, x))
+    det6 = _golden("det6")
+    assert boundary_samples(det6, (0, 0), 72) == _walked_boundary(det6,
+                                                                  (0, 0), 72)
+    assert built == []
+    boundary_samples(det6, (0, 0), 73)
+    assert built == [1]
+
+
+@pytest.mark.parametrize("resolution", [float("nan"), float("inf"),
+                                        float("-inf"), 0, -1, F(-1, 2)])
+def test_boundary_refuses_a_resolution_that_is_not_positive(resolution):
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        boundary_samples(DISC, (0, 0), 4, resolution)
+
+
+def test_boundary_reads_the_resolution_once_as_a_fraction():
+    # every crossing of the max-norm unit square is at mu = +-1, exact
+    # at these three resolutions; the disc's are not, and each width
+    # gives what its Fraction gives
+    square = (one - x1 ** 2) * (one - x2 ** 2)
+    data = [boundary_samples(square, (0, 0), 9, r)
+            for r in (0.25, 1, F(1, 4))]
+    assert data[0] == data[1] == data[2]
+    assert {s.parameter for s in data[0].samples} == {1, -1}
+    for r in (0.25, 1, F(1, 4)):
+        assert boundary_samples(DISC, (0, 0), 9, r) == \
+            boundary_samples(DISC, (0, 0), 9, F(r))
 
 
 # === slope cells ===

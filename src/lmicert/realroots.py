@@ -438,13 +438,12 @@ def isolate_real_roots(f: UnivariatePolynomial,
 
 def _resolution(value) -> Fraction:
     """value, an isolation width, as a Fraction; ValueError unless it is
-    positive.  Fraction refuses NaN and the infinities with errors of
-    its own, so those are caught and refused like 0."""
+    positive, also for the NaN and infinities that Fraction refuses."""
     try:
         value = Fraction(value)
-    except (ValueError, OverflowError):
-        value = None
-    if value is None or value <= 0:
+    except (ValueError, OverflowError):     # NaN, the infinities
+        value = 0
+    if value <= 0:
         raise ValueError("resolution must be positive")
     return value
 

@@ -626,19 +626,16 @@ def boundary_samples(p: Polynomial, x0: Sequence, rays: int = 181,
     root between the base point and the next cell out (a side guessed
     empty needs bound 0 on its half).  That is the cell the walk from
     the root bound ends on, so the samples are those of isolating every
-    ray afresh.
+    ray afresh; a refused check runs that walk.
 
-    That proof needs the restriction f square-free.  The slope
-    polynomial P(t) = D(t) h_d(1, t) of the slope cells, built once per
-    call of more than 2 d^2 rays (SlopeCells.polynomial), shows it:
-    P != 0 at the ray's slope makes f square-free of degree d.  Such a
-    ray goes to _nearest_from_guess with f's primitive integers, builds
-    no Sturm chain, and reads its samples off the proved cells' grid
-    integers.  A vertical ray, a slope that is a zero of P, every ray
-    when D = 0 (p not square-free) or P is not built, the first ray and
-    any ray whose cell is refused go to isolate_real_roots, which proves
-    f square-free by its Sturm chain or isolates f's factors, and walks
-    where the guess fails.
+    The check needs f square-free.  With more than 2 d^2 rays the slope
+    polynomial P(t) = D(t) h_d(1, t) is built once (SlopeCells.polynomial),
+    and P != 0 at a ray's slope proves f square-free of degree d: the
+    ray is checked on f's primitive integers with no Sturm chain
+    (_nearest_from_guess), and its samples are read off the cells' grid
+    integers.  Every other ray (the first, a vertical one, a zero of P,
+    every ray when D = 0 or P is not built, a refused cell) goes to
+    isolate_real_roots, whose Sturm chain proves f square-free.
     """
     if p.num_vars != 2:
         raise DimensionMismatch("boundary extraction is two-variable only")

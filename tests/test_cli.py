@@ -20,8 +20,8 @@ from lmicert.pencil import determinant_polynomial, parse_pencil
 from lmicert.poly import format_rational, parse_polynomial
 from lmicert.realroots import RootCount
 from lmicert.rzcheck import (BoundaryData, BoundarySample, RaySampler,
-                             RayRecord, RZVerdict, boundary_samples,
-                             hyperbolicity_check, rigid_convexity_check)
+                             RayRecord, RZVerdict, hyperbolicity_check,
+                             rigid_convexity_check)
 
 DISC_POLY = "vars 2\n1 0 0\n-1 2 0\n-1 0 2\n"
 CIRCLE2_POLY = "vars 2\n4 0 0\n-1 2 0\n-1 0 2\n"
@@ -931,16 +931,3 @@ def test_boundary_writer_edge_data(samples, angles):
     data = BoundaryData(samples, angles)
     assert cli._boundary_json(data) == _dumps(_old_boundary_document(data))
 
-
-@pytest.mark.parametrize("poly, point, rays", [
-    (DISC_POLY, None, 9), (STRIP_POLY, None, 16),
-    (ODD_CUBIC_POLY, "1/2,-1/3", 12)])
-def test_boundary_command_writes_the_dumped_document(tmp_path, poly, point,
-                                                     rays):
-    path = write(tmp_path, "p.poly", poly)
-    argv = ["boundary", path, "--rays", str(rays)]
-    if point is not None:
-        argv.append(f"--point={point}")
-    p = parse_polynomial(poly)
-    data = boundary_samples(p, cli._parse_point(point, 2), rays)
-    assert run_cli(argv) == (0, _dumps(_old_boundary_document(data)), "")
